@@ -2,11 +2,12 @@
 Level and gradient arcs of |f| and arg f
 ========================================
 
-Level sets {|f| = eps} are traced by a predictor-corrector walk whose
-parameter is the argument of f itself, so "total change of arg f along an
-arc" is the natural stopping currency. Gradient rays {arg f = alpha} are
-traced in log|f|. Both are Newton-projected back onto their constraint at
-every node.
+Level sets {|f| = eps} are traced by lifting the circle eps*exp(i s)
+through f^{-1} on a uniform grid in s = arg f, so "total change of arg f
+along an arc" is the natural stopping currency. Gradient rays
+{arg f = alpha} lift exp(s + i alpha) on a uniform grid in s = log|f|.
+Both use the same Euler predictor and Newton corrector onto the exact
+target, so every node satisfies its constraint to a relative 1e-12.
 """
 import os
 

@@ -36,18 +36,10 @@ def trig_eval(coeffs: np.ndarray, t) -> np.ndarray:
 def trig_eval_deriv(coeffs: np.ndarray, t) -> np.ndarray:
     """Evaluate the derivative of the interpolant at angles t."""
     n = coeffs.size
-    k = _freqs(n)
-    dc = coeffs * 1j * k
+    dc = coeffs * 1j * _freqs(n)
     if n % 2 == 0:
         dc[n // 2] = 0.0  # Nyquist cosine term: keep the symmetric (zero-mean) choice
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros(t.shape, dtype=complex)
-    block = max(1, int(2_000_000 // n))
-    for i in range(0, t.size, block):
-        tb = t[i : i + block]
-        phase = np.exp(1j * np.outer(tb, k))
-        out[i : i + block] = phase @ dc
-    return out
+    return trig_eval(dc, t)
 
 
 def trig_diff(vals: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -68,8 +69,8 @@ class RunConfig:
 
     def validate(self):
         for name in ("trace_step", "close_tol_factor", "table_tol", "modulus_rtol"):
-            if getattr(self, name) <= 0:
-                raise PreconditionError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise PreconditionError(f"{name} must be positive and finite")
         if self.nodes < 64 or self.nodes > 4096 or self.nodes & (self.nodes - 1):
             raise PreconditionError("nodes must be a power of two in [64, 4096]")
         for name in ("samples", "samples_per_lap", "grid_args", "grid_moduli",
@@ -82,14 +83,13 @@ class RunConfig:
     def load(cls, path=None, overrides=None):
         cfg = cls()
         if path:
-            with open(path) as fh:
-                data = json.load(fh)
+            data = lio.read_json(path)
             known = {f.name for f in fields(cls)}
             unknown = set(data) - known
             if unknown:
                 raise PreconditionError(f"unknown config keys: {sorted(unknown)}")
             for k, v in data.items():
-                setattr(cfg, k, type(getattr(cfg, k))(v))
+                setattr(cfg, k, _config_value(k, v, getattr(cfg, k)))
         for k, v in (overrides or {}).items():
             if v is not None:
                 setattr(cfg, k, v)
@@ -97,6 +97,22 @@ class RunConfig:
         if env_out:
             cfg.outdir = env_out
         return cfg.validate()
+
+
+def _config_value(name, value, default):
+    """A config file value, checked against the type of its default."""
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise PreconditionError(f"{name} must be a string, got {value!r}")
+        return value
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not number or not abs(value) <= sys.float_info.max:
+        raise PreconditionError(f"{name} must be a finite number, got {value!r}")
+    if isinstance(default, int):
+        if value != int(value):
+            raise PreconditionError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
 
 
 def _load_curve_arg(arg: str) -> SampledCurve:

@@ -23,7 +23,7 @@ from .errors import (
     PreconditionError,
     TraceError,
 )
-from .levelcurves import _scalar_kernels
+from .levelcurves import lift_path
 from .polynomials import Polynomial, critical_values, roots_flat
 
 _TWO_PI = 2.0 * np.pi
@@ -165,64 +165,38 @@ def _gamma_interpolant(gamma: SampledCurve):
 
 
 def _trace_pseudo_lemniscate(p: Polynomial, gamma: SampledCurve, samples_per_lap: int):
-    """Continuation solving p(z(t)) = Gamma(n t) over one full loop.
+    """Lift Gamma(tau mod 2 pi) through p^{-1} over n laps, tau in [0, 2 pi n].
 
-    Returns (points, taus): nm samples of the preimage curve and the base
-    parameter of each (tau in [0, 2 pi n), the Gamma-lap position).
+    Returns (points, taus): nm samples of the preimage curve, uniform in tau,
+    and the base parameter of each (the Gamma-lap position).
     """
     n = p.degree
     if n < 1:
         raise PreconditionError("polynomial must be nonconstant")
     gc = _gamma_interpolant(gamma)
     m = samples_per_lap
-    total = n * m
-    h = _TWO_PI / m
-    taus = h * np.arange(total + 1)
-    targets = trig_eval(gc, np.mod(taus, _TWO_PI))
-    deriv = trig_eval_deriv(gc, np.mod(taus, _TWO_PI))
-    fd = _scalar_kernels(p)
+    taus = (_TWO_PI / m) * np.arange(n * m + 1)
 
-    w0 = complex(targets[0])
-    cands = sorted(roots_flat(p - w0, tol=1e-8), key=lambda z: (z.real, z.imag))
-    z = complex(cands[0])
-    scale = 1.0 + abs(z)
-    pts = np.empty(total + 1, dtype=complex)
-    pts[0] = z
-    dscale = float(p.derivative().eval_scale(1.0 + np.max(np.abs(gamma.points))))
-    for j in range(1, total + 1):
-        fv, dv = fd(z)
-        if abs(dv) < 1e-12 * dscale:
-            raise TraceError(
-                f"p' vanishes near the curve at {z:.6g}; input is not proper"
-            )
-        z_pred = z + deriv[j - 1] * h / dv
-        w = complex(targets[j])
-        z_new = z_pred
-        for _ in range(40):
-            fv, dv = fd(z_new)
-            err = fv - w
-            if abs(err) <= 1e-13 * max(abs(w), 1.0):
-                break
-            if abs(dv) < 1e-12 * dscale:
-                raise TraceError(
-                    f"p' vanishes during correction near {z_new:.6g}; not proper"
-                )
-            z_new = z_new - err / dv
-        else:
-            raise TraceError(f"correction stalled at lap position {taus[j]:.6g}")
-        z = z_new
-        pts[j] = z
-        scale = max(scale, 1.0 + abs(z))
-        if j % m == 0 and j < total:
-            if abs(z - pts[0]) < 1e-8 * scale:
-                raise TraceError(
-                    f"curve closed after {j // m} of {n} laps; input is not proper"
-                )
-    if abs(pts[total] - pts[0]) > 1e-8 * scale:
+    def path(t):
+        return trig_eval(gc, np.mod(t, _TWO_PI))
+
+    def dpath(t):
+        return trig_eval_deriv(gc, np.mod(t, _TWO_PI))
+
+    w0 = complex(path(taus[:1])[0])
+    z0 = min(roots_flat(p - w0, tol=1e-8), key=lambda z: (z.real, z.imag))
+    pts, _ = lift_path(p, path, dpath, z0, taus)
+    tol = 1e-8 * (1.0 + np.max(np.abs(pts)))
+    early = np.nonzero(np.abs(pts[m : n * m : m] - pts[0]) < tol)[0]
+    if early.size:
         raise TraceError(
-            f"curve did not close after {n} laps (gap {abs(pts[total] - pts[0]):.3g})"
+            f"curve closed after {early[0] + 1} of {n} laps; input is not proper"
         )
-    return pts[:total], taus[:total]
+    if abs(pts[-1] - pts[0]) > tol:
+        raise TraceError(
+            f"curve did not close after {n} laps (gap {abs(pts[-1] - pts[0]):.3g})"
+        )
+    return pts[:-1], taus[:-1]
 
 
 def pseudo_lemniscate(

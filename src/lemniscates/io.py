@@ -17,6 +17,19 @@ from .levelcurves import TracedArc
 from .polynomials import Polynomial
 
 
+def read_json(path) -> dict:
+    """Load a JSON object from path; an unreadable file, malformed JSON or a
+    top level that is not an object raises PreconditionError."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise PreconditionError(f"cannot read JSON from {path}: {err}") from None
+    if not isinstance(data, dict):
+        raise PreconditionError(f"{path}: top-level JSON value must be an object")
+    return data
+
+
 def _pairs(values) -> list:
     return [[float(v.real), float(v.imag)] for v in np.asarray(values, dtype=complex)]
 
@@ -45,8 +58,7 @@ def polynomial_from_dict(d: dict) -> Polynomial:
 
 
 def load_polynomial(path) -> Polynomial:
-    with open(path) as fh:
-        return polynomial_from_dict(json.load(fh))
+    return polynomial_from_dict(read_json(path))
 
 
 def save_polynomial(p: Polynomial, path):
@@ -67,8 +79,7 @@ def curve_from_dict(d: dict) -> SampledCurve:
 
 
 def load_curve(path) -> SampledCurve:
-    with open(path) as fh:
-        return curve_from_dict(json.load(fh))
+    return curve_from_dict(read_json(path))
 
 
 def save_curve(c: SampledCurve, path):

@@ -1,10 +1,14 @@
-"""Predictor-corrector tracing of level sets {|f| = eps} and gradient rays
-{arg f = alpha}, with continuous-argument bookkeeping.
+"""Tracing of level sets {|f| = eps} and gradient rays {arg f = alpha} by
+lifting w-plane paths through f^{-1}.
 
-Level arcs are parametrized by the argument of f itself (RK4 on
-dz/dtau = i * direction * f/f'), gradient arcs by log|f| (dz/dsigma =
-sign * f/f'); every node is Newton-projected back onto the constraint,
-so the traced data satisfies it to corrector tolerance.
+`lift_path` is the one continuation kernel: an Euler predictor
+z + w'(s) ds / f'(z) and a Newton corrector onto the exact target w(s_j)
+(Allgower & Georg, Introduction to Numerical Continuation Methods, ch. 2),
+with the substep halved when the corrector does not contract or the step
+jumps branches. Level arcs lift eps*exp(i s) on a uniform grid in s = arg f,
+gradient arcs exp(s + i alpha) on a uniform grid in s = log|f|. Every sample
+lands on its exact target to a relative residual of NEWTON_TOL = 1e-12, so a
+level arc's argument lift is its grid and |f| = eps holds to that residual.
 """
 from __future__ import annotations
 
@@ -17,10 +21,12 @@ from .errors import PreconditionError, TraceError
 from .polynomials import as_rational, critical_values
 
 DEFAULT_STEP = 0.01          # radians of arg (level) / log-modulus (gradient)
-CORRECTOR_TOL = 1e-11        # relative constraint residual after projection
+NEWTON_TOL = 1e-12           # corrector goal: |f(z) - w| <= NEWTON_TOL * |w|
 LEVEL_INVARIANT_TOL = 1e-8   # contract: max | |f|-eps | / eps on level arcs
 CRITICAL_FIELD_TOL = 1e-10   # |f'| below this scale aborts a trace
-_MAX_DZ_FACTOR = 0.05        # clamp on per-step motion, relative to 1+|z|
+BRANCH_JUMP_FACTOR = 2.0     # kappa: a step may move at most kappa*|dw|/|f'|
+_CORRECTOR_ITERS = 8         # Newton iterations per substep before halving
+_MAX_HALVINGS = 12           # smallest substep is 2^-12 of a grid step
 
 
 # -- stop rules ---------------------------------------------------------------
@@ -69,16 +75,19 @@ def arg_change_along(arc: TracedArc) -> float:
     return float(arc.arg_lift[-1] - arc.arg_lift[0])
 
 
-# -- scalar evaluation kernels -------------------------------------------------
+# -- the path-lifting kernel -----------------------------------------------------
 
 
 def _scalar_kernels(f):
-    """Fast scalar (f, f') evaluation closures from cached coefficient lists."""
+    """Fast scalar z -> (f(z), f'(z), scale) from cached coefficient lists;
+    scale = 1 + sum |c_k| |z|^k over the numerator derivative is what a
+    critical |f'| is measured against."""
     f = as_rational(f)
     nc = [complex(c) for c in f.num.coeffs][::-1]
     dc = [complex(c) for c in f.den.coeffs][::-1]
     nd = [complex(c) for c in f.num.derivative().coeffs][::-1]
     dd = [complex(c) for c in f.den.derivative().coeffs][::-1]
+    ad = [abs(c) for c in nd]
 
     def horner(cs, z):
         acc = cs[0]
@@ -89,7 +98,7 @@ def _scalar_kernels(f):
     if len(dc) == 1 and dc[0] == 1.0:
 
         def fd(z):
-            return horner(nc, z), horner(nd, z)
+            return horner(nc, z), horner(nd, z), horner(ad, abs(z)) + 1.0
 
     else:
 
@@ -98,178 +107,177 @@ def _scalar_kernels(f):
             d = horner(dc, z)
             dn = horner(nd, z)
             ddv = horner(dd, z)
-            return n / d, (dn * d - n * ddv) / (d * d)
+            return n / d, (dn * d - n * ddv) / (d * d), horner(ad, abs(z)) + 1.0
 
     return fd
 
 
-def _field_scale(f, z) -> float:
-    return float(f.num.derivative().eval_scale(z) + 1.0)
+def _newton(fd, z, w, tol, iters):
+    """Newton iteration onto f(z) = w; returns (z, f(z), f'(z)).
+
+    Stops once |f(z) - w| <= tol*|w| (tol when w == 0) or the update is at
+    rounding level. Each update must be shorter than the one before; a
+    critical point, a growing or non-finite update, or running out of
+    iterations raises TraceError carrying the iterates.
+    """
+    goal = tol * (abs(w) if w != 0 else 1.0)
+    trail = [z]
+    last = np.inf
+    for _ in range(iters):
+        fv, dv, scale = fd(z)
+        if abs(dv) < CRITICAL_FIELD_TOL * scale:
+            raise TraceError(f"critical point near {z:.6g}", samples=trail)
+        dz = (fv - w) / dv
+        if abs(fv - w) <= goal or abs(dz) <= 1e-14 * (1.0 + abs(z)):
+            return z, fv, dv
+        if not abs(dz) < last:
+            raise TraceError(f"Newton iteration not contracting near {z:.6g}", samples=trail)
+        last = abs(dz)
+        z = z - dz
+        trail.append(z)
+    raise TraceError(f"Newton did not reach |f(z)-w| <= {goal:.3g} from {trail[0]:.6g}",
+                     samples=trail)
+
+
+def lift_path(f, w, dw, z0, s):
+    """Lift the w-plane path w(s) through f^{-1} from z0, one sample per node of s.
+
+    w and dw are vectorized callables for the path and its derivative. z0 is
+    first Newton-projected onto w(s[0]); each grid step is an Euler predictor
+    z + dw(s_j)*(s_{j+1} - s_j)/f'(z) and a Newton corrector onto w(s_{j+1}).
+    A substep whose corrector fails to contract, or that moves
+    |dz| > BRANCH_JUMP_FACTOR*|dw|/|f'| (a jump to another branch), is
+    halved, as is one that meets a critical point, down to 2^-_MAX_HALVINGS
+    of the grid step; halved substeps stay internal. Returns
+    (samples, f(samples)); raises TraceError when the start projection fails
+    or a substep is still rejected after the last halving.
+    """
+    fd = _scalar_kernels(f)
+    s = np.asarray(s, dtype=float)
+    # plain Python scalars keep the per-step arithmetic cheap
+    ts = s.tolist()
+    ws = np.asarray(w(s), dtype=complex).tolist()
+    dws = np.asarray(dw(s), dtype=complex).tolist()
+
+    def advance(z, dv, t0, w0, dw0, t1, w1, depth):
+        try:
+            z1, f1, d1 = _newton(fd, z + dw0 * (t1 - t0) / dv, w1, NEWTON_TOL, _CORRECTOR_ITERS)
+            if abs(z1 - z) > BRANCH_JUMP_FACTOR * abs(w1 - w0) / abs(dv):
+                raise TraceError(f"step from {z:.6g} jumped to another branch at {z1:.6g}")
+            return z1, f1, d1
+        except TraceError:
+            if depth == _MAX_HALVINGS:
+                raise
+        tm = 0.5 * (t0 + t1)
+        wm, dwm = complex(w(np.array([tm]))[0]), complex(dw(np.array([tm]))[0])
+        zm, _, dm = advance(z, dv, t0, w0, dw0, tm, wm, depth + 1)
+        return advance(zm, dm, tm, wm, dwm, t1, w1, depth + 1)
+
+    samples = np.empty(s.size, dtype=complex)
+    values = np.empty(s.size, dtype=complex)
+    z, fv, dv = _newton(fd, complex(z0), ws[0], NEWTON_TOL, _CORRECTOR_ITERS)
+    samples[0], values[0] = z, fv
+    for j in range(1, s.size):
+        try:
+            z, fv, dv = advance(z, dv, ts[j - 1], ws[j - 1], dws[j - 1], ts[j], ws[j], 0)
+        except TraceError as err:
+            raise TraceError(f"{err} (lifting s = {ts[j]:.6g})", samples=samples[:j]) from None
+        samples[j], values[j] = z, fv
+    return samples, values
 
 
 def solve_target(f, w, seed, tol: float = 1e-12) -> complex:
-    """Newton-solve f(z) = w from the given seed.
+    """Newton-solve f(z) = w from the given seed with the lift_path corrector.
 
     The tolerance is relative to |w| (absolute when w == 0); landing on a
-    critical point or diverging raises TraceError carrying the iterates.
+    critical point or a stalled iteration raises TraceError carrying the
+    iterates.
     """
-    f = as_rational(f)
     fd = _scalar_kernels(f)
-    w = complex(w)
-    z = complex(seed)
-    goal = tol * (abs(w) if w != 0 else 1.0)
-    trail = [z]
-    for _ in range(80):
-        fv, dv = fd(z)
-        if abs(fv - w) <= goal:
-            break
-        if abs(dv) < CRITICAL_FIELD_TOL * _field_scale(f, z):
-            raise TraceError(
-                f"Newton landed on a critical point near {z:.6g}", samples=trail
-            )
-        step = (fv - w) / dv
-        if not np.isfinite(step.real) or not np.isfinite(step.imag):
-            raise TraceError(f"Newton diverged near {z:.6g}", samples=trail)
-        z = z - step
-        trail.append(z)
-    else:
-        raise TraceError(
-            f"Newton did not reach |f(z)-w| <= {goal:.3g} from seed {seed:.6g}",
-            samples=trail,
-        )
-    fv, dv = fd(z)
+    z, _, dv = _newton(fd, complex(seed), complex(w), tol, 80)
     # a solution this close to a target with |f'|^2 ~ goal*|f''| is a
     # numerically multiple preimage, i.e. a critical point landing
+    goal = tol * (abs(w) if w != 0 else 1.0)
     h = 1e-5 * (1.0 + abs(z))
     d2 = abs(fd(z + h)[1] - fd(z - h)[1]) / (2 * h)
-    if abs(dv) < CRITICAL_FIELD_TOL * _field_scale(f, z) or abs(dv) ** 2 <= 8.0 * goal * d2:
-        raise TraceError(f"solution {z:.6g} is a critical point", samples=trail)
+    if abs(dv) ** 2 <= 8.0 * goal * d2:
+        raise TraceError(f"solution {z:.6g} is a critical point", samples=[z])
     return z
 
 
-def _project(fd, z, w_target, rel_scale):
-    """Newton-project z onto f(z) = w_target (few quadratic steps)."""
-    for _ in range(8):
-        fv, dv = fd(z)
-        err = fv - w_target
-        if abs(err) <= CORRECTOR_TOL * rel_scale:
-            return z, fv, dv
-        if abs(dv) == 0:
-            raise TraceError(f"corrector hit a critical point near {z:.6g}")
-        z = z - err / dv
-    fv, dv = fd(z)
-    if abs(fv - w_target) > 100 * CORRECTOR_TOL * rel_scale:
-        raise TraceError(f"corrector stalled near {z:.6g}")
-    return z, fv, dv
+# -- level and gradient arcs -----------------------------------------------------
+
+
+def _grid(a: float, b: float, step: float) -> np.ndarray:
+    """Uniform grid from a to b, both ends exact, spacing at most step."""
+    if not (np.isfinite(step) and step > 0):
+        raise PreconditionError(f"step must be finite and positive, got {step!r}")
+    n = max(1, int(np.ceil(abs(b - a) / step - 1e-9)))
+    return np.linspace(a, b, n + 1)
 
 
 def trace_level(f, eps, start, direction, stop, step: float = DEFAULT_STEP) -> TracedArc:
     """Follow {|f| = eps} from start with arg f moving in the given direction.
 
-    Stop rules: ArgChangeReaches(delta), ClosedLoop(), HitsGradient(alpha, k).
-    The endpoint is Newton-polished onto the exact stop target.
+    The arc lifts eps*exp(i s) over a uniform grid in s = arg f of spacing at
+    most step, so its arg_lift is that grid. Stop rules:
+    ArgChangeReaches(delta) ends exactly at lift0 + delta, HitsGradient(alpha, k)
+    at the k-th crossing of arg f = alpha, and ClosedLoop() lifts one full turn
+    at a time until the lift is back at its start.
     """
     f = as_rational(f)
     if eps <= 0:
         raise PreconditionError("level needs eps > 0")
     if direction not in (1, -1):
         raise PreconditionError("direction must be +1 or -1")
-    fd = _scalar_kernels(f)
-    z = complex(start)
-    fv, dv = fd(z)
+    fv = complex(f(complex(start)))
     if abs(abs(fv) - eps) > 1e-3 * eps:
         raise PreconditionError(
             f"start point has |f| = {abs(fv):.6g}, expected {eps:.6g}"
         )
-    # project start exactly onto the level set, keeping its argument
-    z, fv, dv = _project(fd, z, eps * fv / abs(fv), eps)
     lift0 = float(np.angle(fv))
-    lift = lift0
+
+    def level(s):
+        return eps * np.exp(1j * s)
+
+    def dlevel(s):
+        return 1j * eps * np.exp(1j * s)
 
     if isinstance(stop, HitsGradient):
         rel = (stop.alpha - lift0) * direction % (2 * np.pi)
         if rel < 1e-12:
             rel = 2 * np.pi
-        delta = direction * (rel + (stop.crossing - 1) * 2 * np.pi)
-        stop = ArgChangeReaches(delta)
+        stop = ArgChangeReaches(direction * (rel + (stop.crossing - 1) * 2 * np.pi))
     if isinstance(stop, ArgChangeReaches):
         if stop.delta == 0 or np.sign(stop.delta) != direction:
             raise PreconditionError("stop delta must be nonzero with the trace's sign")
-        budget = abs(stop.delta) + 4 * step
-    else:
-        deg_budget = f.num.degree + f.den.degree + 1
-        budget = 2 * np.pi * deg_budget + 4 * step
-
-    samples = [z]
-    fvals = [fv]
-    lifts = [lift]
-    max_steps = int(budget / step * 4) + 64
-
-    def field(zz):
-        fz, dz_ = fd(zz)
-        if abs(dz_) < CRITICAL_FIELD_TOL * _field_scale(f, zz):
-            raise TraceError(f"critical point encountered near {zz:.6g}")
-        return 1j * direction * fz / dz_
-
-    for _ in range(max_steps):
-        # clamp per-step motion near critical points
-        v1 = field(z)
-        h = min(step, _MAX_DZ_FACTOR * (1.0 + abs(z)) / max(abs(v1), 1e-300))
-        k1 = v1
-        k2 = field(z + 0.5 * h * k1)
-        k3 = field(z + 0.5 * h * k2)
-        k4 = field(z + h * k3)
-        z_pred = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        fp, _ = fd(z_pred)
-        if fp == 0:
-            raise TraceError(f"trace hit a zero of f near {z_pred:.6g}")
-        z_new, f_new, _ = _project(fd, z_pred, eps * fp / abs(fp), eps)
-        dphi = float(np.angle(f_new / fvals[-1]))
-        if abs(dphi) >= np.pi / 4:
-            raise TraceError(f"argument jump {dphi:.3g} too large near {z_new:.6g}")
-        lift += dphi
-        z = z_new
-        samples.append(z)
-        fvals.append(f_new)
-        lifts.append(lift)
-
-        if isinstance(stop, ArgChangeReaches):
-            if (lift - lift0) * direction >= abs(stop.delta) - 1e-13:
-                target = eps * np.exp(1j * (lift0 + stop.delta))
-                z_end = solve_target(f, target, z)
-                f_end, _ = fd(z_end)
-                samples[-1] = z_end
-                fvals[-1] = f_end
-                lifts[-1] = lift0 + stop.delta
-                arc = TracedArc(samples, fvals, lifts, "level", float(eps))
-                _check_level_invariant(arc, eps)
-                return arc
-        else:  # ClosedLoop
-            laps = (lift - lift0) * direction / (2 * np.pi)
-            if laps >= 1.0 - step / (2 * np.pi):
-                k = int(round(laps))
-                if k >= 1 and abs(laps - k) <= step:
-                    target = eps * np.exp(1j * lift0)
-                    z_end = solve_target(f, target, z)
-                    if abs(z_end - samples[0]) <= 1e-7 * (1.0 + abs(samples[0])):
-                        samples[-1] = samples[0]
-                        fvals[-1] = fvals[0]
-                        lifts[-1] = lift0 + direction * 2 * np.pi * k
-                        arc = TracedArc(samples, fvals, lifts, "level", float(eps))
-                        _check_level_invariant(arc, eps)
-                        return arc
-    raise TraceError(
-        f"stop rule not met within step budget ({max_steps} steps)", samples=samples
-    )
-
-
-def _check_level_invariant(arc: TracedArc, eps: float):
-    dev = float(np.max(np.abs(np.abs(arc.f_values) - eps))) / eps
+        lifts = _grid(lift0, lift0 + stop.delta, step)
+        samples, fvals = lift_path(f, level, dlevel, start, lifts)
+    else:  # ClosedLoop: a component winds at most deg f times
+        lap = _grid(0.0, direction * 2 * np.pi, step)
+        samples, fvals, lifts = [], [], []
+        z = start
+        for k in range(f.num.degree + f.den.degree + 1):
+            s = lift0 + direction * 2 * np.pi * k + lap
+            zs, fs = lift_path(f, level, dlevel, z, s)
+            drop = 1 if k else 0
+            samples.append(zs[drop:])
+            fvals.append(fs[drop:])
+            lifts.append(s[drop:])
+            z = zs[-1]
+            if abs(z - samples[0][0]) <= 1e-7 * (1.0 + abs(samples[0][0])):
+                break
+        else:
+            raise TraceError(
+                f"level component did not close within {k + 1} turns",
+                samples=np.concatenate(samples),
+            )
+        samples, fvals, lifts = map(np.concatenate, (samples, fvals, lifts))
+        samples[-1], fvals[-1] = samples[0], fvals[0]
+    dev = float(np.max(np.abs(np.abs(fvals) - eps))) / eps
     if dev > LEVEL_INVARIANT_TOL:
         raise TraceError(f"level invariant violated: relative deviation {dev:.3g}")
-    gaps = np.abs(np.diff(arc.arg_lift))
-    if gaps.size and gaps.max() >= np.pi / 4:
-        raise TraceError("argument lift has a gap >= pi/4")
+    return TracedArc(samples, fvals, lifts, "level", float(eps))
 
 
 def trace_gradient(
@@ -277,68 +285,38 @@ def trace_gradient(
 ) -> TracedArc:
     """Follow {arg f = alpha} from start until |f| reaches target_modulus.
 
-    alpha may be any lift of the start argument; the returned arc stores it
-    unchanged so chained traces keep a continuous argument bookkeeping.
+    The arc lifts exp(s + i alpha) over a uniform grid in s = log|f| of
+    spacing at most step. alpha may be any lift of the start argument; the
+    returned arc stores it unchanged so chained traces keep a continuous
+    argument bookkeeping.
     """
     f = as_rational(f)
     if target_modulus <= 0:
         raise PreconditionError("target modulus must be positive")
-    fd = _scalar_kernels(f)
-    z = complex(start)
-    fv, _ = fd(z)
+    fv = complex(f(complex(start)))
     m0 = abs(fv)
     if m0 == 0:
         raise PreconditionError("start point is a zero of f")
     if abs(target_modulus - m0) <= 1e-12 * m0:
         raise PreconditionError("target modulus equals the start modulus")
-    mis = float(np.angle(fv * np.exp(-1j * alpha)))
-    if abs(mis) > 1e-3:
+    if abs(float(np.angle(fv * np.exp(-1j * alpha)))) > 1e-3:
         raise PreconditionError(
             f"start argument {np.angle(fv):.6g} is not alpha (mod 2pi)"
         )
     phase = np.exp(1j * float(alpha))
-    z, fv, _ = _project(fd, z, m0 * phase, m0)
-    sgn = 1.0 if target_modulus > abs(fv) else -1.0
-    u_goal = float(np.log(target_modulus))
 
-    samples = [z]
-    fvals = [fv]
-    max_steps = int(abs(u_goal - np.log(abs(fv))) / step * 4) + 64
+    def ray(s):
+        return np.exp(s) * phase
 
-    def field(zz):
-        fz, dz_ = fd(zz)
-        if abs(dz_) < CRITICAL_FIELD_TOL * _field_scale(f, zz):
-            raise TraceError(f"critical point encountered near {zz:.6g}")
-        return sgn * fz / dz_
-
-    for _ in range(max_steps):
-        v1 = field(z)
-        h = min(step, _MAX_DZ_FACTOR * (1.0 + abs(z)) / max(abs(v1), 1e-300))
-        k1 = v1
-        k2 = field(z + 0.5 * h * k1)
-        k3 = field(z + 0.5 * h * k2)
-        k4 = field(z + h * k3)
-        z_pred = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        fp, _ = fd(z_pred)
-        z_new, f_new, _ = _project(fd, z_pred, abs(fp) * phase, abs(fp))
-        z = z_new
-        samples.append(z)
-        fvals.append(f_new)
-        if sgn * (np.log(abs(f_new)) - u_goal) >= -1e-13:
-            z_end = solve_target(f, target_modulus * phase, z)
-            f_end, _ = fd(z_end)
-            samples[-1] = z_end
-            fvals[-1] = f_end
-            fv_arr = np.asarray(fvals)
-            mods = np.abs(fv_arr)
-            if not (np.all(np.diff(mods) > 0) or np.all(np.diff(mods) < 0)):
-                raise TraceError("modulus not strictly monotone along gradient arc")
-            dev = np.max(np.abs(np.angle(fv_arr * np.exp(-1j * float(alpha)))))
-            if dev > LEVEL_INVARIANT_TOL:
-                raise TraceError(f"gradient invariant violated: arg deviation {dev:.3g}")
-            lifts = np.full(len(samples), float(alpha))
-            return TracedArc(samples, fvals, lifts, "gradient", float(alpha))
-    raise TraceError("target modulus not reached within step budget", samples=samples)
+    s = _grid(np.log(m0), np.log(target_modulus), step)
+    samples, fvals = lift_path(f, ray, ray, start, s)
+    mods = np.abs(fvals)
+    if not (np.all(np.diff(mods) > 0) or np.all(np.diff(mods) < 0)):
+        raise TraceError("modulus not strictly monotone along gradient arc")
+    dev = np.max(np.abs(np.angle(fvals * np.exp(-1j * float(alpha)))))
+    if dev > LEVEL_INVARIANT_TOL:
+        raise TraceError(f"gradient invariant violated: arg deviation {dev:.3g}")
+    return TracedArc(samples, fvals, np.full(s.size, float(alpha)), "gradient", float(alpha))
 
 
 def _component_through(f, eps, z0, step, zero_pts):
@@ -371,7 +349,7 @@ def _component_through(f, eps, z0, step, zero_pts):
                 if t_hi - t_lo < 1e-12 * (1.0 + t_hi):
                     break
             seed = z0 + t_hi * u
-            fs, _ = fd(seed)
+            fs = fd(seed)[0]
             seed = solve_target(f, eps * fs / abs(fs), seed)
             arc = trace_level(f, eps, seed, +1, ClosedLoop(), step=step)
             loop = SampledCurve(arc.samples[:-1], closed=True)

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lemniscates.counterexample import build_d4_chain, f4_polynomial
 from lemniscates.curves import ellipse, unit_circle
+
+# property tests draw the same examples on every run, with no per-example
+# time limit, so tier-1 runs stay reproducible and time-bounded
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

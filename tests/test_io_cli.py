@@ -70,11 +70,22 @@ def test_cli_roots(files, capsys):
 
 
 def test_cli_roots_bad_input(files, capsys, tmp_path):
-    empty = tmp_path / "empty.json"
-    empty.write_text(json.dumps({"coeffs": []}))
-    assert run_cli("roots", str(empty), outdir=files) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "PreconditionError"
+    bad = {
+        "empty.json": json.dumps({"coeffs": []}),
+        "truncated.json": json.dumps({"coeffs": [[1, 0], [0, 0], [1, 0]]})[:-5],
+        "list.json": json.dumps([[1, 0], [1, 0]]),
+        "binary.json": None,
+    }
+    for name, text in bad.items():
+        path = tmp_path / name
+        if text is None:
+            path.write_bytes(b"\xff\xfe\x00{")
+        else:
+            path.write_text(text)
+    for path in [*(tmp_path / name for name in bad), tmp_path / "missing.json"]:
+        assert run_cli("roots", str(path), outdir=files) == 2, path.name
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "PreconditionError"
 
 
 def test_cli_lemniscate_proper(files, capsys):
@@ -187,9 +198,30 @@ def test_runconfig_validation(tmp_path):
     with pytest.raises(PreconditionError):
         RunConfig(table_tol=-1.0).validate()
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"not_a_key": 1}))
+    for text in [
+        json.dumps({"not_a_key": 1}),
+        json.dumps({"trace_step": "nan"}),
+        json.dumps({"trace_step": True}),
+        json.dumps({"trace_step": None}),
+        '{"trace_step": NaN}',
+        '{"trace_step": Infinity}',
+        json.dumps({"nodes": 1024.5}),
+        json.dumps({"grid_args": "360"}),
+        json.dumps({"outdir": 3}),
+        json.dumps({"trace_step": 0.01})[:-1],
+        json.dumps([1, 2]),
+    ]:
+        cfg.write_text(text)
+        with pytest.raises(PreconditionError):
+            RunConfig.load(cfg)
     with pytest.raises(PreconditionError):
-        RunConfig.load(cfg)
+        RunConfig.load(tmp_path / "missing.json")
+    with pytest.raises(PreconditionError):
+        RunConfig(trace_step=float("nan")).validate()
+    cfg.write_text(json.dumps({"nodes": 512.0, "trace_step": 1, "outdir": "out"}))
+    loaded = RunConfig.load(cfg)
+    assert loaded.nodes == 512 and isinstance(loaded.nodes, int)
+    assert loaded.trace_step == 1.0 and isinstance(loaded.trace_step, float)
 
 
 def test_cli_entrypoint_subprocess(files):

@@ -1,19 +1,25 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lemniscates.curves import SampledCurve, count_preimages, winding_number
 from lemniscates.errors import PreconditionError, TraceError
 from lemniscates.levelcurves import (
+    LEVEL_INVARIANT_TOL,
     ArgChangeReaches,
     ClosedLoop,
     HitsGradient,
     arg_change_along,
     level_component_enclosing,
+    lift_path,
     solve_target,
     trace_gradient,
     trace_level,
 )
-from lemniscates.polynomials import Polynomial, RationalMap
+from lemniscates.polynomials import Polynomial, RationalMap, critical_values
 
 F4 = RationalMap(Polynomial([0, 0, 3, 4, 1]))
 Z = RationalMap(Polynomial([0, 1]))
@@ -147,3 +153,105 @@ def test_cross_module_lift_vs_count(circle_T):
     arc = trace_level(F4, 0.15, start, +1, ClosedLoop(), step=0.01)
     inside = count_preimages(F4, comp, 0.0)
     assert arg_change_along(arc) == pytest.approx(2 * np.pi * inside, abs=1e-6)
+
+
+# -- the path-lifting kernel: properties on random polynomials -------------------
+
+_coord = st.floats(-2.0, 2.0).map(lambda x: round(x, 4))
+_point = st.builds(complex, _coord, _coord)
+_polys = st.lists(_point, min_size=2, max_size=5).map(
+    lambda roots: RationalMap(Polynomial.from_roots(roots))
+)
+
+
+def _clear_of_critical_values(f, eps, margin=0.05):
+    """eps is at least `margin` (relative) away from every critical modulus."""
+    return all(abs(abs(cv) - eps) >= margin * eps for cv in critical_values(f.num))
+
+
+@settings(max_examples=25)
+@given(f=_polys, start=_point, delta=st.floats(0.3, 3 * np.pi), direction=st.sampled_from([1, -1]))
+def test_lift_level_arc_properties(f, start, delta, direction):
+    fv = complex(f(start))
+    eps = abs(fv)
+    assume(eps > 1e-3 and _clear_of_critical_values(f, eps))
+    delta *= direction
+    arc = trace_level(f, eps, start, direction, ArgChangeReaches(delta), step=0.02)
+    assert np.max(np.abs(np.abs(arc.f_values) - eps)) / eps <= LEVEL_INVARIANT_TOL
+    # one sample per node of the uniform arg grid, ending exactly at lift0 + delta
+    lift0 = float(np.angle(fv))
+    gaps = np.diff(arc.arg_lift)
+    assert len(arc.samples) == len(arc.arg_lift) == gaps.size + 1
+    assert np.allclose(gaps, delta / gaps.size, rtol=1e-12, atol=0.0)
+    assert np.all(np.abs(gaps) <= 0.02 * (1 + 1e-9))
+    assert arc.arg_lift[0] == lift0 and arc.arg_lift[-1] == lift0 + delta
+    # the lift is the honest argument of f along the samples
+    fresh = np.unwrap(np.angle(f(arc.samples)))
+    fresh += 2 * np.pi * np.round((arc.arg_lift[0] - fresh[0]) / (2 * np.pi))
+    assert np.max(np.abs(fresh - arc.arg_lift)) <= 1e-9
+
+
+@settings(max_examples=25)
+@given(f=_polys, start=_point, log_ratio=st.floats(0.2, 1.5), grow=st.booleans())
+def test_lift_gradient_arc_properties(f, start, log_ratio, grow):
+    fv = complex(f(start))
+    m0, alpha = abs(fv), float(np.angle(fv))
+    assume(m0 > 1e-3 and _clear_of_critical_values(f, m0))
+    target = m0 * np.exp(log_ratio if grow else -log_ratio)
+    lo, hi = sorted((m0, target))
+    for cv in critical_values(f.num):  # keep critical points off the ray
+        on_ray = abs(np.angle(cv * np.exp(-1j * alpha))) < 0.05
+        assume(not (on_ray and 0.9 * lo <= abs(cv) <= 1.1 * hi))
+    arc = trace_gradient(f, alpha, start, target, step=0.02)
+    vals = f(arc.samples)
+    assert np.max(np.abs(np.angle(vals * np.exp(-1j * alpha)))) <= LEVEL_INVARIANT_TOL
+    mods = np.abs(vals)
+    assert np.all(np.diff(mods) > 0) if grow else np.all(np.diff(mods) < 0)
+    assert abs(mods[-1] - target) <= 1e-10 * target
+
+
+def test_lift_path_raises_at_critical_value():
+    sq = RationalMap(Polynomial([0, 0, 1]))
+    s = np.linspace(1.0, -1.0, 100)  # w(s) = s crosses the critical value 0
+    with pytest.raises(TraceError):
+        lift_path(sq, lambda t: t + 0j, lambda t: np.ones_like(t, dtype=complex), 1.0, s)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.01, np.nan, np.inf])
+def test_trace_rejects_bad_step(step):
+    with pytest.raises(PreconditionError):
+        trace_level(Z, 1.0, 1.0, +1, ClosedLoop(), step=step)
+    with pytest.raises(PreconditionError):
+        trace_gradient(Z, 0.0, 1.0, 2.0, step=step)
+
+
+def _groupings(eps, step):
+    zeros = [0.0, -1.0, -3.0]
+    found = set()
+    for k in range(1, 4):
+        for subset in itertools.combinations(zeros, k):
+            try:
+                level_component_enclosing(F4, eps, list(subset), step=step)
+            except TraceError:
+                continue
+            found.add(subset)
+    return found
+
+
+def test_near_pinch_groupings_step_independent():
+    """Just below and above each nonzero critical modulus of z^2(z+1)(z+3) the
+    level set is about to pinch or has just merged; a coarse step must find
+    the same zero groupings as a fine one. Just below a pinch the seeding ray
+    from -1 (resp. -3) steps over the narrow neck and reaches the component of
+    its neighbour, so that zero's own component is not found."""
+    cv_small = (3 * np.sqrt(3.0) - 4.5) / 2
+    cv_big = max(abs(cv) for cv in critical_values(F4.num))
+    expected = {
+        0.999 * cv_small: {(0.0,), (-3.0,)},
+        1.001 * cv_small: {(0.0, -1.0), (-3.0,)},
+        0.999 * cv_big: {(0.0, -1.0)},
+        1.001 * cv_big: {(0.0, -1.0, -3.0)},
+    }
+    for eps, groups in expected.items():
+        assert _groupings(eps, 0.01) == groups
+        assert _groupings(eps, 0.1) == groups
