@@ -2,9 +2,11 @@
 Winding numbers and preimage counting
 =====================================
 
-Winding numbers are exact turn-angle sums over sampled polygons, so the
-argument principle becomes integer bookkeeping: the winding of f(curve)
-about w counts zeros minus poles of f - w enclosed by the curve.
+Winding numbers of sampled polygons are signed ray crossings (+1 for each
+edge crossing the ray to the right of w upwards, -1 downwards), exact
+integers with nothing to round. The argument principle becomes integer
+bookkeeping: the winding of f(curve) about w counts zeros minus poles of
+f - w enclosed by the curve.
 """
 from lemniscates import (
     Polynomial,
@@ -20,7 +22,7 @@ print("winding of the unit circle about 0:", winding_number(circle, 0.0))
 print("winding about 3 (outside):        ", winding_number(circle, 3.0))
 
 k, residual = winding_number(circle, 0.3 + 0.2j, return_residual=True)
-print(f"about 0.3+0.2i: {k} (pre-rounding residual {residual:.2e})")
+print(f"about 0.3+0.2i: {k} (residual {residual:.1f}: crossing counts are exact)")
 
 # zeros minus poles: f = (z - 0.5) / z has one zero and one pole inside
 f = RationalMap(Polynomial([-0.5, 1.0]), Polynomial([0.0, 1.0]))

@@ -2,7 +2,8 @@
 
 Subcommands: roots, lemniscate, fingerprint, counterexample, properness.
 Exit codes: 0 success, 2 precondition/usage violation, 3 numerical failure;
-failures also emit a machine-readable JSON object on stderr. Output is
+failures also emit a machine-readable JSON object on stderr (type, message
+and, for chain-closure and trace errors, the data they carry). Output is
 deterministic for a fixed configuration.
 """
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .counterexample import (
     reproduce_table,
 )
 from .curves import SampledCurve, unit_circle
-from .errors import NumericalError, PreconditionError
+from .errors import ChainClosureError, NumericalError, PreconditionError, TraceError
 from .fingerprint import (
     RectGrid,
     circle_map_of_blaschke,
@@ -380,21 +381,30 @@ _HANDLERS = {
 }
 
 
+def _error_record(err) -> dict:
+    """The stderr JSON: type, message and the data the error carries."""
+    record = {"error": type(err).__name__, "message": str(err)}
+    if isinstance(err, ChainClosureError):
+        record["details"] = {"candidates": [
+            {"start": [c["start"].real, c["start"].imag],
+             **{k: c[k] for k in ("closure_residual", "error") if k in c}}
+            for c in err.candidates
+        ]}
+    elif isinstance(err, TraceError):
+        samples = [] if err.samples is None else [complex(z) for z in err.samples]
+        last = [samples[-1].real, samples[-1].imag] if samples else None
+        record["details"] = {"samples": len(samples), "last_sample": last}
+    return record
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args.config, {"outdir": args.outdir})
         payload = _HANDLERS[args.command](args, cfg)
-    except PreconditionError as err:
-        sys.stderr.write(
-            json.dumps({"error": type(err).__name__, "message": str(err)}) + "\n"
-        )
-        return 2
-    except NumericalError as err:
-        sys.stderr.write(
-            json.dumps({"error": type(err).__name__, "message": str(err)}) + "\n"
-        )
-        return 3
+    except (PreconditionError, NumericalError) as err:
+        sys.stderr.write(json.dumps(_error_record(err)) + "\n")
+        return 2 if isinstance(err, PreconditionError) else 3
     _emit(payload)
     return 0
 

@@ -248,9 +248,6 @@ def build_boundary(
 
 def region_contains(chain: BoundaryChain, z) -> bool:
     """Whether z lies in the bounded region of the chain (winding != 0)."""
-    z = complex(z)
-    if np.min(np.abs(chain.curve.points - z)) < 1e-9:
-        raise PreconditionError(f"{z:.6g} is within 1e-9 of the boundary")
     return winding_number(chain.curve, z) != 0
 
 

@@ -1,9 +1,10 @@
 """Sampled closed curves, winding numbers, and argument-principle counting.
 
-Winding numbers are computed by summing exactly-wrapped turn angles of the
-sample polygon, which is integer-stable: each wrapped increment is the true
-turn of the polygon segment, so the sum telescopes to a multiple of 2*pi up
-to rounding noise.
+Polygon winding numbers are signed ray crossings (Hormann & Agathos, CGTA
+2001): an upward edge passing strictly right of the target counts +1, a
+downward one -1, each edge owning the half-open y-range [min, max), so the
+counts are exact integers. Targets sorted by y meet only the edges whose
+y-range holds them.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from .polynomials import as_rational
 
 NEAR_HIT = 1e-9  # fixed near-hit rejection threshold
 _MAX_REFINE_POINTS = 1_000_000
+_PAIR_BLOCK = 1_000_000  # (edge, target) pairs scored at once
 
 
 class SampledCurve:
@@ -79,79 +81,73 @@ def ellipse(a: float, b: float, n: int = 512) -> SampledCurve:
     return SampledCurve(a * np.cos(t) + 1j * b * np.sin(t), closed=True)
 
 
-def _turn_angles(points: np.ndarray, w: complex) -> np.ndarray:
-    d = points - w
-    ratio = np.roll(d, -1) / d
-    return np.angle(ratio)
-
-
 def winding_number(c: SampledCurve, w, return_residual: bool = False):
-    """Winding of a closed curve about w; rejects w within NEAR_HIT of a sample."""
+    """Winding of a closed curve about w; rejects w within NEAR_HIT of the
+    curve. Crossing counts are exact, so the residual on request is 0.0."""
     if not c.closed:
         raise PreconditionError("winding number needs a closed curve")
     w = complex(w)
-    d = np.abs(c.points - w)
-    if d.min() < NEAR_HIT:
-        raise PreconditionError(
-            f"point {w:.6g} within {NEAR_HIT:g} of a curve sample"
-        )
-    total = float(np.sum(_turn_angles(c.points, w)))
-    k = int(round(total / (2 * np.pi)))
-    residual = abs(total / (2 * np.pi) - k)
-    if return_residual:
-        return k, residual
-    return k
+    counts, valid = winding_numbers(c.points, [w], min_distance=NEAR_HIT)
+    if not valid[0]:
+        raise PreconditionError(f"point {w:.6g} within {NEAR_HIT:g} of the curve")
+    return (int(counts[0]), 0.0) if return_residual else int(counts[0])
 
 
-def _segment_distances(points: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """Min distance from each w to the closed polygon through `points`."""
-    a = points
-    b = np.roll(points, -1)
-    u = b - a
-    L2 = np.maximum(np.abs(u) ** 2, 1e-300)
-    out = np.empty(ws.size)
-    block = max(1, int(2_000_000 // max(points.size, 1)))
-    for i in range(0, ws.size, block):
-        wb = ws[i : i + block]
-        rel = wb[:, None] - a[None, :]
-        t = np.clip((rel * np.conj(u)[None, :]).real / L2[None, :], 0.0, 1.0)
-        d = np.abs(rel - t * u[None, :])
-        out[i : i + block] = d.min(axis=1)
-    return out
+def _edge_target_pairs(start: np.ndarray, stop: np.ndarray):
+    """Yield (edge, target) index arrays pairing edge e with the sorted
+    targets start[e]:stop[e], about _PAIR_BLOCK pairs at a time."""
+    length = stop - start
+    ends = np.cumsum(length)
+    e0 = 0
+    while e0 < length.size:
+        done = ends[e0 - 1] if e0 else 0
+        e1 = max(e0 + 1, int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")))
+        n = length[e0:e1]
+        edge = np.repeat(np.arange(e0, e1), n)
+        offset = np.cumsum(n) - n - start[e0:e1]
+        yield edge, np.arange(edge.size) - np.repeat(offset, n)
+        e0 = e1
 
 
 def winding_numbers(points: np.ndarray, ws: np.ndarray, min_distance: float = NEAR_HIT):
-    """Vectorized winding of the closed polygon `points` about each w.
+    """Winding of the closed polygon `points` about each w, by signed crossings.
 
     Returns (counts, valid) where valid is False for w closer than
-    min_distance to the polygon (those counts are meaningless). Sample-point
-    distances prefilter; only borderline targets pay for exact
-    point-to-segment distances.
+    min_distance to the polygon (those counts are meaningless). Each edge
+    is paired with the targets in its y-range widened by min_distance; the
+    pairs inside the unwidened half-open range score the crossing, and those
+    inside the widened x-box get exact point-to-segment distances.
+    min_distance <= 0 marks every w valid.
     """
     ws = np.asarray(ws, dtype=complex).ravel()
+    a = np.asarray(points, dtype=complex).ravel()
+    b = np.roll(a, -1)
+    u = b - a
+    L2 = np.maximum(np.abs(u) ** 2, 1e-300)
+    lo, hi = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)
+    margin = max(min_distance, 0.0)
+    xlo = np.minimum(a.real, b.real) - margin
+    xhi = np.maximum(a.real, b.real) + margin
+    up = b.imag > a.imag
+    order = np.argsort(ws.imag, kind="stable")
+    w = ws[order]
     counts = np.zeros(ws.size, dtype=int)
-    valid = np.ones(ws.size, dtype=bool)
-    block = max(1, int(4_000_000 // max(points.size, 1)))
-    nxt = np.roll(points, -1)
-    max_chord = float(np.abs(nxt - points).max())
-    borderline = np.zeros(ws.size, dtype=bool)
-    for i in range(0, ws.size, block):
-        wb = ws[i : i + block]
-        d = points[None, :] - wb[:, None]
-        dist = np.abs(d).min(axis=1)
-        ang = np.angle((nxt[None, :] - wb[:, None]) / d)
-        total = ang.sum(axis=1)
-        counts[i : i + block] = np.rint(total / (2 * np.pi)).astype(int)
-        valid[i : i + block] = dist >= min_distance
+    near = np.zeros(ws.size, dtype=bool)
+    start = np.searchsorted(w.imag, lo - margin, side="left")
+    stop = np.searchsorted(w.imag, hi + margin, side="right")
+    for e, t in _edge_target_pairs(start, stop):
+        wt, t, ue = w[t], order[t], u[e]
+        rel = wt - a[e]
+        cross = ue.real * rel.imag - ue.imag * rel.real  # > 0: w left of edge
+        ray = (wt.imag >= lo[e]) & (wt.imag < hi[e])
+        counts += np.bincount(t[ray & up[e] & (cross > 0)], minlength=ws.size)
+        counts -= np.bincount(t[ray & ~up[e] & (cross < 0)], minlength=ws.size)
         if min_distance > 0:
-            borderline[i : i + block] = (dist < min_distance + 0.5 * max_chord) & (
-                dist >= min_distance
-            )
-    idx = np.nonzero(borderline)[0]
-    if idx.size:
-        seg_d = _segment_distances(points, ws[idx])
-        valid[idx] &= seg_d >= min_distance
-    return counts, valid
+            box = (wt.real >= xlo[e]) & (wt.real <= xhi[e])
+            e, t, rel, ue = e[box], t[box], rel[box], ue[box]
+            s = np.clip((rel * np.conj(ue)).real / L2[e], 0.0, 1.0)
+            near[t[np.abs(rel - s * ue) < min_distance]] = True
+    return counts, ~near
 
 
 def resample(c: SampledCurve, count: int) -> SampledCurve:

@@ -16,7 +16,7 @@ from scipy.ndimage import label as _label
 
 from ._fourier import fourier_coeffs, trig_eval, trig_eval_deriv
 from .conformal import DiskMap, ExteriorMap, exterior_map, interior_map
-from .curves import SampledCurve, winding_number, winding_numbers
+from .curves import NEAR_HIT, SampledCurve, winding_number, winding_numbers
 from .errors import (
     GridResolutionError,
     NumericalError,
@@ -221,15 +221,15 @@ def is_proper(p: Polynomial, gamma: SampledCurve) -> bool:
         raise PreconditionError("polynomial must be nonconstant")
     if p.degree == 1:
         return True
-    ok = True
-    for cv in critical_values(p):
-        if np.min(np.abs(gamma.points - cv)) < 1e-9:
-            raise PreconditionError(
-                f"critical value {cv:.6g} within 1e-9 of the curve (degenerate)"
-            )
-        if winding_number(gamma, cv) != 1:
-            ok = False
-    return ok
+    if not gamma.closed:
+        raise PreconditionError("winding number needs a closed curve")
+    cvs = np.array(critical_values(p))
+    counts, valid = winding_numbers(gamma.points, cvs, min_distance=NEAR_HIT)
+    if not valid.all():
+        raise PreconditionError(
+            f"critical value {cvs[~valid][0]:.6g} within 1e-9 of the curve (degenerate)"
+        )
+    return bool(np.all(counts == 1))
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,20 @@ def test_noninjectivity_small_grid(f4, d4_chain):
     assert all(res.counts[np.nonzero(res.counts >= 0)] >= 0)
 
 
+@pytest.mark.parametrize(
+    "grid, expected",
+    [
+        (PolarGrid(360, 100, 0.16, 7.9), (2, 35688, 312)),
+        (PolarGrid(720, 200, 0.16, 7.9), (2, 143077, 923)),
+    ],
+)
+def test_noninjectivity_scan_figures_pinned(f4, d4_chain, grid, expected):
+    """(degree, evaluated, skipped) of the acceptance scans, as the dense
+    angle-sum kernel also gave them."""
+    res = noninjectivity_degree(f4, d4_chain, grid)
+    assert (res.degree, res.n_evaluated, res.n_skipped) == expected
+
+
 def test_noninjectivity_monotone_under_nested_refinement(f4, d4_chain):
     base = noninjectivity_degree(f4, d4_chain, PolarGrid(60, 15, 0.2, 7.5))
     fine = noninjectivity_degree(f4, d4_chain, PolarGrid(120, 29, 0.2, 7.5))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lemniscates.curves import (
     SampledCurve,
@@ -9,9 +11,10 @@ from lemniscates.curves import (
     resample,
     unit_circle,
     winding_number,
+    winding_numbers,
 )
 from lemniscates.errors import PreconditionError
-from lemniscates.polynomials import Polynomial, RationalMap
+from lemniscates.polynomials import Polynomial, RationalMap, roots_flat
 
 
 def _double_circle(n=256):
@@ -42,6 +45,163 @@ def test_winding_near_hit_rejected():
     c = unit_circle(64)
     with pytest.raises(PreconditionError):
         winding_number(c, complex(c.points[3]) + 1e-12)
+
+
+def test_winding_on_segment_interior_rejected():
+    """The near-hit check measures distance to segments, not only to samples."""
+    square = SampledCurve([0, 1, 1 + 1j, 1j], closed=True)
+    for w in (0.5, 0.5 + 1e-13j, 0.5 - 1e-13j, 1.0 + 0.5j):
+        with pytest.raises(PreconditionError):
+            winding_number(square, w)
+    assert winding_number(square, 0.5 + 0.5j, return_residual=True) == (1, 0.0)
+
+
+# Reference: the dense angle-sum kernel the crossing kernel replaced, kept
+# verbatim (renamed) as an independent oracle.
+def _segment_distances(points: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """Min distance from each w to the closed polygon through `points`."""
+    a = points
+    b = np.roll(points, -1)
+    u = b - a
+    L2 = np.maximum(np.abs(u) ** 2, 1e-300)
+    out = np.empty(ws.size)
+    block = max(1, int(2_000_000 // max(points.size, 1)))
+    for i in range(0, ws.size, block):
+        wb = ws[i : i + block]
+        rel = wb[:, None] - a[None, :]
+        t = np.clip((rel * np.conj(u)[None, :]).real / L2[None, :], 0.0, 1.0)
+        d = np.abs(rel - t * u[None, :])
+        out[i : i + block] = d.min(axis=1)
+    return out
+
+
+def _dense_winding_numbers(points: np.ndarray, ws: np.ndarray, min_distance: float = 1e-9):
+    """Vectorized winding of the closed polygon `points` about each w.
+
+    Returns (counts, valid) where valid is False for w closer than
+    min_distance to the polygon (those counts are meaningless). Sample-point
+    distances prefilter; only borderline targets pay for exact
+    point-to-segment distances.
+    """
+    ws = np.asarray(ws, dtype=complex).ravel()
+    counts = np.zeros(ws.size, dtype=int)
+    valid = np.ones(ws.size, dtype=bool)
+    block = max(1, int(4_000_000 // max(points.size, 1)))
+    nxt = np.roll(points, -1)
+    max_chord = float(np.abs(nxt - points).max())
+    borderline = np.zeros(ws.size, dtype=bool)
+    for i in range(0, ws.size, block):
+        wb = ws[i : i + block]
+        d = points[None, :] - wb[:, None]
+        dist = np.abs(d).min(axis=1)
+        ang = np.angle((nxt[None, :] - wb[:, None]) / d)
+        total = ang.sum(axis=1)
+        counts[i : i + block] = np.rint(total / (2 * np.pi)).astype(int)
+        valid[i : i + block] = dist >= min_distance
+        if min_distance > 0:
+            borderline[i : i + block] = (dist < min_distance + 0.5 * max_chord) & (
+                dist >= min_distance
+            )
+    idx = np.nonzero(borderline)[0]
+    if idx.size:
+        seg_d = _segment_distances(points, ws[idx])
+        valid[idx] &= seg_d >= min_distance
+    return counts, valid
+
+
+def _distinct_neighbours(pts):
+    pts = np.asarray(pts, dtype=complex)
+    pts = pts[np.concatenate([[True], pts[1:] != pts[:-1]])]
+    if pts.size > 1 and pts[-1] == pts[0]:
+        pts = pts[:-1]
+    return pts
+
+
+# lattice polygons self-intersect freely and have horizontal edges; the
+# targets sit on vertex rows (the half-open rule), between rows, and at
+# random offsets
+_lattice = st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=3, max_size=30)
+_offsets = st.lists(
+    st.tuples(st.floats(-6, 6), st.sampled_from([0.0, 0.5, 0.37])), min_size=1, max_size=60
+)
+
+
+@settings(max_examples=60)
+@given(
+    verts=_lattice,
+    offsets=_offsets,
+    jitter=st.sampled_from([0.0, 1e-3]),
+    margin=st.sampled_from([1e-9, 1e-2]),
+)
+def test_crossing_winding_matches_dense_angle_sum(verts, offsets, jitter, margin):
+    pts = _distinct_neighbours([x + 1j * y for x, y in verts])
+    assume(pts.size >= 3)
+    pts = pts + jitter * np.sin(np.arange(pts.size) * 1.7)  # tilts some edges
+    rows = pts.imag[np.arange(len(offsets)) % pts.size]
+    ws = np.array([x + 1j * (r + dy) for (x, dy), r in zip(offsets, rows)])
+    with np.errstate(divide="ignore", invalid="ignore"):  # targets on vertices
+        ref_counts, ref_valid = _dense_winding_numbers(pts, ws, margin)
+    counts, valid = winding_numbers(pts, ws, margin)
+    assert np.array_equal(valid, ref_valid)
+    assert np.array_equal(counts[valid], ref_counts[valid])
+
+
+@settings(max_examples=40)
+@given(
+    re=st.lists(st.floats(-3, 3), min_size=3, max_size=40),
+    im=st.lists(st.floats(-3, 3), min_size=3, max_size=40),
+    seed=st.integers(0, 2**16),
+    margin=st.sampled_from([1e-9, 1e-2]),
+)
+def test_crossing_winding_matches_dense_on_random_polygons(re, im, seed, margin):
+    n = min(len(re), len(im))
+    pts = _distinct_neighbours(np.array(re[:n]) + 1j * np.array(im[:n]))
+    assume(pts.size >= 3)
+    rng = np.random.default_rng(seed)
+    ws = rng.uniform(-4, 4, 200) + 1j * rng.uniform(-4, 4, 200)
+    ws[:50] = ws[:50].real + 1j * pts.imag[rng.integers(0, pts.size, 50)]  # vertex rows
+    ref_counts, ref_valid = _dense_winding_numbers(pts, ws, margin)
+    counts, valid = winding_numbers(pts, ws, margin)
+    assert np.array_equal(valid, ref_valid)
+    assert np.array_equal(counts[valid], ref_counts[valid])
+
+
+def test_crossing_winding_independent_of_pair_blocks(monkeypatch):
+    from lemniscates import curves
+
+    t = np.linspace(0, 6 * np.pi, 301, endpoint=False)
+    star = (1.5 + np.cos(7 * t / 3)) * np.exp(1j * t)  # winds three times
+    rng = np.random.default_rng(3)
+    ws = rng.uniform(-3, 3, 2000) + 1j * rng.uniform(-3, 3, 2000)
+    whole = winding_numbers(star, ws, 1e-2)
+    monkeypatch.setattr(curves, "_PAIR_BLOCK", 97)
+    blocked = winding_numbers(star, ws, 1e-2)
+    assert np.array_equal(whole[0], blocked[0]) and np.array_equal(whole[1], blocked[1])
+    assert np.array_equal(whole[0][whole[1]], _dense_winding_numbers(star, ws, 1e-2)[0][whole[1]])
+    assert whole[0].max() == 3
+
+
+@settings(max_examples=25)
+@given(
+    roots=st.lists(st.complex_numbers(max_magnitude=1.8), min_size=1, max_size=5),
+    seed=st.integers(0, 2**16),
+)
+def test_crossing_winding_counts_roots_inside_circle(roots, seed):
+    """Winding of p(circle) about w = roots of p - w inside the circle."""
+    p = RationalMap(Polynomial.from_roots(roots))
+    img = image_curve(p, unit_circle(512))
+    rng = np.random.default_rng(seed)
+    zs = rng.uniform(0, 1.6, 30) * np.exp(2j * np.pi * rng.uniform(0, 1, 30))
+    ws = p(zs)
+    margin = 0.05 * img.diameter()
+    counts, valid = winding_numbers(img.points, ws, margin)
+    ref_counts, ref_valid = _dense_winding_numbers(img.points, ws, margin)
+    assert np.array_equal(valid, ref_valid)
+    assert np.array_equal(counts[valid], ref_counts[valid])
+    for w, k, ok in zip(ws, counts, valid):
+        found = np.abs(roots_flat(p.num - complex(w), tol=1e-8))
+        if ok and np.all(np.abs(found - 1.0) >= 0.05):
+            assert k == np.count_nonzero(found < 1.0)
 
 
 def test_count_preimages_examples(circle_T):

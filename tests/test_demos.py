@@ -1,0 +1,16 @@
+"""Smoke test: the demos that exercise the winding kernel still run."""
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize(
+    "name", ["02_argument_principle.py", "04_region_and_noninjectivity.py"]
+)
+def test_demo_runs(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LEMNISCATES_OUTDIR", str(tmp_path))
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    assert capsys.readouterr().out

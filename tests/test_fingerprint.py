@@ -142,6 +142,10 @@ def test_is_proper_degenerate_rejected(circle_T):
     # critical value exactly on the unit circle
     with pytest.raises(PreconditionError):
         is_proper(Polynomial([-1.0, 0, 1]), circle_T)
+    # critical value p(0) = 0.5+0.5i on the middle of an edge, far from samples
+    diamond = SampledCurve([1, 1j, -1, -1j], closed=True)
+    with pytest.raises(PreconditionError, match="degenerate"):
+        is_proper(Polynomial([0.5 + 0.5j, 0, 1]), diamond)
 
 
 def test_is_proper_oracle_examples(circle_T):

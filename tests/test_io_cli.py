@@ -5,10 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+from lemniscates import cli
 from lemniscates import io as lio
 from lemniscates.cli import RunConfig, main
 from lemniscates.curves import ellipse, unit_circle
-from lemniscates.errors import PreconditionError
+from lemniscates.errors import ChainClosureError, PreconditionError, TraceError
 from lemniscates.fingerprint import BlaschkeProduct
 from lemniscates.levelcurves import ClosedLoop, trace_level
 from lemniscates.polynomials import Polynomial, RationalMap
@@ -86,6 +87,43 @@ def test_cli_roots_bad_input(files, capsys, tmp_path):
         assert run_cli("roots", str(path), outdir=files) == 2, path.name
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "PreconditionError"
+
+
+def _raising(err):
+    def handler(args, cfg):
+        raise err
+
+    return handler
+
+
+def test_cli_error_json_keeps_error_data(files, capsys, monkeypatch):
+    closure = ChainClosureError("2 of 3 candidates gave distinct closed Jordan chains", [
+        {"start": 1 + 2j, "closure_residual": 1e-12, "diameter": 3.0, "jordan": True},
+        {"start": -0.5j, "error": "critical point near 0"},
+    ])
+    monkeypatch.setitem(cli._HANDLERS, "counterexample", _raising(closure))
+    assert run_cli("counterexample", "table", outdir=files) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ChainClosureError"
+    assert err["details"] == {"candidates": [
+        {"start": [1.0, 2.0], "closure_residual": 1e-12},
+        {"start": [0.0, -0.5], "error": "critical point near 0"},
+    ]}
+
+    trace = TraceError("critical point near 0.5", samples=np.array([0.1, 0.25 + 0.5j]))
+    monkeypatch.setitem(cli._HANDLERS, "counterexample", _raising(trace))
+    assert run_cli("counterexample", "table", outdir=files) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "TraceError"
+    assert err["details"] == {"samples": 2, "last_sample": [0.25, 0.5]}
+
+    monkeypatch.setitem(cli._HANDLERS, "counterexample", _raising(TraceError("budget")))
+    assert run_cli("counterexample", "table", outdir=files) == 3
+    assert json.loads(capsys.readouterr().err)["details"] == {"samples": 0, "last_sample": None}
+
+    monkeypatch.setitem(cli._HANDLERS, "counterexample", _raising(PreconditionError("bad")))
+    assert run_cli("counterexample", "table", outdir=files) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "PreconditionError", "message": "bad"}
 
 
 def test_cli_lemniscate_proper(files, capsys):
