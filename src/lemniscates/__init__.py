@@ -7,10 +7,6 @@ from .conformal import (
     ExteriorMap,
     exterior_map,
     interior_map,
-    map_boundary_forward,
-    map_boundary_inverse,
-    map_interior_eval,
-    map_interior_inverse,
 )
 from .counterexample import (
     ArcSpec,

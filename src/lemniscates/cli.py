@@ -65,7 +65,6 @@ class RunConfig:
     oracle_nx: int = 96
     oracle_ny: int = 96
     outdir: str = "."
-    seed: int = 1234
     svg_width: int = 800
 
     def validate(self):

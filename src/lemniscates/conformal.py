@@ -9,6 +9,10 @@ using a singularity subtraction for its boundary values. On analytic
 boundaries every ingredient converges spectrally.
 
 Exterior maps are reduced to interior ones by the inversion z -> 1/z.
+Both maps share one solve path: the curve is checked once per call (closed,
+positively oriented, origin inside), resampled and checked Jordan at each
+solver resolution, and either solved at the requested node count or by one
+doubling loop that stops when the boundary images settle.
 """
 from __future__ import annotations
 
@@ -33,14 +37,34 @@ _TWO_PI = 2.0 * np.pi
 
 
 def _resampled_points(gamma: SampledCurve, nodes: int) -> np.ndarray:
-    if not gamma.closed:
-        raise PreconditionError("conformal maps need a closed curve")
-    if gamma.orientation != 1:
-        raise PreconditionError("curve must be positively oriented")
     pts = trig_resample(gamma.points, nodes)
     if not is_jordan(SampledCurve(pts, closed=True), tol=1e-9):
         raise PreconditionError("curve is not Jordan at the solver resolution")
     return pts
+
+
+def _self_consistent(solve, gamma: SampledCurve, nodes: int | None):
+    """solve() on gamma resampled at `nodes`, or, with nodes=None, at 512
+    nodes doubled until the 64 probe images move by at most 1e-6."""
+    if not gamma.closed:
+        raise PreconditionError("conformal maps need a closed curve")
+    if gamma.orientation != 1:
+        raise PreconditionError("curve must be positively oriented")
+    if winding_number(gamma, 0.0) != 1:
+        raise PreconditionError("origin must lie inside the curve (winding 1)")
+    if nodes is not None:
+        return solve(_resampled_points(gamma, nodes))
+    n = DEFAULT_NODES
+    m = solve(_resampled_points(gamma, n))
+    probe = np.linspace(0.0, _TWO_PI, 64, endpoint=False)
+    while 2 * n <= MAX_NODES:
+        m2 = solve(_resampled_points(gamma, 2 * n))
+        delta = np.max(np.abs(m2.boundary_forward(probe) - m.boundary_forward(probe)))
+        m = m2
+        n *= 2
+        if delta <= SELF_CONSISTENCY_TOL:
+            return m
+    raise SolverError(f"no self-consistent solve within {MAX_NODES} nodes")
 
 
 class DiskMap:
@@ -130,17 +154,15 @@ class DiskMap:
             raise PreconditionError(
                 f"interior evaluation needs |w| <= {1.0 - INTERIOR_MARGIN}"
             )
-        zeta = np.exp(1j * self.theta)
-        weight = self.points * zeta * self._dtheta / self.nodes
-        out = (weight[None, :] / (zeta[None, :] - w_arr[:, None])).sum(axis=1)
+        out = self._cauchy(w_arr, 1)
         return out if np.ndim(w) else complex(out[0])
 
-    def _interior_eval_deriv(self, w):
-        w_arr = np.atleast_1d(np.asarray(w, dtype=complex))
+    def _cauchy(self, w, power):
+        """Cauchy sum over the boundary correspondence: phi(w) for power 1,
+        phi'(w) for power 2, at the 1-D array w."""
         zeta = np.exp(1j * self.theta)
         weight = self.points * zeta * self._dtheta / self.nodes
-        out = (weight[None, :] / (zeta[None, :] - w_arr[:, None]) ** 2).sum(axis=1)
-        return out if np.ndim(w) else complex(out[0])
+        return (weight[None, :] / (zeta[None, :] - w[:, None]) ** power).sum(axis=1)
 
     def interior_inverse(self, z):
         """w in D with phi(w) = z, for z strictly inside Omega."""
@@ -156,15 +178,12 @@ class DiskMap:
             np.abs(z_arr / self.center_derivative), 0.0, 0.8
         ) * np.exp(1j * np.angle(z_arr / self.center_derivative))
         for _ in range(80):
-            val = self.interior_eval(w) - z_arr
-            der = self._interior_eval_deriv(w)
-            step = val / der
-            w_new = w - step
-            w_new = np.where(np.abs(w_new) > 0.97, 0.97 * np.exp(1j * np.angle(w_new)), w_new)
-            w = w_new
+            step = (self._cauchy(w, 1) - z_arr) / self._cauchy(w, 2)
+            w = w - step
+            w = np.where(np.abs(w) > 0.97, 0.97 * np.exp(1j * np.angle(w)), w)
             if np.max(np.abs(step)) < 1e-14:
                 break
-        resid = np.max(np.abs(self.interior_eval(w) - z_arr))
+        resid = np.max(np.abs(self._cauchy(w, 1) - z_arr))
         if resid > 1e-9 * max(np.max(np.abs(self.points)), 1.0):
             raise NumericalError(f"interior inversion stalled (residual {resid:.3g})")
         return w if np.ndim(z) else complex(w[0])
@@ -233,21 +252,7 @@ def interior_map(gamma: SampledCurve, nodes: int | None = None) -> DiskMap:
     With nodes=None the solve starts at 512 nodes and doubles until the
     boundary images move by less than 1e-6, capped at 4096.
     """
-    if winding_number(gamma, 0.0) != 1:
-        raise PreconditionError("origin must lie inside the curve (winding 1)")
-    if nodes is not None:
-        return _solve_interior(_resampled_points(gamma, nodes))
-    n = DEFAULT_NODES
-    dm = _solve_interior(_resampled_points(gamma, n))
-    probe = np.linspace(0.0, _TWO_PI, 64, endpoint=False)
-    while 2 * n <= MAX_NODES:
-        dm2 = _solve_interior(_resampled_points(gamma, 2 * n))
-        delta = np.max(np.abs(dm2.boundary_forward(probe) - dm.boundary_forward(probe)))
-        dm = dm2
-        n *= 2
-        if delta <= SELF_CONSISTENCY_TOL:
-            return dm
-    raise SolverError(f"no self-consistent solve within {MAX_NODES} nodes")
+    return _self_consistent(_solve_interior, gamma, nodes)
 
 
 class ExteriorMap:
@@ -282,9 +287,8 @@ class ExteriorMap:
     def exterior_eval(self, zeta):
         """phi_plus(zeta) for |zeta| > 1/(1 - margin)."""
         zeta_arr = np.atleast_1d(np.asarray(zeta, dtype=complex))
-        return_scalar = not np.ndim(zeta)
         out = 1.0 / self.inner.interior_eval(1.0 / zeta_arr)
-        return complex(out[0]) if return_scalar else out
+        return out if np.ndim(zeta) else complex(out[0])
 
     def exterior_inverse(self, z):
         """zeta outside the unit disk with phi_plus(zeta) = z."""
@@ -310,56 +314,17 @@ class ExteriorMap:
         return f"ExteriorMap(nodes={self.nodes}, a={self.a:.6g})"
 
 
+def _solve_exterior(points: np.ndarray) -> ExteriorMap:
+    """Solve the exterior map on the given uniform samples through the
+    interior map of the reflected curve."""
+    reflected = 1.0 / points[(-np.arange(points.size)) % points.size]
+    return ExteriorMap(points, _solve_interior(reflected))
+
+
 def exterior_map(gamma: SampledCurve, nodes: int | None = None) -> ExteriorMap:
     """Exterior Riemann map of gamma via the inversion z -> 1/z.
 
     Requires the origin inside gamma so the reflected curve is bounded.
+    Node selection is as in interior_map.
     """
-    if winding_number(gamma, 0.0) != 1:
-        raise PreconditionError("origin must lie inside the curve (winding 1)")
-    if nodes is None:
-        n = DEFAULT_NODES
-        em = exterior_map(gamma, n)
-        probe = np.linspace(0.0, _TWO_PI, 64, endpoint=False)
-        while 2 * n <= MAX_NODES:
-            em2 = exterior_map(gamma, 2 * n)
-            delta = np.max(
-                np.abs(em2.boundary_forward(probe) - em.boundary_forward(probe))
-            )
-            em = em2
-            n *= 2
-            if delta <= SELF_CONSISTENCY_TOL:
-                return em
-        raise SolverError(f"no self-consistent solve within {MAX_NODES} nodes")
-    pts = _resampled_points(gamma, nodes)
-    n = pts.size
-    reflected = 1.0 / pts[(-np.arange(n)) % n]
-    inner = _solve_interior(reflected)
-    return ExteriorMap(pts, inner)
-
-
-# -- module-level operation names -------------------------------------------
-
-
-def map_boundary_forward(m, theta):
-    """Boundary image of the circle angle theta under the solved map."""
-    return m.boundary_forward(theta)
-
-
-def map_boundary_inverse(m, point_on_gamma):
-    """Angle theta with map_boundary_forward(m, theta) = point."""
-    return m.boundary_inverse(point_on_gamma)
-
-
-def map_interior_eval(m: DiskMap, w):
-    """Evaluate the interior map at w in the unit disk."""
-    if not isinstance(m, DiskMap):
-        raise PreconditionError("interior evaluation needs a DiskMap")
-    return m.interior_eval(w)
-
-
-def map_interior_inverse(m: DiskMap, z):
-    """Preimage in the unit disk of a point z strictly inside the domain."""
-    if not isinstance(m, DiskMap):
-        raise PreconditionError("interior inversion needs a DiskMap")
-    return m.interior_inverse(z)
+    return _self_consistent(_solve_exterior, gamma, nodes)

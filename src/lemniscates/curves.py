@@ -173,30 +173,27 @@ def resample(c: SampledCurve, count: int) -> SampledCurve:
     return SampledCurve(re + 1j * im, closed=c.closed)
 
 
-def _refine_by_angle(f, zs: np.ndarray, w: complex, max_turn: float, closed=True):
-    """Insert chord midpoints until every image turn about w is small."""
+def _refine_by_angle(f, zs: np.ndarray, w: complex, max_turn: float):
+    """Image turns about w of the closed polygon zs, with chord midpoints
+    inserted until every turn is small."""
     for _ in range(40):
-        ws = f(zs)
-        d = ws - w
+        d = f(zs) - w
         if np.abs(d).min() < NEAR_HIT:
             j = int(np.abs(d).argmin())
             raise PreconditionError(
                 f"image passes within {NEAR_HIT:g} of target "
                 f"(nearest approach {abs(d[j]):.3g} at sample {j})"
             )
-        nxt = np.roll(d, -1) if closed else d[1:]
-        cur = d if closed else d[:-1]
-        turns = np.angle(nxt / cur)
+        turns = np.angle(np.roll(d, -1) / d)
         bad = np.abs(turns) > max_turn
         if not bad.any():
-            return zs, ws, turns
+            return turns
         if zs.size > _MAX_REFINE_POINTS:
             raise NumericalError(
                 "image refinement exploded; image likely passes through target"
             )
         idx = np.nonzero(bad)[0]
-        nxz = np.roll(zs, -1) if closed else zs[1:]
-        mids = 0.5 * (zs[idx] + nxz[idx])
+        mids = 0.5 * (zs[idx] + np.roll(zs, -1)[idx])
         zs = np.insert(zs, idx + 1, mids)
     raise NumericalError("image refinement did not settle; target too close to image")
 
@@ -244,7 +241,7 @@ def count_preimages(f, c: SampledCurve, w, return_residual: bool = False):
     if not f.is_polynomial:
         if np.abs(f.den(zs)).min() < NEAR_HIT:
             raise PreconditionError("pole of f within 1e-9 of a curve sample")
-    _, _, turns = _refine_by_angle(f, zs, w, max_turn=0.2)
+    turns = _refine_by_angle(f, zs, w, max_turn=0.2)
     total = float(turns.sum())
     k = int(round(total / (2 * np.pi)))
     residual = abs(total / (2 * np.pi) - k)

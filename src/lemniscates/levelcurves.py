@@ -354,6 +354,8 @@ def _component_through(f, eps, z0, step, zero_pts):
             arc = trace_level(f, eps, seed, +1, ClosedLoop(), step=step)
             loop = SampledCurve(arc.samples[:-1], closed=True)
             signature = tuple(winding_number(loop, z) for z in zero_pts)
+            if signature[zero_pts.index(z0)] < 1:  # the ray stepped over a neck
+                raise TraceError(f"ray from {z0:.6g} reached another component")
             return loop, signature
         except TraceError as err:
             last_err = err

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from lemniscates.conformal import (
-    exterior_map,
-    interior_map,
-    map_boundary_forward,
-    map_boundary_inverse,
-    map_interior_eval,
-    map_interior_inverse,
-)
+from lemniscates.conformal import exterior_map, interior_map
 
 from lemniscates.curves import ellipse, unit_circle
 from lemniscates.errors import PreconditionError
@@ -35,9 +28,9 @@ def test_identity_map():
 def test_scaled_circle():
     dm = interior_map(unit_circle(256, radius=2.0), nodes=256)
     assert dm.center_derivative == pytest.approx(2.0, abs=1e-12)
-    assert map_boundary_forward(dm, 0.0) == pytest.approx(2.0, abs=1e-12)
-    assert map_interior_eval(dm, 0.5) == pytest.approx(1.0, abs=1e-12)
-    assert map_interior_inverse(dm, 1.0) == pytest.approx(0.5, abs=1e-12)
+    assert dm.boundary_forward(0.0) == pytest.approx(2.0, abs=1e-12)
+    assert dm.interior_eval(0.5) == pytest.approx(1.0, abs=1e-12)
+    assert dm.interior_inverse(1.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_mobius_oracle_boundary():
@@ -58,8 +51,8 @@ def test_mobius_oracle_interior(rng):
 def test_boundary_inverse_roundtrip():
     dm = interior_map(unit_circle(512, center=0.3), nodes=512)
     for th in TH64[::8]:
-        pt = map_boundary_forward(dm, float(th))
-        back = map_boundary_inverse(dm, pt)
+        pt = dm.boundary_forward(float(th))
+        back = dm.boundary_inverse(pt)
         gap = abs((back - th + np.pi) % (2 * np.pi) - np.pi)
         assert gap <= 1e-8
 
@@ -74,18 +67,21 @@ def test_interior_roundtrip(rng):
 def test_interior_eval_margin():
     dm = interior_map(unit_circle(128), nodes=128)
     with pytest.raises(PreconditionError):
-        map_interior_eval(dm, 0.999)
+        dm.interior_eval(0.999)
 
 
 def test_off_curve_point_rejected():
     dm = interior_map(unit_circle(256), nodes=256)
     with pytest.raises(PreconditionError):
-        map_boundary_inverse(dm, 1.5 + 0.5j)
+        dm.boundary_inverse(1.5 + 0.5j)
 
 
 def test_origin_must_be_inside():
-    with pytest.raises(PreconditionError):
-        interior_map(unit_circle(128, center=5.0), nodes=128)
+    curve = unit_circle(128, center=5.0)
+    for solve in (interior_map, exterior_map):
+        for nodes in (128, None):
+            with pytest.raises(PreconditionError, match="origin must lie inside"):
+                solve(curve, nodes=nodes)
 
 
 def test_correspondence_strictly_increasing():
@@ -113,6 +109,16 @@ def test_exterior_ellipse_joukowski():
     zeta = 2.0 * np.exp(1j * TH64)
     expect = 0.8 * zeta + 0.2 / zeta
     assert np.max(np.abs(em.exterior_eval(zeta) - expect)) < 1e-6
+
+
+def test_adaptive_exterior_ellipse():
+    em = exterior_map(ellipse(1.0, 0.6, 512))
+    assert em.nodes == 1024  # one doubling from the 512 default settles
+    assert em.a == pytest.approx(0.8, abs=1e-10)
+    target = 0.8 * np.exp(1j * TH64) + 0.2 * np.exp(-1j * TH64)
+    assert np.max(np.abs(em.boundary_forward(TH64) - target)) < 1e-10
+    fixed = exterior_map(ellipse(1.0, 0.6, 512), nodes=1024)
+    assert np.array_equal(em.theta, fixed.theta)
 
 
 def test_node_doubling_self_consistency():

@@ -143,6 +143,16 @@ def test_cli_lemniscate_improper_warns(files, capsys):
     assert (files / "imp.svg").exists()
 
 
+def test_cli_lemniscate_improper_f4_levels(files, capsys):
+    # z^2(z+1)(z+3) on the unit circle: just below each nonzero critical
+    # modulus every zero has its own component; -3's own component at
+    # 0.98|cv_big| is one of the eight
+    assert run_cli("lemniscate", str(files / "f4.json"), "unit-circle", "levels.svg", outdir=files) == 0
+    levels = json.loads(capsys.readouterr().out)["levels"]
+    assert len(levels) == 8
+    assert levels.count(levels[5]) == 2 and levels[5] == pytest.approx(4.7511, abs=1e-4)
+
+
 def test_cli_fingerprint(files, capsys):
     assert run_cli("fingerprint", str(files / "p2.json"), "unit-circle", "fp.csv", outdir=files) == 0
     out = json.loads(capsys.readouterr().out)
@@ -246,6 +256,7 @@ def test_runconfig_validation(tmp_path):
         json.dumps({"nodes": 1024.5}),
         json.dumps({"grid_args": "360"}),
         json.dumps({"outdir": 3}),
+        json.dumps({"seed": 1}),
         json.dumps({"trace_step": 0.01})[:-1],
         json.dumps([1, 2]),
     ]:

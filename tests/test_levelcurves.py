@@ -241,15 +241,16 @@ def _groupings(eps, step):
 def test_near_pinch_groupings_step_independent():
     """Just below and above each nonzero critical modulus of z^2(z+1)(z+3) the
     level set is about to pinch or has just merged; a coarse step must find
-    the same zero groupings as a fine one. Just below a pinch the seeding ray
-    from -1 (resp. -3) steps over the narrow neck and reaches the component of
-    its neighbour, so that zero's own component is not found."""
+    the same zero groupings as a fine one. Just below a pinch every zero keeps
+    its own component: a seeding ray from -1 (resp. -3) that steps over the
+    narrow neck onto its neighbour's component is rejected and the next
+    direction is tried."""
     cv_small = (3 * np.sqrt(3.0) - 4.5) / 2
     cv_big = max(abs(cv) for cv in critical_values(F4.num))
     expected = {
-        0.999 * cv_small: {(0.0,), (-3.0,)},
+        0.999 * cv_small: {(0.0,), (-1.0,), (-3.0,)},
         1.001 * cv_small: {(0.0, -1.0), (-3.0,)},
-        0.999 * cv_big: {(0.0, -1.0)},
+        0.999 * cv_big: {(0.0, -1.0), (-3.0,)},
         1.001 * cv_big: {(0.0, -1.0, -3.0)},
     }
     for eps, groups in expected.items():
