@@ -169,6 +169,11 @@ def cmd_lemniscate(args, cfg: RunConfig) -> dict:
     gamma = _load_curve_arg(args.curve)
     svg_path = _outpath(cfg, Path(args.out).name)
     json_path = svg_path.with_suffix(".json")
+    inputs = {Path(a).resolve() for a in (args.poly, args.curve, args.config)
+              if a is not None and a != "unit-circle"}
+    for out in (svg_path, json_path):
+        if out.resolve() in inputs:
+            raise PreconditionError(f"output {out} would overwrite an input file")
     payload = {"leading_rotation": [rot.real, rot.imag]}
     if p.degree >= 1 and is_proper(p, gamma):
         curve = pseudo_lemniscate(p, gamma, cfg.samples_per_lap)

@@ -2,11 +2,11 @@
 
 The interior map phi: D -> Omega with phi(0)=0, phi'(0)>0 is computed from
 its inverse f(z) = z * exp(g(z)) where Re g = -log|z| on the boundary. The
-harmonic Dirichlet problem for Re g is solved with the Neumann-kernel
-second-kind integral equation (double layer, Nystrom trapezoid), and g is
-completed holomorphically by a Cauchy-type integral of the same density,
-using a singularity subtraction for its boundary values. On analytic
-boundaries every ingredient converges spectrally.
+double-layer density mu of Re g solves the Neumann-kernel equation
+(I + wK) mu = h (Nystrom trapezoid) by unrestarted GMRES, and g is completed
+holomorphically by the singularity-subtracted Cauchy integral of mu. One
+Cauchy matrix gamma'_t / (gamma_t - gamma_s) gives both K (its imaginary
+part) and that integral. On analytic boundaries all of it converges spectrally.
 
 Exterior maps are reduced to interior ones by the inversion z -> 1/z.
 Both maps share one solve path: the curve is checked once per call (closed,
@@ -17,6 +17,7 @@ doubling loop that stops when the boundary images settle.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse.linalg import gmres
 
 from ._fourier import (
     fourier_coeffs,
@@ -192,9 +193,7 @@ class DiskMap:
         """f(z) = phi^{-1}(z) via the solved density."""
         z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
         rho = self._mu * self._dgamma * (_TWO_PI / self.nodes)
-        g = (rho[None, :] / (self.points[None, :] - z_arr[:, None])).sum(axis=1) / (
-            1j * np.pi
-        )
+        g = (rho / (self.points - z_arr[:, None])).sum(axis=1) / (1j * np.pi)
         f = z_arr * np.exp(g - 1j * self._g0.imag)
         return f if np.ndim(z) else complex(f[0])
 
@@ -221,25 +220,26 @@ def _solve_interior(points: np.ndarray) -> DiskMap:
     if np.min(np.abs(points)) < 1e-12:
         raise PreconditionError("boundary passes through the origin")
     dg = trig_diff(points)
-    ddg = trig_diff(dg)
     w = _TWO_PI / n
 
-    diff = points[None, :] - points[:, None]  # [s, t] -> gamma_t - gamma_s
-    np.fill_diagonal(diff, 1.0)
-    kern = np.imag(dg[None, :] / diff) / np.pi
-    np.fill_diagonal(kern, np.imag(ddg / (2.0 * dg)) / np.pi)
+    cauchy = points[None, :] - points[:, None]  # [s, t] -> gamma_t - gamma_s
+    np.fill_diagonal(cauchy, np.inf)  # so that the quotient is 0 on the diagonal
+    np.divide(dg[None, :], cauchy, out=cauchy)  # gamma'_t / (gamma_t - gamma_s)
+    lhs = cauchy.imag * (w / np.pi)  # I + wK, K the Neumann kernel
+    np.fill_diagonal(lhs, 1.0 + np.imag(trig_diff(dg) / (2.0 * dg)) * (w / np.pi))
     h = -np.log(np.abs(points))
-    mu = np.linalg.solve(np.eye(n) + kern * w, h)
+    its = []
+    mu, info = gmres(lhs, h, rtol=1e-14, restart=n, maxiter=1,
+                     callback=its.append, callback_type="pr_norm")
+    resid = np.linalg.norm(h - lhs @ mu) / max(np.linalg.norm(h), 1e-300)
+    if info != 0 or not resid <= 1e-12:
+        raise SolverError(f"GMRES failed: {len(its)} iterations, residual {resid:.3g}")
 
-    dmu = np.real(trig_diff(mu))
-    num = (mu[None, :] - mu[:, None]) * dg[None, :]
-    mat = num / diff
-    np.fill_diagonal(mat, dmu)
-    i_s = mat.sum(axis=1) * w
-    g_b = i_s / (1j * np.pi) + 2.0 * mu
-
+    # Im g on the boundary is -Re(i_s)/pi, with i_s the Cauchy integral of mu
+    # over the boundary, singularity subtracted
+    i_s = (cauchy @ mu - mu * cauchy.sum(axis=1) + np.real(trig_diff(mu))) * w
     g0 = (mu * dg / points).sum() * w / (1j * np.pi)
-    theta = np.unwrap(np.angle(points)) + np.imag(g_b) - g0.imag
+    theta = np.unwrap(np.angle(points)) - i_s.real / np.pi - g0.imag
     theta -= _TWO_PI * np.floor(theta[0] / _TWO_PI)
     center_derivative = float(np.exp(-g0.real))
     return DiskMap(points, theta, center_derivative, mu=mu, g0=g0)

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lemniscates import conformal
+from lemniscates._fourier import trig_diff
 from lemniscates.conformal import exterior_map, interior_map
-
 from lemniscates.curves import ellipse, unit_circle
-from lemniscates.errors import PreconditionError
+from lemniscates.errors import PreconditionError, SolverError
+from lemniscates.fingerprint import pseudo_lemniscate
+from lemniscates.polynomials import Polynomial
 
 TH64 = np.linspace(0, 2 * np.pi, 64, endpoint=False)
 
@@ -156,3 +161,68 @@ def test_solved_map_roundtrip_serialization(tmp_path):
     # cache-loaded maps invert through Newton on the evaluator
     z = dm.interior_eval(0.4 + 0.1j)
     assert dm2.interior_inverse(z) == pytest.approx(0.4 + 0.1j, abs=1e-8)
+
+
+def _dense_solve(points):
+    """Reference solve: the Neumann-kernel system I + wK by dense LU, and the
+    boundary correspondence from a separately built singularity-subtracted
+    Cauchy matrix; returns (mu, theta)."""
+    n = points.size
+    w = 2 * np.pi / n
+    dg = trig_diff(points)
+    diff = points[None, :] - points[:, None]
+    np.fill_diagonal(diff, 1.0)
+    kern = np.imag(dg[None, :] / diff) / np.pi
+    np.fill_diagonal(kern, np.imag(trig_diff(dg) / (2.0 * dg)) / np.pi)
+    mu = np.linalg.solve(np.eye(n) + kern * w, -np.log(np.abs(points)))
+    mat = (mu[None, :] - mu[:, None]) * dg[None, :] / diff
+    np.fill_diagonal(mat, np.real(trig_diff(mu)))
+    g_b = mat.sum(axis=1) * w / (1j * np.pi) + 2.0 * mu
+    g0 = (mu * dg / points).sum() * w / (1j * np.pi)
+    return mu, np.unwrap(np.angle(points)) + np.imag(g_b) - g0.imag
+
+
+_QUARTIC = Polynomial.from_roots(np.array([0.4, -0.4, 0.35j, -0.1 - 0.3j]), leading=1.5)
+_ORACLE_CURVES = {
+    "ellipse": lambda: ellipse(1.0, 0.6, 512),
+    "off-centre circle": lambda: unit_circle(512, center=0.3),
+    "quartic pseudo-lemniscate": lambda: pseudo_lemniscate(_QUARTIC, unit_circle(512), 1024),
+}
+
+
+@pytest.mark.parametrize("nodes", [1024, 2048])
+@pytest.mark.parametrize("name", list(_ORACLE_CURVES))
+def test_gmres_solve_matches_dense_lu(name, nodes):
+    points = conformal._resampled_points(_ORACLE_CURVES[name](), nodes)
+    dm = conformal._solve_interior(points)
+    mu, theta = _dense_solve(points)
+    assert np.max(np.abs(dm._mu - mu)) <= 1e-12
+    # theta is normalized to start in [0, 2 pi): compare modulo 2 pi
+    assert np.max(np.abs(np.angle(np.exp(1j * (dm.theta - theta))))) <= 1e-12
+
+
+@pytest.mark.parametrize("exact, info", [(True, 1), (False, 0)])
+def test_gmres_failure_raises(monkeypatch, exact, info):
+    # non-convergence is reported even when the returned iterate is right, and
+    # a wrong iterate is caught by the true residual even when GMRES reports 0
+    def fake_gmres(a, b, **kwargs):
+        return (np.linalg.solve(a, b) if exact else 0.5 * b), info
+
+    monkeypatch.setattr(conformal, "gmres", fake_gmres)
+    with pytest.raises(SolverError, match="GMRES failed"):
+        interior_map(ellipse(1.0, 0.6, 256), nodes=256)
+
+
+@settings(max_examples=15)
+@given(c=st.complex_numbers(max_magnitude=0.5))
+def test_mobius_covariance(c):
+    """The disk |z - c| < 1 around 0 has the closed-form Riemann map
+    phi(w) = c + (w - c) / (1 - conj(c) w), with phi'(0) = 1 - |c|^2."""
+    def phi(w):
+        return c + (w - c) / (1 - np.conj(c) * w)
+
+    dm = interior_map(unit_circle(512, center=c), nodes=512)
+    assert dm.center_derivative == pytest.approx(1 - abs(c) ** 2, abs=1e-9)
+    assert np.max(np.abs(dm.boundary_forward(TH64) - phi(np.exp(1j * TH64)))) <= 1e-6
+    w = (np.linspace(0.0, 0.9, 4)[:, None] * np.exp(1j * TH64[::4])).ravel()
+    assert np.max(np.abs(dm.interior_eval(w) - phi(w))) <= 1e-6

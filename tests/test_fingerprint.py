@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from lemniscates.curves import SampledCurve, count_preimages, is_jordan, winding_number
-
-from lemniscates.errors import NumericalError, PreconditionError
+from lemniscates.curves import (
+    SampledCurve,
+    count_preimages,
+    ellipse,
+    is_jordan,
+    winding_number,
+)
+from lemniscates.errors import NumericalError, PreconditionError, SolverError
 from lemniscates.fingerprint import (
     BlaschkeProduct,
     CircleMap,
@@ -285,3 +290,14 @@ def test_identity_report_monotone_fingerprints(circle_T):
     rep.k_gamma.check_monotone()
     assert rep.k_p.total_increase == pytest.approx(2 * np.pi)
     assert rep.k_gamma.total_increase == pytest.approx(2 * np.pi)
+
+
+def test_identity_report_crowded_pseudo_lemniscate():
+    """A proper cubic whose pseudo-lemniscate nearly pinches: at 2048 nodes the
+    crowded interior map's correspondence is not resolved, and the solve raises
+    instead of returning a non-monotone fingerprint. The linear solve converges
+    here; the limit is the discretisation (ROADMAP item 4)."""
+    p = Polynomial([-0.319428 - 0.508323j, -0.517153 - 0.255875j,
+                    0.811032 + 0.474064j, 0.825615])
+    with pytest.raises(SolverError, match="boundary correspondence is not strictly increasing"):
+        identity_report(p, ellipse(1.0, 0.6, 512), nodes=2048)

@@ -153,6 +153,25 @@ def test_cli_lemniscate_improper_f4_levels(files, capsys):
     assert levels.count(levels[5]) == 2 and levels[5] == pytest.approx(4.7511, abs=1e-4)
 
 
+@pytest.mark.parametrize("poly, curve, out", [
+    ("f4.json", "unit-circle", "f4.svg"),      # JSON output onto the polynomial
+    ("p2.json", "ellipse.json", "ellipse.svg"),  # JSON output onto the curve
+    ("p2.json", "unit-circle", "cfg.svg"),     # JSON output onto the config
+    ("p2.json", "unit-circle", "p2.json"),     # SVG output onto the polynomial
+])
+def test_cli_lemniscate_refuses_to_overwrite_inputs(files, capsys, poly, curve, out):
+    (files / "cfg.json").write_text("{}")
+    inputs = ["cfg.json", "f4.json", "p2.json", "ellipse.json"]
+    before = {name: (files / name).read_bytes() for name in inputs}
+    curve_arg = curve if curve == "unit-circle" else str(files / curve)
+    argv = ["--config", str(files / "cfg.json"), "--outdir", str(files),
+            "lemniscate", str(files / poly), curve_arg, out]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "PreconditionError"
+    assert {name: (files / name).read_bytes() for name in inputs} == before
+    assert not list(files.glob("*.svg"))
+
+
 def test_cli_fingerprint(files, capsys):
     assert run_cli("fingerprint", str(files / "p2.json"), "unit-circle", "fp.csv", outdir=files) == 0
     out = json.loads(capsys.readouterr().out)
