@@ -35,6 +35,13 @@ SELF_CONSISTENCY_TOL = 1e-6
 INTERIOR_MARGIN = 0.02  # reject |w| > 1 - margin in disk-side evaluation
 
 _TWO_PI = 2.0 * np.pi
+_START_EPS = 1e-9
+
+
+def _whole_turns(start: float) -> float:
+    """Turns k such that start - 2*pi*k lies in [-eps, 2*pi - eps): a lift
+    that starts at 0 up to rounding stays at 0 instead of jumping by 2*pi."""
+    return np.floor((start + _START_EPS) / _TWO_PI)
 
 
 def _resampled_points(gamma: SampledCurve, nodes: int) -> np.ndarray:
@@ -240,7 +247,7 @@ def _solve_interior(points: np.ndarray) -> DiskMap:
     i_s = (cauchy @ mu - mu * cauchy.sum(axis=1) + np.real(trig_diff(mu))) * w
     g0 = (mu * dg / points).sum() * w / (1j * np.pi)
     theta = np.unwrap(np.angle(points)) - i_s.real / np.pi - g0.imag
-    theta -= _TWO_PI * np.floor(theta[0] / _TWO_PI)
+    theta -= _TWO_PI * _whole_turns(theta[0])
     center_derivative = float(np.exp(-g0.real))
     return DiskMap(points, theta, center_derivative, mu=mu, g0=g0)
 
@@ -267,7 +274,7 @@ class ExteriorMap:
         n = self.nodes
         raw = -inner.theta[(-np.arange(n)) % n]
         lift = np.empty(n)
-        lift[0] = np.mod(raw[0], _TWO_PI)
+        lift[0] = raw[0] - _TWO_PI * _whole_turns(raw[0])
         steps = np.mod(np.diff(raw), _TWO_PI)
         lift[1:] = lift[0] + np.cumsum(steps)
         total = (lift[-1] + np.mod(raw[0] - raw[-1], _TWO_PI)) - lift[0]
@@ -289,12 +296,6 @@ class ExteriorMap:
         zeta_arr = np.atleast_1d(np.asarray(zeta, dtype=complex))
         out = 1.0 / self.inner.interior_eval(1.0 / zeta_arr)
         return out if np.ndim(zeta) else complex(out[0])
-
-    def exterior_inverse(self, z):
-        """zeta outside the unit disk with phi_plus(zeta) = z."""
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = 1.0 / self.inner.interior_inverse(1.0 / z_arr)
-        return out if np.ndim(z) else complex(out[0])
 
     def to_dict(self):
         return {

@@ -5,6 +5,10 @@ Polygon winding numbers are signed ray crossings (Hormann & Agathos, CGTA
 downward one -1, each edge owning the half-open y-range [min, max), so the
 counts are exact integers. Targets sorted by y meet only the edges whose
 y-range holds them.
+
+The Jordan test scores only the segment pairs whose boxes, widened by tol,
+share a cell in a stack of grids of side 2**k: a box is hashed into the grid
+where it spans at most two cells a side and into the coarser ones.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from .polynomials import as_rational
 
 NEAR_HIT = 1e-9  # fixed near-hit rejection threshold
 _MAX_REFINE_POINTS = 1_000_000
-_PAIR_BLOCK = 1_000_000  # (edge, target) pairs scored at once
+_PAIR_BLOCK = 1_000_000  # index pairs scored at once, by either kernel
 
 
 class SampledCurve:
@@ -94,8 +98,8 @@ def winding_number(c: SampledCurve, w, return_residual: bool = False):
 
 
 def _edge_target_pairs(start: np.ndarray, stop: np.ndarray):
-    """Yield (edge, target) index arrays pairing edge e with the sorted
-    targets start[e]:stop[e], about _PAIR_BLOCK pairs at a time."""
+    """Yield (e, t) index arrays pairing each e with the sorted indices
+    start[e]:stop[e], about _PAIR_BLOCK pairs at a time."""
     length = stop - start
     ends = np.cumsum(length)
     e0 = 0
@@ -282,31 +286,45 @@ def is_jordan(c: SampledCurve, tol: float = 1e-9) -> bool:
     or pass within tol of each other."""
     if not c.closed:
         raise PreconditionError("is_jordan needs a closed curve")
-    p = c.points
-    n = p.size
-    a = p
-    b = np.roll(p, -1)
-    mid = 0.5 * (a + b)
-    rad = 0.5 * np.abs(b - a)
-    block = max(1, int(2_000_000 // n))
-    for i0 in range(0, n, block):
-        i = np.arange(i0, min(i0 + block, n))
-        # candidate pairs (i, j) with j > i + 1, excluding the wrap-adjacent pair
-        sep = np.abs(mid[i][:, None] - mid[None, :])
-        reach = rad[i][:, None] + rad[None, :] + tol
-        cand = sep <= reach
-        j_idx = np.arange(n)[None, :]
-        i_idx = i[:, None]
-        adjacent = (
-            (j_idx <= i_idx + 1)
-            | ((i_idx == 0) & (j_idx == n - 1))
-        )
-        cand &= ~adjacent
-        ii, jj = np.nonzero(cand)
-        if ii.size == 0:
-            continue
-        gi = i[ii]
-        hit = _segment_pair_too_close(a[gi], b[gi], a[jj], b[jj], tol)
-        if hit.any():
-            return False
+    tol = float(tol)
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise PreconditionError(f"is_jordan needs a finite tol >= 0, got {tol}")
+    a = c.points
+    b = np.roll(a, -1)
+    n = a.size
+    # boxes widened by tol (by at most the curve's extent, which already
+    # makes every pair a candidate) overlap when their segments come close
+    pad = min(tol, np.ptp(a.real) + np.ptp(a.imag))
+    lo = np.stack([np.minimum(a.real, b.real), np.minimum(a.imag, b.imag)]) - pad
+    hi = np.stack([np.maximum(a.real, b.real), np.maximum(a.imag, b.imag)]) + pad
+    origin = lo.min(axis=1, keepdims=True)
+    # grids of cell side 2**level: each box is an owner in the grid of the
+    # level where it spans at most 2 cells a side, and a visitor in the
+    # coarser ones. At most 2**26 cells a side keep the cell keys exact.
+    size = np.maximum((hi - lo).max(axis=0), float((hi - origin).max()) / 2**26)
+    level = np.ceil(np.log2(size))
+    for lev in np.unique(level):
+        member = np.nonzero(level <= lev)[0]
+        h = 2.0**lev
+        c0 = np.floor((lo[:, member] - origin) / h).astype(np.int64)
+        side = np.floor((hi[:, member] - origin) / h).astype(np.int64) - c0 + 1
+        cells = side[0] * side[1]
+        entry = np.repeat(np.arange(member.size), cells)
+        r = np.arange(entry.size) - np.repeat(np.cumsum(cells) - cells, cells)
+        cell = (c0[0, entry] + r // side[1, entry]) * 2**27 + c0[1, entry] + r % side[1, entry]
+        visitor = level[member[entry]] < lev
+        order = np.argsort(2 * cell + visitor, kind="stable")  # owners first
+        cell, seg = cell[order], member[entry[order]]
+        # each owner entry pairs with the later entries of its cell
+        stop = np.searchsorted(cell, cell, side="right")
+        start = np.where(visitor[order], stop, np.arange(1, cell.size + 1))
+        for e, t in _edge_target_pairs(start, stop):
+            i, j = np.minimum(seg[e], seg[t]), np.maximum(seg[e], seg[t])
+            apart = (j - i > 1) & ((i > 0) | (j < n - 1))  # drop adjacent pairs
+            pair = np.unique(i[apart] * n + j[apart])
+            i, j = pair // n, pair % n
+            meet = np.all((lo[:, i] <= hi[:, j]) & (lo[:, j] <= hi[:, i]), axis=0)
+            i, j = i[meet], j[meet]
+            if _segment_pair_too_close(a[i], b[i], a[j], b[j], tol).any():
+                return False
     return True

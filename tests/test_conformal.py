@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from lemniscates import conformal
 from lemniscates._fourier import trig_diff
 from lemniscates.conformal import exterior_map, interior_map
-from lemniscates.curves import ellipse, unit_circle
+from lemniscates.curves import SampledCurve, ellipse, unit_circle
 from lemniscates.errors import PreconditionError, SolverError
 from lemniscates.fingerprint import pseudo_lemniscate
 from lemniscates.polynomials import Polynomial
@@ -126,6 +126,19 @@ def test_adaptive_exterior_ellipse():
     assert np.array_equal(em.theta, fixed.theta)
 
 
+def test_theta_start_stable_under_rounding():
+    """On a curve symmetric about the real axis the lifts start at 0 up to
+    rounding; perturbing the points by about 1e-15 must not move the start
+    by 2 pi."""
+    c = unit_circle(512, center=0.3)
+    rng = np.random.default_rng(7)
+    for scale in (0.0, 1e-15, 1e-15, 1e-15):
+        noise = scale * (rng.standard_normal(512) + 1j * rng.standard_normal(512))
+        curve = SampledCurve(c.points + noise, closed=True)
+        assert abs(interior_map(curve, nodes=1024).theta[0]) <= 1e-9
+        assert abs(exterior_map(curve, nodes=1024).theta[0]) <= 1e-9
+
+
 def test_node_doubling_self_consistency():
     probe = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     for curve in (unit_circle(1024, center=0.3), ellipse(1.0, 0.6, 1024)):
@@ -197,7 +210,7 @@ def test_gmres_solve_matches_dense_lu(name, nodes):
     dm = conformal._solve_interior(points)
     mu, theta = _dense_solve(points)
     assert np.max(np.abs(dm._mu - mu)) <= 1e-12
-    # theta is normalized to start in [0, 2 pi): compare modulo 2 pi
+    # theta is normalized to start in [-1e-9, 2 pi - 1e-9): compare modulo 2 pi
     assert np.max(np.abs(np.angle(np.exp(1j * (dm.theta - theta))))) <= 1e-12
 
 

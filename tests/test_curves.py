@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from lemniscates.curves import (
     SampledCurve,
+    _segment_pair_too_close,
     count_preimages,
+    ellipse,
     image_curve,
     is_jordan,
     resample,
@@ -274,6 +276,141 @@ def test_is_jordan_traced_lemniscate():
 
     lem = pseudo_lemniscate(Polynomial([-0.1, 0, 1]), unit_circle(512), 512)
     assert is_jordan(lem, tol=1e-9) is True
+
+
+# Reference: the dense midpoint-distance screen the bucketed Jordan test
+# replaced, kept verbatim (renamed) as an independent oracle.
+def _dense_is_jordan(c: SampledCurve, tol: float = 1e-9) -> bool:
+    """True iff no two non-adjacent segments of the closed polygon intersect
+    or pass within tol of each other."""
+    if not c.closed:
+        raise PreconditionError("is_jordan needs a closed curve")
+    p = c.points
+    n = p.size
+    a = p
+    b = np.roll(p, -1)
+    mid = 0.5 * (a + b)
+    rad = 0.5 * np.abs(b - a)
+    block = max(1, int(2_000_000 // n))
+    for i0 in range(0, n, block):
+        i = np.arange(i0, min(i0 + block, n))
+        # candidate pairs (i, j) with j > i + 1, excluding the wrap-adjacent pair
+        sep = np.abs(mid[i][:, None] - mid[None, :])
+        reach = rad[i][:, None] + rad[None, :] + tol
+        cand = sep <= reach
+        j_idx = np.arange(n)[None, :]
+        i_idx = i[:, None]
+        adjacent = (
+            (j_idx <= i_idx + 1)
+            | ((i_idx == 0) & (j_idx == n - 1))
+        )
+        cand &= ~adjacent
+        ii, jj = np.nonzero(cand)
+        if ii.size == 0:
+            continue
+        gi = i[ii]
+        hit = _segment_pair_too_close(a[gi], b[gi], a[jj], b[jj], tol)
+        if hit.any():
+            return False
+    return True
+
+
+_tols = st.sampled_from([0.0, 1e-9, 1e-2, 0.5])
+
+
+@settings(max_examples=60)
+@given(verts=_lattice, tol=_tols)
+def test_is_jordan_matches_dense_on_lattice_polygons(verts, tol):
+    """Integer vertices give collinear overlaps, shared vertices and
+    segments that touch exactly."""
+    pts = _distinct_neighbours([x + 1j * y for x, y in verts])
+    assume(pts.size >= 3)
+    c = SampledCurve(pts, closed=True)
+    assert is_jordan(c, tol) == _dense_is_jordan(c, tol)
+
+
+@settings(max_examples=60)
+@given(
+    re=st.lists(st.floats(-3, 3), min_size=3, max_size=60),
+    im=st.lists(st.floats(-3, 3), min_size=3, max_size=60),
+    star=st.booleans(),
+    tol=_tols,
+)
+def test_is_jordan_matches_dense_on_random_polygons(re, im, star, tol):
+    n = min(len(re), len(im))
+    pts = np.array(re[:n]) + 1j * np.array(im[:n])
+    if star:  # star-shaped: vertices sorted by angle, mostly Jordan
+        pts = pts[np.argsort(np.angle(pts), kind="stable")]
+    pts = _distinct_neighbours(pts)
+    assume(pts.size >= 3)
+    c = SampledCurve(pts, closed=True)
+    assert is_jordan(c, tol) == _dense_is_jordan(c, tol)
+
+
+@settings(max_examples=30)
+@given(
+    tol=st.sampled_from([1e-9, 1e-6, 1e-2]),
+    closer=st.booleans(),
+    turn=st.floats(0, 2 * np.pi),
+    shift=st.complex_numbers(max_magnitude=5),
+)
+def test_is_jordan_spike_at_tol(tol, closer, turn, shift):
+    """A spike whose tip stops tol*(1 -+ 1e-3) short of the opposite side."""
+    d = tol * (1 - 1e-3 if closer else 1 + 1e-3)
+    square = np.array([0, 2, 2 + 2j, 1.1 + 2j, 1 + 1j * d, 0.9 + 2j, 2j])
+    c = SampledCurve(shift + np.exp(1j * turn) * square, closed=True)
+    assert is_jordan(c, tol) is (not closer)
+    assert _dense_is_jordan(c, tol) is (not closer)
+
+
+def _figure_eight(n):
+    t = np.linspace(0, 2 * np.pi, n, endpoint=False)
+    return SampledCurve(np.sin(2 * t) + 1j * np.sin(t), closed=True)
+
+
+def test_is_jordan_matches_dense_on_solver_curves(d4_chain):
+    from lemniscates._fourier import trig_resample
+
+    ell = SampledCurve(trig_resample(ellipse(1.0, 0.6, 512).points, 2048), closed=True)
+    for c in (d4_chain.curve, ell, _figure_eight(3000)):
+        for tol in (1e-9, 1e-2):
+            assert is_jordan(c, tol) == _dense_is_jordan(c, tol)
+    assert is_jordan(d4_chain.curve, 1e-9) and is_jordan(ell, 1e-9)
+
+
+def test_is_jordan_independent_of_pair_blocks(monkeypatch):
+    from lemniscates import curves
+
+    spike = [0, 2, 2 + 2j, 1.1 + 2j, 1 + 1e-3j, 0.9 + 2j, 2j]
+    cases = [unit_circle(300), _figure_eight(300), SampledCurve(spike, closed=True)]
+    tols = (1e-9, 1e-3 * (1 - 1e-3), 1e-3 * (1 + 1e-3), 0.2)
+    whole = [is_jordan(c, tol) for c in cases for tol in tols]
+    monkeypatch.setattr(curves, "_PAIR_BLOCK", 7)
+    blocked = [is_jordan(c, tol) for c in cases for tol in tols]
+    assert blocked == whole == [_dense_is_jordan(c, tol) for c in cases for tol in tols]
+    assert whole[:4] == [True, True, True, False] and not any(whole[4:8])
+
+
+def test_is_jordan_long_edge_adversary():
+    """20,000 graded segments (1e-15 to 0.2 long) along a parabola, closed by
+    its 10-unit chord. One uniform grid fitted to the long edge would put
+    most segments into one cell."""
+    import time
+
+    s = 10.0 * np.exp(np.linspace(-30.0, 0.0, 20_001))
+    arc = (s + 0.5j * np.sqrt(s * (10.0 - s))) * np.exp(0.25j * np.pi)
+    c = SampledCurve(arc, closed=True)
+    for tol, jordan in ((1e-9, True), (1e-2, False)):
+        t0 = time.perf_counter()
+        assert is_jordan(c, tol) is jordan
+        assert time.perf_counter() - t0 < 1.0
+        assert _dense_is_jordan(c, tol) is jordan
+
+
+@pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf"), -float("inf")])
+def test_is_jordan_rejects_bad_tol(tol):
+    with pytest.raises(PreconditionError):
+        is_jordan(unit_circle(64), tol)
 
 
 def test_resample_circle():
