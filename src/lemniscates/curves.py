@@ -19,7 +19,9 @@ from .polynomials import as_rational
 
 NEAR_HIT = 1e-9  # fixed near-hit rejection threshold
 _MAX_REFINE_POINTS = 1_000_000
-_PAIR_BLOCK = 1_000_000  # index pairs scored at once, by either kernel
+# index pairs scored at once by either kernel; small blocks keep their
+# temporaries in cache and in the allocator's heap
+_PAIR_BLOCK = 8192
 
 
 class SampledCurve:
@@ -135,8 +137,10 @@ def winding_numbers(points: np.ndarray, ws: np.ndarray, min_distance: float = NE
     up = b.imag > a.imag
     order = np.argsort(ws.imag, kind="stable")
     w = ws[order]
-    counts = np.zeros(ws.size, dtype=int)
     near = np.zeros(ws.size, dtype=bool)
+    # crossed targets are counted once after the loop, so that each block
+    # costs O(block) and not O(targets)
+    ups, downs = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     start = np.searchsorted(w.imag, lo - margin, side="left")
     stop = np.searchsorted(w.imag, hi + margin, side="right")
     for e, t in _edge_target_pairs(start, stop):
@@ -144,13 +148,15 @@ def winding_numbers(points: np.ndarray, ws: np.ndarray, min_distance: float = NE
         rel = wt - a[e]
         cross = ue.real * rel.imag - ue.imag * rel.real  # > 0: w left of edge
         ray = (wt.imag >= lo[e]) & (wt.imag < hi[e])
-        counts += np.bincount(t[ray & up[e] & (cross > 0)], minlength=ws.size)
-        counts -= np.bincount(t[ray & ~up[e] & (cross < 0)], minlength=ws.size)
+        ups.append(t[ray & up[e] & (cross > 0)])
+        downs.append(t[ray & ~up[e] & (cross < 0)])
         if min_distance > 0:
             box = (wt.real >= xlo[e]) & (wt.real <= xhi[e])
             e, t, rel, ue = e[box], t[box], rel[box], ue[box]
             s = np.clip((rel * np.conj(ue)).real / L2[e], 0.0, 1.0)
             near[t[np.abs(rel - s * ue) < min_distance]] = True
+    counts = np.bincount(np.concatenate(ups), minlength=ws.size)
+    counts -= np.bincount(np.concatenate(downs), minlength=ws.size)
     return counts, ~near
 
 
