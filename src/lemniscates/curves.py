@@ -138,8 +138,7 @@ def winding_numbers(points: np.ndarray, ws: np.ndarray, min_distance: float = NE
     order = np.argsort(ws.imag, kind="stable")
     w = ws[order]
     near = np.zeros(ws.size, dtype=bool)
-    # crossed targets are counted once after the loop, so that each block
-    # costs O(block) and not O(targets)
+    # crossed targets are counted after the loop: a block costs O(block)
     ups, downs = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     start = np.searchsorted(w.imag, lo - margin, side="left")
     stop = np.searchsorted(w.imag, hi + margin, side="right")
@@ -298,8 +297,7 @@ def is_jordan(c: SampledCurve, tol: float = 1e-9) -> bool:
     a = c.points
     b = np.roll(a, -1)
     n = a.size
-    # boxes widened by tol (by at most the curve's extent, which already
-    # makes every pair a candidate) overlap when their segments come close
+    # widened boxes of close segments overlap; past the extent widening adds no pair
     pad = min(tol, np.ptp(a.real) + np.ptp(a.imag))
     lo = np.stack([np.minimum(a.real, b.real), np.minimum(a.imag, b.imag)]) - pad
     hi = np.stack([np.maximum(a.real, b.real), np.maximum(a.imag, b.imag)]) + pad
