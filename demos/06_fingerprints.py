@@ -41,8 +41,9 @@ print("circle fingerprint deviation from identity:", np.abs(k_circle.lift(t) - t
 k_ell = fingerprint_of_curve(E, nodes=512)
 print("ellipse fingerprint at pi/2:", k_ell.lift(np.pi / 2), "(identity would give", np.pi / 2, ")")
 
-# properness: both the critical-value criterion and an independent
-# connectivity flood fill must agree
+# properness: the critical-value criterion and the independent lap
+# monodromy (one lap of T lifted from each preimage of its start point,
+# proper iff the laps form a single n-cycle) must agree
 p = Polynomial([-0.1, 0, 1])  # z^2 - 0.1
 print("\nz^2 - 0.1 proper on the circle:", is_proper(p, T), "/", is_proper_oracle(p, T))
 

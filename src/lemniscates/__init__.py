@@ -34,7 +34,6 @@ from .curves import (
 )
 from .errors import (
     ChainClosureError,
-    GridResolutionError,
     LemniscateError,
     NumericalError,
     PreconditionError,
@@ -45,9 +44,6 @@ from .errors import (
 from .fingerprint import (
     BlaschkeProduct,
     CircleMap,
-    RectGrid,
-    blaschke_eval,
-    blaschke_model,
     circle_map_of_blaschke,
     fingerprint_of_curve,
     fingerprint_of_pseudolemniscate,
@@ -56,7 +52,6 @@ from .fingerprint import (
     is_proper_oracle,
     nth_root_lift,
     pseudo_lemniscate,
-    verify_identity,
 )
 from .levelcurves import (
     ArgChangeReaches,
@@ -77,8 +72,6 @@ from .polynomials import (
     critical_values,
     design_counterexample,
     normalize_leading,
-    poly_derivative,
-    poly_eval,
     poly_roots,
 )
 

@@ -23,7 +23,9 @@ def trig_eval(coeffs: np.ndarray, t) -> np.ndarray:
     n = coeffs.size
     k = _freqs(n)
     out = np.zeros(t.shape, dtype=complex)
-    block = max(1, int(2_000_000 // n))
+    # 4 MB of phases per block: larger blocks (32 MB) could stay in the
+    # process heap after the call and add to the next caller's peak
+    block = max(1, int(250_000 // n))
     for i in range(0, t.size, block):
         tb = t[i : i + block]
         phase = np.exp(1j * np.outer(tb, k))

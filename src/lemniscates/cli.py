@@ -29,7 +29,6 @@ from .counterexample import (
 from .curves import SampledCurve, unit_circle
 from .errors import ChainClosureError, NumericalError, PreconditionError, TraceError
 from .fingerprint import (
-    RectGrid,
     circle_map_of_blaschke,
     identity_report,
     is_proper,
@@ -62,8 +61,6 @@ class RunConfig:
     grid_moduli: int = 100
     grid_mod_min: float = 0.16
     grid_mod_max: float = 7.9
-    oracle_nx: int = 96
-    oracle_ny: int = 96
     outdir: str = "."
     svg_width: int = 800
 
@@ -73,8 +70,7 @@ class RunConfig:
                 raise PreconditionError(f"{name} must be positive and finite")
         if self.nodes < 64 or self.nodes > 4096 or self.nodes & (self.nodes - 1):
             raise PreconditionError("nodes must be a power of two in [64, 4096]")
-        for name in ("samples", "samples_per_lap", "grid_args", "grid_moduli",
-                     "oracle_nx", "oracle_ny", "svg_width"):
+        for name in ("samples", "samples_per_lap", "grid_args", "grid_moduli", "svg_width"):
             if getattr(self, name) <= 0:
                 raise PreconditionError(f"{name} must be positive")
         return self
@@ -328,7 +324,7 @@ def cmd_properness(args, cfg: RunConfig) -> dict:
     p, rot = normalize_leading(p)
     gamma = _load_curve_arg(args.curve)
     direct = is_proper(p, gamma)
-    oracle = is_proper_oracle(p, gamma, RectGrid(cfg.oracle_nx, cfg.oracle_ny))
+    oracle = is_proper_oracle(p, gamma)
     return {
         "proper": direct,
         "criterion_critical_values": direct,

@@ -43,7 +43,3 @@ class ChainClosureError(NumericalError):
 
 class SolverError(NumericalError):
     """Conformal map solve failed validation."""
-
-
-class GridResolutionError(NumericalError):
-    """A grid-based check was unstable under refinement."""

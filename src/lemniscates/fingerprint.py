@@ -3,7 +3,7 @@
 The fingerprint of a curve is the circle diffeomorphism composing the
 inverse exterior Riemann map with the interior one; for the preimage curve
 p^{-1}(Gamma) of a degree-n polynomial it factors through a degree-n
-Blaschke product, and `verify_identity` measures how well the computed
+Blaschke product, and `identity_report` measures how well the computed
 objects satisfy that factorization.
 """
 from __future__ import annotations
@@ -12,22 +12,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.ndimage import label as _label
 
 from ._fourier import fourier_coeffs, trig_eval, trig_eval_deriv
 from .conformal import DiskMap, ExteriorMap, exterior_map, interior_map
 from .curves import NEAR_HIT, SampledCurve, winding_number, winding_numbers
-from .errors import (
-    GridResolutionError,
-    NumericalError,
-    PreconditionError,
-    TraceError,
-)
+from .errors import NumericalError, PreconditionError, TraceError
 from .levelcurves import lift_path
 from .polynomials import Polynomial, critical_values, roots_flat
 
 _TWO_PI = 2.0 * np.pi
 LIFT_TOL = 1e-8  # allowed defect in the 2*pi*degree total increase
+ORACLE_STEPS_PER_LAP = 64  # lap resolution of is_proper_oracle
 
 
 class CircleMap:
@@ -122,10 +117,6 @@ class BlaschkeProduct:
         return out if out.ndim else complex(out)
 
 
-def blaschke_eval(b: BlaschkeProduct, z):
-    return b(z)
-
-
 def circle_map_of_blaschke(b: BlaschkeProduct, samples: int = 4096) -> CircleMap:
     """Continuous lift of theta -> arg B(e^{i theta}), total increase 2*pi*degree."""
     if b.degree < 1:
@@ -152,51 +143,73 @@ def nth_root_lift(m: CircleMap, n: int, branch: int = 0) -> CircleMap:
     return CircleMap(m.t_nodes, m.lift_nodes / n + c, degree=1)
 
 
-# -- pseudo-lemniscate tracing --------------------------------------------------
+# -- lap monodromy ----------------------------------------------------------------
 
 
-def _gamma_interpolant(gamma: SampledCurve):
+def _lap_monodromy(p: Polynomial, gamma: SampledCurve, m: int):
+    """Lift one lap of Gamma through p^{-1} from each root of p - Gamma(0).
+
+    Gamma is the trigonometric interpolant of its samples, lifted over the
+    grid tau_j = 2 pi j / m, j = 0..m, from the roots sorted by (re, im).
+    Returns (arcs, perm): arcs[i] is the lap from root i (m + 1 samples) and
+    perm[i] the root its end lands on. Each end must lie within
+    1e-8 * (1 + max|z|) of exactly one root, or TraceError is raised.
+    """
+    if p.degree < 1:
+        raise PreconditionError("polynomial must be nonconstant")
     if not gamma.closed:
         raise PreconditionError("the base curve must be closed")
     if gamma.orientation != 1:
         raise PreconditionError("the base curve must be positively oriented")
     gc = fourier_coeffs(gamma.points)
-    return gc
+    taus = (_TWO_PI / m) * np.arange(m + 1)
+
+    def path(t):
+        return trig_eval(gc, t)
+
+    def dpath(t):
+        return trig_eval_deriv(gc, t)
+
+    w0 = complex(path(taus[:1])[0])
+    roots = sorted(roots_flat(p - w0, tol=1e-8), key=lambda z: (z.real, z.imag))
+    arcs, _ = lift_path(p, path, dpath, np.array(roots), taus)
+    tol = 1e-8 * (1.0 + np.max(np.abs(arcs)))
+    hits = np.abs(arcs[:, -1, None] - arcs[None, :, 0]) <= tol
+    for i, count in enumerate(hits.sum(axis=1)):
+        if count != 1:
+            raise TraceError(
+                f"lap from root {arcs[i, 0]:.6g} ends at {arcs[i, -1]:.6g}, "
+                f"within {tol:.3g} of {count} roots",
+                samples=arcs[i],
+            )
+    perm = np.argmax(hits, axis=1)
+    if np.unique(perm).size < perm.size:
+        raise TraceError(f"lap ends {perm.tolist()} are not a permutation of the roots")
+    return arcs, perm
+
+
+def _cycle_of_first_root(perm: np.ndarray) -> list:
+    cycle = [0]
+    while perm[cycle[-1]] != 0:
+        cycle.append(int(perm[cycle[-1]]))
+    return cycle
 
 
 def _trace_pseudo_lemniscate(p: Polynomial, gamma: SampledCurve, samples_per_lap: int):
-    """Lift Gamma(tau mod 2 pi) through p^{-1} over n laps, tau in [0, 2 pi n].
+    """The lap arcs of `_lap_monodromy` joined in cycle order from the first root.
 
     Returns (points, taus): nm samples of the preimage curve, uniform in tau,
-    and the base parameter of each (the Gamma-lap position).
+    and the base parameter of each (tau in [0, 2 pi n), the Gamma-lap
+    position); a cycle shorter than n raises TraceError.
     """
     n = p.degree
-    if n < 1:
-        raise PreconditionError("polynomial must be nonconstant")
-    gc = _gamma_interpolant(gamma)
     m = samples_per_lap
-    taus = (_TWO_PI / m) * np.arange(n * m + 1)
-
-    def path(t):
-        return trig_eval(gc, np.mod(t, _TWO_PI))
-
-    def dpath(t):
-        return trig_eval_deriv(gc, np.mod(t, _TWO_PI))
-
-    w0 = complex(path(taus[:1])[0])
-    z0 = min(roots_flat(p - w0, tol=1e-8), key=lambda z: (z.real, z.imag))
-    pts, _ = lift_path(p, path, dpath, z0, taus)
-    tol = 1e-8 * (1.0 + np.max(np.abs(pts)))
-    early = np.nonzero(np.abs(pts[m : n * m : m] - pts[0]) < tol)[0]
-    if early.size:
-        raise TraceError(
-            f"curve closed after {early[0] + 1} of {n} laps; input is not proper"
-        )
-    if abs(pts[-1] - pts[0]) > tol:
-        raise TraceError(
-            f"curve did not close after {n} laps (gap {abs(pts[-1] - pts[0]):.3g})"
-        )
-    return pts[:-1], taus[:-1]
+    arcs, perm = _lap_monodromy(p, gamma, m)
+    cycle = _cycle_of_first_root(perm)
+    if len(cycle) < n:
+        raise TraceError(f"curve closed after {len(cycle)} of {n} laps; input is not proper")
+    pts = arcs[cycle, :m].ravel()
+    return pts, (_TWO_PI / m) * np.arange(n * m)
 
 
 def pseudo_lemniscate(
@@ -232,51 +245,14 @@ def is_proper(p: Polynomial, gamma: SampledCurve) -> bool:
     return bool(np.all(counts == 1))
 
 
-@dataclass(frozen=True)
-class RectGrid:
-    """Rectangular z-plane grid for the connectivity oracle."""
+def is_proper_oracle(p: Polynomial, gamma: SampledCurve) -> bool:
+    """Independent properness test: p^{-1}(Gamma) is one Jordan curve, i.e.
+    the lap monodromy of the n preimages of Gamma(0) is a single n-cycle.
 
-    nx: int = 96
-    ny: int = 96
-
-
-def _preimage_component_count(p: Polynomial, gamma: SampledCurve, nx: int, ny: int):
-    wmax = float(np.max(np.abs(gamma.points)))
-    c = p.coeffs
-    bound = 1.0 + (np.max(np.abs(c[:-1])) + wmax) / abs(c[-1])
-    xs = np.linspace(-bound, bound, nx)
-    ys = np.linspace(-bound, bound, ny)
-    zg = xs[None, :] + 1j * ys[:, None]
-    pts = gamma.points
-    if pts.size > 256:  # classification only needs a coarse polygon
-        pts = pts[:: pts.size // 256]
-    counts, _ = winding_numbers(pts, p(zg.ravel()), min_distance=0.0)
-    mask = counts.reshape(ny, nx) == 1
-    _, ncomp = _label(mask)
-    return int(ncomp)
-
-
-def is_proper_oracle(p: Polynomial, gamma: SampledCurve, grid: RectGrid | None = None) -> bool:
-    """Independent connectivity test: flood-fill count of the grid region
-    mapping into the bounded face; proper iff a single component.
-
-    The count must agree between two consecutive 2x refinements; the grid
-    doubles (up to 8x the base) until it does."""
-    if p.degree < 1:
-        raise PreconditionError("polynomial must be nonconstant")
-    grid = grid or RectGrid()
-    counts = [_preimage_component_count(p, gamma, grid.nx, grid.ny)]
-    factor = 2
-    while factor <= 8:
-        counts.append(
-            _preimage_component_count(p, gamma, factor * grid.nx, factor * grid.ny)
-        )
-        if counts[-1] == counts[-2]:
-            return counts[-1] == 1
-        factor *= 2
-    raise GridResolutionError(
-        f"component count unstable under refinement (saw {counts})"
-    )
+    The answer is a cycle count, exact once each lap lands on a unique root;
+    the laps are lifted at ORACLE_STEPS_PER_LAP grid steps."""
+    _, perm = _lap_monodromy(p, gamma, ORACLE_STEPS_PER_LAP)
+    return len(_cycle_of_first_root(perm)) == p.degree
 
 
 # -- fingerprints ----------------------------------------------------------------
@@ -314,23 +290,6 @@ def _blaschke_from_maps(
     rot = np.mean(phase)
     rot /= abs(rot)
     return BlaschkeProduct(zeros, complex(rot))
-
-
-def blaschke_model(
-    p: Polynomial, gamma: SampledCurve, nodes: int = 512, samples_per_lap: int = 1024
-) -> BlaschkeProduct:
-    """Degree-n Blaschke product whose zeros are the disk preimages of the
-    zeros of p under the interior map of the pseudo-lemniscate, rotated to
-    match the boundary correspondence."""
-    if not is_proper(p, gamma):
-        raise PreconditionError("input is not proper")
-    pts, taus = _trace_pseudo_lemniscate(p, gamma, samples_per_lap)
-    lem = SampledCurve(pts, closed=True)
-    if winding_number(lem, 0.0) != 1:
-        raise PreconditionError("the origin must lie inside the pseudo-lemniscate")
-    dm_lem = interior_map(lem, nodes)
-    dm_gamma = interior_map(gamma, nodes)
-    return _blaschke_from_maps(p, dm_lem, dm_gamma, taus)
 
 
 def fingerprint_of_pseudolemniscate(
@@ -410,10 +369,3 @@ def identity_report(
             "base_exterior": em_gam,
         },
     )
-
-
-def verify_identity(
-    p: Polynomial, gamma: SampledCurve, samples: int = 512, nodes: int = 1024
-) -> float:
-    """Max residual (radians) of the fingerprint factorization identity."""
-    return identity_report(p, gamma, samples=samples, nodes=nodes).residual

@@ -142,15 +142,17 @@ def _newton(fd, z, w, tol, iters):
 def lift_path(f, w, dw, z0, s):
     """Lift the w-plane path w(s) through f^{-1} from z0, one sample per node of s.
 
-    w and dw are vectorized callables for the path and its derivative. z0 is
-    first Newton-projected onto w(s[0]); each grid step is an Euler predictor
+    w and dw are vectorized callables for the path and its derivative,
+    evaluated once on s and shared when z0 is an array of starts. Each start
+    is first Newton-projected onto w(s[0]); each grid step is an Euler predictor
     z + dw(s_j)*(s_{j+1} - s_j)/f'(z) and a Newton corrector onto w(s_{j+1}).
     A substep whose corrector fails to contract, or that moves
     |dz| > BRANCH_JUMP_FACTOR*|dw|/|f'| (a jump to another branch), is
     halved, as is one that meets a critical point, down to 2^-_MAX_HALVINGS
     of the grid step; halved substeps stay internal. Returns
-    (samples, f(samples)); raises TraceError when the start projection fails
-    or a substep is still rejected after the last halving.
+    (samples, f(samples)), of shape z0.shape + s.shape; raises TraceError
+    when a start projection fails or a substep is still rejected after the
+    last halving.
     """
     fd = _scalar_kernels(f)
     s = np.asarray(s, dtype=float)
@@ -173,16 +175,19 @@ def lift_path(f, w, dw, z0, s):
         zm, _, dm = advance(z, dv, t0, w0, dw0, tm, wm, depth + 1)
         return advance(zm, dm, tm, wm, dwm, t1, w1, depth + 1)
 
-    samples = np.empty(s.size, dtype=complex)
-    values = np.empty(s.size, dtype=complex)
-    z, fv, dv = _newton(fd, complex(z0), ws[0], NEWTON_TOL, _CORRECTOR_ITERS)
-    samples[0], values[0] = z, fv
-    for j in range(1, s.size):
-        try:
-            z, fv, dv = advance(z, dv, ts[j - 1], ws[j - 1], dws[j - 1], ts[j], ws[j], 0)
-        except TraceError as err:
-            raise TraceError(f"{err} (lifting s = {ts[j]:.6g})", samples=samples[:j]) from None
-        samples[j], values[j] = z, fv
+    starts = np.asarray(z0, dtype=complex)
+    samples = np.empty(starts.shape + s.shape, dtype=complex)
+    values = np.empty(starts.shape + s.shape, dtype=complex)
+    for k in np.ndindex(starts.shape):
+        row, vals = samples[k], values[k]
+        z, fv, dv = _newton(fd, complex(starts[k]), ws[0], NEWTON_TOL, _CORRECTOR_ITERS)
+        row[0], vals[0] = z, fv
+        for j in range(1, s.size):
+            try:
+                z, fv, dv = advance(z, dv, ts[j - 1], ws[j - 1], dws[j - 1], ts[j], ws[j], 0)
+            except TraceError as err:
+                raise TraceError(f"{err} (lifting s = {ts[j]:.6g})", samples=row[:j]) from None
+            row[j], vals[j] = z, fv
     return samples, values
 
 

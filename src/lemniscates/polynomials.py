@@ -170,15 +170,6 @@ def as_rational(f) -> RationalMap:
     return RationalMap.from_polynomial(f)
 
 
-def poly_eval(p: Polynomial, z) -> complex:
-    """Horner evaluation of p at z (scalar or array)."""
-    return p(z)
-
-
-def poly_derivative(p: Polynomial) -> Polynomial:
-    return p.derivative()
-
-
 def _aberth(coeffs: np.ndarray) -> np.ndarray:
     """All roots of the polynomial with the given ascending coefficients.
 

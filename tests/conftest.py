@@ -4,6 +4,7 @@ from hypothesis import settings
 
 from lemniscates.counterexample import build_d4_chain, f4_polynomial
 from lemniscates.curves import ellipse, unit_circle
+from lemniscates.polynomials import Polynomial
 
 # property tests draw the same examples on every run, with no per-example
 # time limit, so tier-1 runs stay reproducible and time-bounded
@@ -34,3 +35,18 @@ def ellipse_E():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def criterion6_poly():
+    """The index-th polynomial of the criterion-6 generator at the given seed."""
+
+    def draw(seed, index):
+        rng = np.random.default_rng(seed)
+        for _ in range(index + 1):
+            d = int(rng.integers(2, 5))
+            roots = rng.normal(0, 0.75, d) + 1j * rng.normal(0, 0.75, d)
+            scale = float(np.exp(rng.uniform(-0.5, 1.6)))
+        return Polynomial.from_roots(roots, leading=scale)
+
+    return draw

@@ -23,7 +23,6 @@ from lemniscates.curves import (
     unit_circle,
 )
 from lemniscates.fingerprint import (
-    RectGrid,
     circle_map_of_blaschke,
     identity_report,
     is_proper,
@@ -149,7 +148,7 @@ def test_criterion_6_properness_equivalence():
     for p in polys:
         for gamma in curves:
             direct = is_proper(p, gamma)
-            oracle = is_proper_oracle(p, gamma, RectGrid(96, 96))
+            oracle = is_proper_oracle(p, gamma)
             assert direct == oracle
             agree += 1
             n_proper += direct

@@ -226,6 +226,23 @@ def test_gmres_failure_raises(monkeypatch, exact, info):
         interior_map(ellipse(1.0, 0.6, 256), nodes=256)
 
 
+def test_gmres_true_residual_just_above_rtol_is_finished():
+    """The exterior solve of this traced quartic pseudo-lemniscate at 2048
+    nodes: the first GMRES cycle's estimate meets rtol after 15 iterations
+    while the recomputed residual reads 1.006e-14 (on x86-64 with OpenBLAS);
+    a second cycle then finishes the solve instead of raising SolverError."""
+    p = Polynomial([
+        -0.008397275803812963 - 0.0060303012633803384j,
+        -0.0010675538742815523 + 0.04695791998193767j,
+        0.21071742001482985 + 0.02503992073412329j,
+        0.5122364728399919 - 0.2739373201120606j,
+        0.6996842523629684,
+    ])
+    lem = pseudo_lemniscate(p, ellipse(1.0, 0.6, 512), 1024)
+    em = exterior_map(lem, nodes=2048)
+    assert np.all(np.diff(em.theta) > 0)
+
+
 @settings(max_examples=15)
 @given(c=st.complex_numbers(max_magnitude=0.5))
 def test_mobius_covariance(c):

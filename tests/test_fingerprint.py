@@ -1,20 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from lemniscates import fingerprint
+from lemniscates._fourier import fourier_coeffs, trig_eval, trig_eval_deriv
 from lemniscates.curves import (
     SampledCurve,
     count_preimages,
     ellipse,
     is_jordan,
+    unit_circle,
     winding_number,
 )
-from lemniscates.errors import NumericalError, PreconditionError, SolverError
+from lemniscates.errors import NumericalError, PreconditionError, SolverError, TraceError
 from lemniscates.fingerprint import (
     BlaschkeProduct,
     CircleMap,
-    RectGrid,
-    blaschke_eval,
-    blaschke_model,
+    _trace_pseudo_lemniscate,
     circle_map_of_blaschke,
     fingerprint_of_curve,
     fingerprint_of_pseudolemniscate,
@@ -23,9 +26,9 @@ from lemniscates.fingerprint import (
     is_proper_oracle,
     nth_root_lift,
     pseudo_lemniscate,
-    verify_identity,
 )
-from lemniscates.polynomials import Polynomial
+from lemniscates.levelcurves import lift_path
+from lemniscates.polynomials import Polynomial, roots_flat
 
 SQRT01 = np.sqrt(0.1)
 
@@ -35,7 +38,7 @@ def zpow(n):
 
 
 def test_blaschke_eval_examples():
-    assert blaschke_eval(BlaschkeProduct([0.0]), 0.7 + 0.1j) == pytest.approx(0.7 + 0.1j)
+    assert BlaschkeProduct([0.0])(0.7 + 0.1j) == pytest.approx(0.7 + 0.1j)
     b = BlaschkeProduct([0.5])
     assert b(0.0) == pytest.approx(-0.5)
     t = np.linspace(0, 2 * np.pi, 64, endpoint=False)
@@ -168,19 +171,130 @@ def test_oracle_agreement_smoke(circle_T, ellipse_E, rng):
                 direct = is_proper(p, gamma)
             except PreconditionError:
                 continue
-            assert direct == is_proper_oracle(p, gamma, RectGrid(64, 64))
+            assert direct == is_proper_oracle(p, gamma)
+
+
+# (seed, polynomial index, curve) of the criterion-6 generator, curve 0 the
+# circle and 1 the ellipse: improper pairs the flood-fill grid oracle called
+# proper (the first six) or could not settle (the last two)
+IMPROPER_PINNED = [
+    (13, 19, 0), (13, 19, 1), (15, 14, 0), (15, 14, 1),
+    (16, 9, 0), (17, 43, 0), (17, 43, 1), (20, 47, 0),
+]
+
+
+@pytest.mark.parametrize("seed, index, curve", IMPROPER_PINNED)
+def test_oracle_pinned_improper_pairs(criterion6_poly, seed, index, curve):
+    p = criterion6_poly(seed, index)
+    gamma = [unit_circle(512), ellipse(1.0, 0.6, 512)][curve]
+    assert is_proper(p, gamma) is False
+    assert is_proper_oracle(p, gamma) is False
+
+
+# Reference: the n-lap tracer the lap-monodromy routine replaced, kept
+# verbatim (renamed, the curve checks inlined) as an independent oracle.
+def _n_lap_trace(p: Polynomial, gamma: SampledCurve, samples_per_lap: int):
+    n = p.degree
+    if n < 1:
+        raise PreconditionError("polynomial must be nonconstant")
+    if not gamma.closed or gamma.orientation != 1:
+        raise PreconditionError("the base curve must be closed and positively oriented")
+    gc = fourier_coeffs(gamma.points)
+    m = samples_per_lap
+    taus = (2 * np.pi / m) * np.arange(n * m + 1)
+
+    def path(t):
+        return trig_eval(gc, np.mod(t, 2 * np.pi))
+
+    def dpath(t):
+        return trig_eval_deriv(gc, np.mod(t, 2 * np.pi))
+
+    w0 = complex(path(taus[:1])[0])
+    z0 = min(roots_flat(p - w0, tol=1e-8), key=lambda z: (z.real, z.imag))
+    pts, _ = lift_path(p, path, dpath, z0, taus)
+    tol = 1e-8 * (1.0 + np.max(np.abs(pts)))
+    early = np.nonzero(np.abs(pts[m : n * m : m] - pts[0]) < tol)[0]
+    if early.size:
+        raise TraceError(
+            f"curve closed after {early[0] + 1} of {n} laps; input is not proper"
+        )
+    if abs(pts[-1] - pts[0]) > tol:
+        raise TraceError(
+            f"curve did not close after {n} laps (gap {abs(pts[-1] - pts[0]):.3g})"
+        )
+    return pts[:-1], taus[:-1]
+
+
+def _assert_matches_n_lap_trace(p, gamma, m):
+    pts, taus = _trace_pseudo_lemniscate(p, gamma, m)
+    ref_pts, ref_taus = _n_lap_trace(p, gamma, m)
+    assert np.array_equal(taus, ref_taus)
+    assert np.max(np.abs(pts - ref_pts)) <= 1e-12
+
+
+@pytest.mark.parametrize("p, curve", [
+    *((zpow(n), 0) for n in (1, 2, 3, 4)),
+    (Polynomial([-0.1, 0, 1]), 0),
+    (Polynomial([0, -0.3, 0, 1]), 1),
+])
+def test_lap_arcs_match_n_lap_trace(p, curve):
+    _assert_matches_n_lap_trace(p, [unit_circle(512), ellipse(1.0, 0.6, 512)][curve], 512)
+
+
+@settings(max_examples=20)
+@given(
+    roots=st.lists(st.complex_numbers(max_magnitude=0.6), min_size=2, max_size=4),
+    log_lead=st.floats(-0.5, 0.5),
+    curve=st.sampled_from([0, 1]),
+)
+def test_lap_arcs_match_n_lap_trace_on_proper_draws(roots, log_lead, curve):
+    p = Polynomial.from_roots(roots, leading=float(np.exp(log_lead)))
+    gamma = [unit_circle(512), ellipse(1.0, 0.6, 512)][curve]
+    try:
+        proper = is_proper(p, gamma)
+    except PreconditionError:  # a critical value on the curve
+        proper = False
+    assume(proper)
+    _assert_matches_n_lap_trace(p, gamma, 128)
+
+
+def test_trace_rejects_short_cycle(circle_T):
+    with pytest.raises(TraceError, match="closed after 1 of 2 laps"):
+        _trace_pseudo_lemniscate(Polynomial([-4, 0, 1]), circle_T, 128)
+
+
+def test_lap_end_at_no_root_raises(circle_T, monkeypatch):
+    def shifted_ends(*args):
+        arcs, values = lift_path(*args)
+        arcs[:, -1] += 1e-3
+        return arcs, values
+
+    monkeypatch.setattr(fingerprint, "lift_path", shifted_ends)
+    with pytest.raises(TraceError, match="of 0 roots"):
+        is_proper_oracle(Polynomial([-0.1, 0, 1]), circle_T)
+
+
+def test_lap_end_at_two_roots_raises(circle_T, monkeypatch):
+    def stray_sample(*args):
+        arcs, values = lift_path(*args)
+        arcs[0, 1] = 1e9  # widens the end tolerance past the root spacing
+        return arcs, values
+
+    monkeypatch.setattr(fingerprint, "lift_path", stray_sample)
+    with pytest.raises(TraceError, match="of 2 roots"):
+        is_proper_oracle(Polynomial([-0.1, 0, 1]), circle_T)
 
 
 def test_blaschke_model_zn(circle_T):
     for n in (1, 2, 3):
-        b = blaschke_model(zpow(n), circle_T, nodes=256, samples_per_lap=256)
+        b = identity_report(zpow(n), circle_T, nodes=256, samples_per_lap=256).blaschke
         assert b.degree == n
         assert np.max(np.abs(b.zeros)) < 1e-9
         assert b.rotation == pytest.approx(1.0, abs=1e-9)
 
 
 def test_blaschke_model_scaled_identity(circle_T):
-    b = blaschke_model(Polynomial([0, 2.0]), circle_T, nodes=256, samples_per_lap=256)
+    b = identity_report(Polynomial([0, 2.0]), circle_T, nodes=256, samples_per_lap=256).blaschke
     assert b.degree == 1
     assert abs(b.zeros[0]) < 1e-9
     assert b.rotation == pytest.approx(1.0, abs=1e-9)
@@ -190,7 +304,7 @@ def test_blaschke_model_closed_form(circle_T):
     """For z^2 - 0.1 over the unit circle the interior map of the preimage
     region is w*sqrt(0.99)/sqrt(1-0.1 w^2), so the Blaschke zeros are exactly
     +-sqrt(0.1) with rotation 1."""
-    b = blaschke_model(Polynomial([-0.1, 0, 1]), circle_T, nodes=512)
+    b = identity_report(Polynomial([-0.1, 0, 1]), circle_T, nodes=512, samples_per_lap=1024).blaschke
     zs = sorted(b.zeros, key=lambda z: z.real)
     assert zs[0] == pytest.approx(-SQRT01, abs=1e-9)
     assert zs[1] == pytest.approx(SQRT01, abs=1e-9)
@@ -221,17 +335,17 @@ def test_fingerprint_of_pseudolemniscate_cases(circle_T, ellipse_E):
 
 def test_verify_identity_exact_cases(circle_T):
     for n in (1, 2, 3, 4):
-        res = verify_identity(zpow(n), circle_T, samples=256, nodes=256)
+        res = identity_report(zpow(n), circle_T, samples=256, nodes=256).residual
         assert res <= 1e-10
 
 
 def test_verify_identity_thm4_instance(circle_T):
-    res = verify_identity(Polynomial([-0.1, 0, 1]), circle_T, samples=512, nodes=1024)
+    res = identity_report(Polynomial([-0.1, 0, 1]), circle_T, samples=512, nodes=1024).residual
     assert res <= 1e-4
 
 
 def test_verify_identity_thm5_instance(ellipse_E):
-    res = verify_identity(Polynomial([0, -0.3, 0, 1]), ellipse_E, samples=512, nodes=1024)
+    res = identity_report(Polynomial([0, -0.3, 0, 1]), ellipse_E, samples=512, nodes=1024).residual
     assert res <= 1e-4
 
 
@@ -250,12 +364,12 @@ def test_verify_identity_complex_coefficients(circle_T):
 def test_verify_identity_asymmetric_quartic(ellipse_E):
     p = Polynomial.from_roots([0.1 + 0.2j, -0.25, 0.3j, -0.1 - 0.15j])
     assert is_proper(p, ellipse_E)
-    assert verify_identity(p, ellipse_E, samples=512, nodes=1024) <= 1e-4
+    assert identity_report(p, ellipse_E, samples=512, nodes=1024).residual <= 1e-4
 
 
 def test_verify_identity_requires_positive_leading(circle_T):
     with pytest.raises(PreconditionError):
-        verify_identity(Polynomial([-0.1, 0, -1]), circle_T)
+        identity_report(Polynomial([-0.1, 0, -1]), circle_T)
 
 
 def test_nth_root_matches_kp(circle_T):
@@ -278,9 +392,9 @@ def test_rotation_alignment_absorbed(circle_T):
     """Precomposing the lemniscate parametrization with a rotation leaves the
     aligned residual unchanged (the fingerprint class is rotation-stable)."""
     p = Polynomial([-0.1, 0, 1])
-    r1 = verify_identity(p, circle_T, samples=256, nodes=512)
+    r1 = identity_report(p, circle_T, samples=256, nodes=512).residual
     rolled = SampledCurve(np.roll(circle_T.points, 37), closed=True)
-    r2 = verify_identity(p, rolled, samples=256, nodes=512)
+    r2 = identity_report(p, rolled, samples=256, nodes=512).residual
     assert abs(r1 - r2) < 1e-8
 
 

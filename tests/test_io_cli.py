@@ -202,6 +202,25 @@ def test_cli_properness(files, capsys):
     assert out["proper"] is False and out["methods_agree"] is True
 
 
+def test_cli_properness_pinned_improper_pair(files, capsys, criterion6_poly):
+    path = files / "pinned.json"
+    lio.save_polynomial(criterion6_poly(20, 47), path)
+    assert run_cli("properness", str(path), "unit-circle", outdir=files) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["proper"] is False and out["methods_agree"] is True
+
+
+@pytest.mark.parametrize("key", ["oracle_nx", "oracle_ny"])
+def test_cli_rejects_removed_oracle_keys(files, capsys, key):
+    cfg = files / "cfg.json"
+    cfg.write_text(json.dumps({key: 96}))
+    argv = ["--config", str(cfg), "--outdir", str(files), "properness",
+            str(files / "p2.json"), "unit-circle"]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PreconditionError" and key in err["message"]
+
+
 def test_cli_counterexample_table(files, capsys):
     assert run_cli("counterexample", "table", outdir=files) == 0
     out = json.loads(capsys.readouterr().out)
@@ -276,6 +295,8 @@ def test_runconfig_validation(tmp_path):
         json.dumps({"grid_args": "360"}),
         json.dumps({"outdir": 3}),
         json.dumps({"seed": 1}),
+        json.dumps({"oracle_nx": 96}),
+        json.dumps({"oracle_ny": 96}),
         json.dumps({"trace_step": 0.01})[:-1],
         json.dumps([1, 2]),
     ]:

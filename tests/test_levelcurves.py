@@ -217,6 +217,25 @@ def test_lift_path_raises_at_critical_value():
         lift_path(sq, lambda t: t + 0j, lambda t: np.ones_like(t, dtype=complex), 1.0, s)
 
 
+def test_lift_path_array_of_starts_matches_single_lifts():
+    cube = RationalMap(Polynomial([0, 0, 0, 1]))
+    s = np.linspace(0.0, 2 * np.pi, 65)
+    evals = []
+
+    def w(t):
+        evals.append(np.size(t))
+        return np.exp(1j * t)
+
+    starts = np.exp(2j * np.pi * np.arange(3) / 3).reshape(3, 1)
+    zs, fs = lift_path(cube, w, lambda t: 1j * np.exp(1j * t), starts, s)
+    assert zs.shape == fs.shape == (3, 1, 65)
+    assert evals == [65]  # one path evaluation shared by all starts
+    for k in range(3):
+        z1, f1 = lift_path(cube, w, lambda t: 1j * np.exp(1j * t), starts[k, 0], s)
+        assert np.array_equal(zs[k, 0], z1) and np.array_equal(fs[k, 0], f1)
+    assert np.allclose(zs[:, 0, -1], np.roll(starts[:, 0], -1), atol=1e-12)
+
+
 @pytest.mark.parametrize("step", [0.0, -0.01, np.nan, np.inf])
 def test_trace_rejects_bad_step(step):
     with pytest.raises(PreconditionError):

@@ -10,8 +10,6 @@ from lemniscates.polynomials import (
     critical_values,
     design_counterexample,
     normalize_leading,
-    poly_derivative,
-    poly_eval,
     poly_roots,
 )
 
@@ -25,30 +23,30 @@ CV_MINUS = -(3 * np.sqrt(3.0) + 4.5) / 2
 
 
 def test_eval_examples(f4):
-    assert poly_eval(f4, 1.0) == pytest.approx(8.0)  # 1*2*4
+    assert f4(1.0) == pytest.approx(8.0)  # 1*2*4
     p = Polynomial([3.5 + 1j, 2.0, 1.0])
-    assert poly_eval(p, 0.0) == pytest.approx(3.5 + 1j)
-    assert poly_eval(Polynomial([0, 0, 1]), 1j) == pytest.approx(-1.0)
+    assert p(0.0) == pytest.approx(3.5 + 1j)
+    assert Polynomial([0, 0, 1])(1j) == pytest.approx(-1.0)
 
 
 def test_eval_vectorized(f4):
     z = np.array([0.0, 1.0, 1j])
-    vals = poly_eval(f4, z)
+    vals = f4(z)
     assert vals.shape == (3,)
     assert vals[1] == pytest.approx(8.0)
 
 
 def test_derivative_examples(f4):
-    assert np.allclose(poly_derivative(Polynomial([0, 0, 1])).coeffs, [0, 2])
-    assert poly_derivative(Polynomial([5.0])).coeffs.tolist() == [0j]
+    assert np.allclose(Polynomial([0, 0, 1]).derivative().coeffs, [0, 2])
+    assert Polynomial([5.0]).derivative().coeffs.tolist() == [0j]
     # expand z^2(z+1)(z+3) = z^4 + 4z^3 + 3z^2 by hand, differentiate
-    assert np.allclose(poly_derivative(f4).coeffs, [0, 6, 12, 4])
+    assert np.allclose(f4.derivative().coeffs, [0, 6, 12, 4])
 
 
 def test_derivative_matches_finite_difference(rng):
     coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
     p = Polynomial(coeffs)
-    dp = poly_derivative(p)
+    dp = p.derivative()
     h = 1e-6
     for _ in range(100):
         z = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
