@@ -7,6 +7,7 @@ from .conformal import (
     ExteriorMap,
     exterior_map,
     interior_map,
+    riemann_maps,
 )
 from .counterexample import (
     ArcSpec,

@@ -35,13 +35,34 @@ def trig_eval(coeffs: np.ndarray, t) -> np.ndarray:
     return out
 
 
-def trig_eval_deriv(coeffs: np.ndarray, t) -> np.ndarray:
-    """Evaluate the derivative of the interpolant at angles t."""
+def deriv_coeffs(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of the interpolant's derivative."""
     n = coeffs.size
     dc = coeffs * 1j * _freqs(n)
     if n % 2 == 0:
         dc[n // 2] = 0.0  # Nyquist cosine term: keep the symmetric (zero-mean) choice
-    return trig_eval(dc, t)
+    return dc
+
+
+def trig_eval_deriv(coeffs: np.ndarray, t) -> np.ndarray:
+    """Evaluate the derivative of the interpolant at angles t."""
+    return trig_eval(deriv_coeffs(coeffs), t)
+
+
+def trig_grid(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """The interpolant at the m angles 2*pi*j/m, j = 0..m-1, by one inverse
+    FFT: frequency k contributes to bin k mod m, and an even-length Nyquist
+    cosine splits into frequencies +-N/2. Exact for any m (up to rounding)."""
+    n = coeffs.size
+    k = _freqs(n).astype(int)
+    c = np.asarray(coeffs, dtype=complex)
+    if n % 2 == 0:
+        k = np.append(k, n // 2)
+        c = np.append(c, 0.5 * c[n // 2])
+        c[n // 2] *= 0.5
+    bins = np.zeros(m, dtype=complex)
+    np.add.at(bins, k % m, c)
+    return np.fft.ifft(bins) * m
 
 
 def trig_diff(vals: np.ndarray) -> np.ndarray:

@@ -8,11 +8,14 @@ holomorphically by the singularity-subtracted Cauchy integral of mu. One
 Cauchy matrix gamma'_t / (gamma_t - gamma_s) gives both K (its imaginary
 part) and that integral. On analytic boundaries all of it converges spectrally.
 
-Exterior maps are reduced to interior ones by the inversion z -> 1/z.
-Both maps share one solve path: the curve is checked once per call (closed,
-positively oriented, origin inside), resampled and checked Jordan at each
-solver resolution, and either solved at the requested node count or by one
-doubling loop that stops when the boundary images settle.
+Exterior maps are reduced to interior ones by the inversion z -> 1/z. The
+reflected curve's Cauchy matrix is a diagonal rescaling of the curve's, so
+`riemann_maps` builds one matrix per curve, solves the interior system on
+it, rescales it in place and solves the exterior system in the same
+buffers. Both maps share one solve path: the curve is checked once per call
+(closed, positively oriented, origin inside), resampled and checked Jordan
+at each solver resolution, and either solved at the requested node count or
+by one doubling loop that stops when the boundary images settle.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ from ._fourier import (
     trig_diff,
     trig_eval,
     trig_eval_deriv,
+    trig_grid,
     trig_resample,
 )
 from .curves import SampledCurve, is_jordan, winding_number
@@ -53,7 +57,8 @@ def _resampled_points(gamma: SampledCurve, nodes: int) -> np.ndarray:
 
 def _self_consistent(solve, gamma: SampledCurve, nodes: int | None):
     """solve() on gamma resampled at `nodes`, or, with nodes=None, at 512
-    nodes doubled until the 64 probe images move by at most 1e-6."""
+    nodes doubled until the 64 probe images move by at most 1e-6. solve
+    returns a tuple of maps; all of them must settle."""
     if not gamma.closed:
         raise PreconditionError("conformal maps need a closed curve")
     if gamma.orientation != 1:
@@ -63,15 +68,18 @@ def _self_consistent(solve, gamma: SampledCurve, nodes: int | None):
     if nodes is not None:
         return solve(_resampled_points(gamma, nodes))
     n = DEFAULT_NODES
-    m = solve(_resampled_points(gamma, n))
+    maps = solve(_resampled_points(gamma, n))
     probe = np.linspace(0.0, _TWO_PI, 64, endpoint=False)
     while 2 * n <= MAX_NODES:
-        m2 = solve(_resampled_points(gamma, 2 * n))
-        delta = np.max(np.abs(m2.boundary_forward(probe) - m.boundary_forward(probe)))
-        m = m2
+        finer = solve(_resampled_points(gamma, 2 * n))
+        delta = max(
+            np.max(np.abs(f.boundary_forward(probe) - c.boundary_forward(probe)))
+            for f, c in zip(finer, maps)
+        )
+        maps = finer
         n *= 2
         if delta <= SELF_CONSISTENCY_TOL:
-            return m
+            return maps
     raise SolverError(f"no self-consistent solve within {MAX_NODES} nodes")
 
 
@@ -101,6 +109,11 @@ class DiskMap:
     def _theta_of_t(self, t):
         t = np.asarray(t, dtype=float)
         return t + np.real(trig_eval(self._p_c, t))
+
+    def _theta_on_grid(self, m):
+        """theta at the parameters 2*pi*j/m, j = 0..m-1, by FFT."""
+        t = _TWO_PI * np.arange(m) / m
+        return t + np.real(trig_grid(self._p_c, m))
 
     def _t_of_theta(self, theta):
         """Invert the monotone lift theta(t) = t + P(t) by Newton."""
@@ -221,20 +234,27 @@ class DiskMap:
         return f"DiskMap(nodes={self.nodes}, center_derivative={self.center_derivative:.6g})"
 
 
-def _solve_interior(points: np.ndarray) -> DiskMap:
-    """Solve the boundary correspondence on the given uniform samples."""
-    n = points.size
+def _cauchy_matrix(points: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """[s, t] -> gamma'_t / (gamma_t - gamma_s), 0 on the diagonal."""
     if np.min(np.abs(points)) < 1e-12:
         raise PreconditionError("boundary passes through the origin")
-    dg = trig_diff(points)
-    w = _TWO_PI / n
-
     cauchy = points[None, :] - points[:, None]  # [s, t] -> gamma_t - gamma_s
     np.fill_diagonal(cauchy, np.inf)  # so that the quotient is 0 on the diagonal
-    np.divide(dg[None, :], cauchy, out=cauchy)  # gamma'_t / (gamma_t - gamma_s)
-    lhs = cauchy.imag * (w / np.pi)  # I + wK, K the Neumann kernel
-    np.fill_diagonal(lhs, 1.0 + np.imag(trig_diff(dg) / (2.0 * dg)) * (w / np.pi))
-    h = -np.log(np.abs(points))
+    np.divide(dg[None, :], cauchy, out=cauchy)
+    return cauchy
+
+
+def _solve_on(cauchy, lhs, points, dg, order) -> DiskMap:
+    """Solve the boundary correspondence of `points` (derivative dg) on its
+    Cauchy matrix stored in the order `order`: cauchy[i, j] is the entry
+    [order[i], order[j]]; order must be its own inverse. lhs, an n x n real
+    buffer, is overwritten with the Neumann-kernel system I + wK."""
+    n = points.size
+    w = _TWO_PI / n
+    np.multiply(cauchy.imag, w / np.pi, out=lhs)  # I + wK, K the Neumann kernel
+    diag = 1.0 + np.imag(trig_diff(dg) / (2.0 * dg)) * (w / np.pi)
+    np.fill_diagonal(lhs, diag[order])
+    h = -np.log(np.abs(points))[order]
     its = []
     # a second cycle only runs when the Arnoldi estimate met rtol but the
     # true residual, recomputed at the cycle's end, lands just above it
@@ -246,12 +266,21 @@ def _solve_interior(points: np.ndarray) -> DiskMap:
 
     # Im g on the boundary is -Re(i_s)/pi, with i_s the Cauchy integral of mu
     # over the boundary, singularity subtracted
-    i_s = (cauchy @ mu - mu * cauchy.sum(axis=1) + np.real(trig_diff(mu))) * w
+    i_s = (cauchy @ mu - mu * cauchy.sum(axis=1))[order]
+    mu = mu[order]
+    i_s = (i_s + np.real(trig_diff(mu))) * w
     g0 = (mu * dg / points).sum() * w / (1j * np.pi)
     theta = np.unwrap(np.angle(points)) - i_s.real / np.pi - g0.imag
     theta -= _TWO_PI * _whole_turns(theta[0])
     center_derivative = float(np.exp(-g0.real))
     return DiskMap(points, theta, center_derivative, mu=mu, g0=g0)
+
+
+def _solve_interior(points: np.ndarray) -> DiskMap:
+    """Solve the boundary correspondence on the given uniform samples."""
+    n = points.size
+    dg = trig_diff(points)
+    return _solve_on(_cauchy_matrix(points, dg), np.empty((n, n)), points, dg, slice(None))
 
 
 def interior_map(gamma: SampledCurve, nodes: int | None = None) -> DiskMap:
@@ -261,7 +290,7 @@ def interior_map(gamma: SampledCurve, nodes: int | None = None) -> DiskMap:
     With nodes=None the solve starts at 512 nodes and doubles until the
     boundary images move by less than 1e-6, capped at 4096.
     """
-    return _self_consistent(_solve_interior, gamma, nodes)
+    return _self_consistent(lambda pts: (_solve_interior(pts),), gamma, nodes)[0]
 
 
 class ExteriorMap:
@@ -317,17 +346,41 @@ class ExteriorMap:
         return f"ExteriorMap(nodes={self.nodes}, a={self.a:.6g})"
 
 
-def _solve_exterior(points: np.ndarray) -> ExteriorMap:
-    """Solve the exterior map on the given uniform samples through the
-    interior map of the reflected curve."""
-    reflected = 1.0 / points[(-np.arange(points.size)) % points.size]
-    return ExteriorMap(points, _solve_interior(reflected))
+def _solve_pair(points: np.ndarray):
+    """Interior and exterior maps on the given uniform samples, from one
+    Cauchy matrix.
+
+    The exterior map is the interior map of the reflected curve
+    rho_k = 1/gamma_{-k}. Its Cauchy matrix is a diagonal rescaling of the
+    curve's: with k' = -k mod n,
+    C_rho[s', t'] = -C[s, t] * gamma_s * rho'_{t'} gamma_t / gamma'_t,
+    so the curve's matrix is rescaled in place and the reflected system
+    solved with its rows and columns in the curve's order."""
+    n = points.size
+    dg = trig_diff(points)
+    cauchy = _cauchy_matrix(points, dg)
+    lhs = np.empty((n, n))
+    dm = _solve_on(cauchy, lhs, points, dg, slice(None))
+    order = (-np.arange(n)) % n
+    reflected = 1.0 / points[order]
+    dr = trig_diff(reflected)
+    cauchy *= -points[:, None]
+    cauchy *= dr[order] * points / dg
+    em = ExteriorMap(points, _solve_on(cauchy, lhs, reflected, dr, order))
+    return dm, em
+
+
+def riemann_maps(gamma: SampledCurve, nodes: int | None = None):
+    """(interior map, exterior map) of gamma from one Cauchy matrix per
+    resolution. Node selection is as in interior_map; with nodes=None the
+    pair has settled when both maps' probe images do."""
+    return _self_consistent(_solve_pair, gamma, nodes)
 
 
 def exterior_map(gamma: SampledCurve, nodes: int | None = None) -> ExteriorMap:
-    """Exterior Riemann map of gamma via the inversion z -> 1/z.
+    """Exterior Riemann map of gamma via the inversion z -> 1/z, solved
+    together with the interior map (see riemann_maps).
 
     Requires the origin inside gamma so the reflected curve is bounded.
-    Node selection is as in interior_map.
     """
-    return _self_consistent(_solve_exterior, gamma, nodes)
+    return riemann_maps(gamma, nodes)[1]

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from ._fourier import fourier_coeffs, trig_eval, trig_eval_deriv
-from .conformal import DiskMap, ExteriorMap, exterior_map, interior_map
+from ._fourier import deriv_coeffs, fourier_coeffs, trig_eval, trig_eval_deriv, trig_grid
+from .conformal import DiskMap, ExteriorMap, riemann_maps
 from .curves import NEAR_HIT, SampledCurve, winding_number, winding_numbers
 from .errors import NumericalError, PreconditionError, TraceError
 from .levelcurves import lift_path
@@ -151,6 +151,8 @@ def _lap_monodromy(p: Polynomial, gamma: SampledCurve, m: int):
 
     Gamma is the trigonometric interpolant of its samples, lifted over the
     grid tau_j = 2 pi j / m, j = 0..m, from the roots sorted by (re, im).
+    Gamma and Gamma' are sampled on that grid by FFT; only the midpoints of
+    halved steps are evaluated densely.
     Returns (arcs, perm): arcs[i] is the lap from root i (m + 1 samples) and
     perm[i] the root its end lands on. Each end must lie within
     1e-8 * (1 + max|z|) of exactly one root, or TraceError is raised.
@@ -163,14 +165,18 @@ def _lap_monodromy(p: Polynomial, gamma: SampledCurve, m: int):
         raise PreconditionError("the base curve must be positively oriented")
     gc = fourier_coeffs(gamma.points)
     taus = (_TWO_PI / m) * np.arange(m + 1)
+    w_taus = trig_grid(gc, m)
+    w_taus = np.append(w_taus, w_taus[0])
+    dw_taus = trig_grid(deriv_coeffs(gc), m)
+    dw_taus = np.append(dw_taus, dw_taus[0])
 
     def path(t):
-        return trig_eval(gc, t)
+        return w_taus if np.array_equal(t, taus) else trig_eval(gc, t)
 
     def dpath(t):
-        return trig_eval_deriv(gc, t)
+        return dw_taus if np.array_equal(t, taus) else trig_eval_deriv(gc, t)
 
-    w0 = complex(path(taus[:1])[0])
+    w0 = complex(w_taus[0])
     roots = sorted(roots_flat(p - w0, tol=1e-8), key=lambda z: (z.real, z.imag))
     arcs, _ = lift_path(p, path, dpath, np.array(roots), taus)
     tol = 1e-8 * (1.0 + np.max(np.abs(arcs)))
@@ -232,10 +238,12 @@ def is_proper(p: Polynomial, gamma: SampledCurve) -> bool:
     """Criterion: every finite critical value lies in the bounded face."""
     if p.degree < 1:
         raise PreconditionError("polynomial must be nonconstant")
-    if p.degree == 1:
-        return True
     if not gamma.closed:
         raise PreconditionError("winding number needs a closed curve")
+    if gamma.orientation != 1:
+        raise PreconditionError("the base curve must be positively oriented")
+    if p.degree == 1:
+        return True
     cvs = np.array(critical_values(p))
     counts, valid = winding_numbers(gamma.points, cvs, min_distance=NEAR_HIT)
     if not valid.all():
@@ -268,9 +276,7 @@ def _fingerprint_from_maps(dm: DiskMap, em: ExteriorMap) -> CircleMap:
 
 def fingerprint_of_curve(gamma: SampledCurve, nodes: int = 512) -> CircleMap:
     """Welding fingerprint of an analytic Jordan curve with 0 inside."""
-    dm = interior_map(gamma, nodes)
-    em = exterior_map(gamma, nodes)
-    return _fingerprint_from_maps(dm, em)
+    return _fingerprint_from_maps(*riemann_maps(gamma, nodes))
 
 
 def _blaschke_from_maps(
@@ -283,9 +289,11 @@ def _blaschke_from_maps(
     b0 = BlaschkeProduct(zeros, 1.0)
     total = taus.size
     sel = np.unique(np.linspace(0, total - 1, 256).astype(int))
-    t_curve = _TWO_PI * sel / total  # lemniscate curve parameter
-    a = dm_lem._theta_of_t(t_curve)
-    eta = dm_gamma._theta_of_t(np.mod(taus[sel], _TWO_PI))
+    # the lemniscate parameter 2 pi sel / total and the lap position
+    # taus[sel] mod 2 pi are nodes of the total- and m-point grids
+    m = total // n
+    a = dm_lem._theta_on_grid(total)[sel]
+    eta = dm_gamma._theta_on_grid(m)[sel % m]
     phase = np.exp(1j * eta) / b0(np.exp(1j * a))
     rot = np.mean(phase)
     rot /= abs(rot)
@@ -340,10 +348,8 @@ def identity_report(
     if winding_number(gamma, 0.0) != 1 or winding_number(lem, 0.0) != 1:
         raise PreconditionError("the origin must lie inside the curve and its preimage")
 
-    dm_lem = interior_map(lem, nodes)
-    em_lem = exterior_map(lem, nodes)
-    dm_gam = interior_map(gamma, nodes)
-    em_gam = exterior_map(gamma, nodes)
+    dm_lem, em_lem = riemann_maps(lem, nodes)
+    dm_gam, em_gam = riemann_maps(gamma, nodes)
     k_p = _fingerprint_from_maps(dm_lem, em_lem)
     k_g = _fingerprint_from_maps(dm_gam, em_gam)
     b = _blaschke_from_maps(p, dm_lem, dm_gam, taus)

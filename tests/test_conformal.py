@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from lemniscates import conformal
 from lemniscates._fourier import trig_diff
-from lemniscates.conformal import exterior_map, interior_map
+from lemniscates.conformal import ExteriorMap, exterior_map, interior_map, riemann_maps
 from lemniscates.curves import SampledCurve, ellipse, unit_circle
 from lemniscates.errors import PreconditionError, SolverError
 from lemniscates.fingerprint import pseudo_lemniscate
@@ -176,6 +176,19 @@ def test_solved_map_roundtrip_serialization(tmp_path):
     assert dm2.interior_inverse(z) == pytest.approx(0.4 + 0.1j, abs=1e-8)
 
 
+def test_exterior_map_roundtrip_serialization():
+    import json
+
+    from lemniscates.io import solved_map_from_dict, solved_map_to_dict
+
+    em = exterior_map(ellipse(1.0, 0.6, 512), nodes=512)
+    em2 = solved_map_from_dict(json.loads(json.dumps(solved_map_to_dict(em))))
+    assert isinstance(em2, ExteriorMap)
+    assert np.max(np.abs(em2.boundary_forward(TH64) - em.boundary_forward(TH64))) <= 1e-12
+    zeta = 1.5 * np.exp(1j * TH64)
+    assert np.max(np.abs(em2.exterior_eval(zeta) - em.exterior_eval(zeta))) <= 1e-10
+
+
 def _dense_solve(points):
     """Reference solve: the Neumann-kernel system I + wK by dense LU, and the
     boundary correspondence from a separately built singularity-subtracted
@@ -214,6 +227,57 @@ def test_gmres_solve_matches_dense_lu(name, nodes):
     assert np.max(np.abs(np.angle(np.exp(1j * (dm.theta - theta))))) <= 1e-12
 
 
+def _solve_exterior(points):
+    """Reference exterior solve: the interior map of the reflected curve
+    1/gamma_{-k}, from its own Cauchy matrix."""
+    reflected = 1.0 / points[(-np.arange(points.size)) % points.size]
+    return ExteriorMap(points, conformal._solve_interior(reflected))
+
+
+def _gmres_edge_quartic():
+    """The traced quartic pseudo-lemniscate whose reflection solve needs a
+    second GMRES cycle (test_gmres_true_residual_just_above_rtol_is_finished)."""
+    p = Polynomial([
+        -0.008397275803812963 - 0.0060303012633803384j,
+        -0.0010675538742815523 + 0.04695791998193767j,
+        0.21071742001482985 + 0.02503992073412329j,
+        0.5122364728399919 - 0.2739373201120606j,
+        0.6996842523629684,
+    ])
+    return pseudo_lemniscate(p, ellipse(1.0, 0.6, 512), 1024)
+
+
+@pytest.mark.parametrize("name, nodes", [
+    ("off-centre circle", 512), ("off-centre circle", 2048),
+    ("ellipse", 512), ("ellipse", 2048),
+    ("gmres edge quartic", 2048),
+])
+def test_riemann_maps_match_reflection_solve(name, nodes):
+    curve = _gmres_edge_quartic() if name == "gmres edge quartic" else _ORACLE_CURVES[name]()
+    dm, em = riemann_maps(curve, nodes)
+    ref = _solve_exterior(conformal._resampled_points(curve, nodes))
+    assert em.nodes == nodes
+    assert np.max(np.abs(em.theta - ref.theta)) <= 1e-12
+    assert em.a == pytest.approx(ref.a, abs=1e-12)
+    alone = interior_map(curve, nodes)
+    assert np.array_equal(dm.theta, alone.theta)
+    assert np.array_equal(dm._mu, alone._mu)
+    assert dm.center_derivative == alone.center_derivative
+
+
+def test_riemann_maps_check_jordan_once_per_resolution(monkeypatch):
+    calls = []
+    real = conformal.is_jordan
+
+    def counting(curve, **kwargs):
+        calls.append(curve.points.size)
+        return real(curve, **kwargs)
+
+    monkeypatch.setattr(conformal, "is_jordan", counting)
+    riemann_maps(ellipse(1.0, 0.6, 512))
+    assert calls == [512, 1024]
+
+
 @pytest.mark.parametrize("exact, info", [(True, 1), (False, 0)])
 def test_gmres_failure_raises(monkeypatch, exact, info):
     # non-convergence is reported even when the returned iterate is right, and
@@ -227,18 +291,15 @@ def test_gmres_failure_raises(monkeypatch, exact, info):
 
 
 def test_gmres_true_residual_just_above_rtol_is_finished():
-    """The exterior solve of this traced quartic pseudo-lemniscate at 2048
-    nodes: the first GMRES cycle's estimate meets rtol after 15 iterations
-    while the recomputed residual reads 1.006e-14 (on x86-64 with OpenBLAS);
-    a second cycle then finishes the solve instead of raising SolverError."""
-    p = Polynomial([
-        -0.008397275803812963 - 0.0060303012633803384j,
-        -0.0010675538742815523 + 0.04695791998193767j,
-        0.21071742001482985 + 0.02503992073412329j,
-        0.5122364728399919 - 0.2739373201120606j,
-        0.6996842523629684,
-    ])
-    lem = pseudo_lemniscate(p, ellipse(1.0, 0.6, 512), 1024)
+    """The reflection solve of this traced quartic pseudo-lemniscate at 2048
+    nodes, on its own Cauchy matrix: the first GMRES cycle's estimate meets
+    rtol after 15 iterations while the recomputed residual reads about
+    1.00e-14 (on x86-64 with OpenBLAS); a second cycle then finishes the
+    solve instead of raising SolverError. The exterior map, solved on the
+    rescaled matrix of the curve, is checked on the same curve."""
+    lem = _gmres_edge_quartic()
+    ref = _solve_exterior(conformal._resampled_points(lem, 2048))
+    assert np.all(np.diff(ref.theta) > 0)
     em = exterior_map(lem, nodes=2048)
     assert np.all(np.diff(em.theta) > 0)
 

@@ -156,6 +156,14 @@ def test_is_proper_degenerate_rejected(circle_T):
         is_proper(Polynomial([0.5 + 0.5j, 0, 1]), diamond)
 
 
+def test_clockwise_base_curve_rejected(circle_T):
+    p = Polynomial([-0.1, 0, 1])
+    clockwise = circle_T.reversed()
+    for check in (is_proper, is_proper_oracle, pseudo_lemniscate, identity_report):
+        with pytest.raises(PreconditionError, match="positively oriented"):
+            check(p, clockwise)
+
+
 def test_is_proper_oracle_examples(circle_T):
     assert is_proper_oracle(zpow(2), circle_T)
     assert not is_proper_oracle(Polynomial([-4, 0, 1]), circle_T)

@@ -183,6 +183,22 @@ def test_cli_fingerprint(files, capsys):
     assert len(bj["zeros"]) == 2
 
 
+def test_cli_fingerprint_saved_maps_reproducible(files, capsys):
+    saved = []
+    for outdir in (files / "a", files / "b"):
+        outdir.mkdir()
+        args = ("fingerprint", str(files / "p2.json"), "unit-circle", "fp.csv", "--save-maps")
+        assert run_cli(*args, outdir=outdir) == 0
+        maps = json.loads(capsys.readouterr().out)["solved_maps"]
+        assert sorted(maps) == [
+            "base_exterior", "base_interior", "curve_exterior", "curve_interior",
+        ]
+        saved.append({name: (outdir / f"fp_map_{name}.json").read_bytes() for name in maps})
+    assert saved[0] == saved[1]
+    em = lio.solved_map_from_dict(json.loads(saved[0]["base_exterior"]))
+    assert em.a == pytest.approx(1.0, abs=1e-12)
+
+
 def test_cli_fingerprint_ellipse(files, capsys):
     code = run_cli(
         "fingerprint", str(files / "p2.json"), str(files / "ellipse.json"), "fe.csv",
