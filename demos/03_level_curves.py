@@ -8,18 +8,20 @@ along an arc" is the natural stopping currency. Gradient rays
 {arg f = alpha} lift exp(s + i alpha) on a uniform grid in s = log|f|.
 Both use the same Euler predictor and Newton corrector onto the exact
 target, so every node satisfies its constraint to a relative 1e-12.
+The closed components of {|f| = eps} are the cycles of the lap monodromy:
+one lap of eps*exp(i s) lifted from every root of f - eps, the laps joined
+in the order their ends meet the next lap's start.
 """
 import os
 
 import numpy as np
 
 from lemniscates import (
-    ClosedLoop,
-    HitsGradient,
     Polynomial,
     RationalMap,
     arg_change_along,
     level_component_enclosing,
+    level_components,
     solve_target,
     trace_gradient,
     trace_level,
@@ -38,13 +40,18 @@ v5 = solve_target(f4, 8j, seed)
 print(f"vertex v5 = {v5:.9f},  |f4| = {abs(f4(v5)):.12f},  arg = {np.angle(f4(v5))/np.pi:.6f} pi")
 
 # follow the level curve until arg f4 first reaches 5 pi/3: change is 7 pi/6
-arc = trace_level(f4, 8.0, v5, +1, HitsGradient(5 * np.pi / 3, 1), step=0.01)
+arc = trace_level(f4, 8.0, v5, 7 * np.pi / 6, step=0.01)
 print(f"arc change: {arg_change_along(arc) / (np.pi/6):.6f} * pi/6 over {len(arc)} nodes")
 save_arc_csv(arc, os.path.join(OUT, "level_arc_8.csv"))
 
-# the full loop at level 8 encloses all four zeros: total change 8 pi
-loop = trace_level(f4, 8.0, v5, +1, ClosedLoop(), step=0.01)
-print(f"closed loop change: {arg_change_along(loop) / np.pi:.6f} pi")
+# the level-8 set is one loop around all four zeros: a 4-cycle of laps, so
+# arg f4 changes by 8 pi around it; tracing 8 pi from v5 comes back to v5.
+# At step 0.01 a lap has ceil(2 pi / 0.01) = 629 steps.
+for eps in (0.15, 0.6, 8.0):
+    laps = [len(loop) // 629 for loop, _ in level_components(f4.num, eps, 0.01)]
+    print(f"level {eps:g}: components of {laps} laps")
+loop = trace_level(f4, 8.0, v5, 8 * np.pi, step=0.01)
+print(f"8 pi from v5 closes to {abs(loop.samples[-1] - v5):.1e}")
 
 # a gradient arc: hold arg f4 = 3 pi/2 while |f4| grows from 0.15 to 0.6
 comp = level_component_enclosing(f4, 0.15, [0.0], step=0.01)

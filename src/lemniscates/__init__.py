@@ -55,12 +55,10 @@ from .fingerprint import (
     pseudo_lemniscate,
 )
 from .levelcurves import (
-    ArgChangeReaches,
-    ClosedLoop,
-    HitsGradient,
     TracedArc,
     arg_change_along,
     level_component_enclosing,
+    level_components,
     solve_target,
     trace_gradient,
     trace_level,

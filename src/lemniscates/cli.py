@@ -26,7 +26,7 @@ from .counterexample import (
     noninjectivity_degree,
     reproduce_table,
 )
-from .curves import SampledCurve, unit_circle
+from .curves import SampledCurve, is_jordan, unit_circle
 from .errors import ChainClosureError, NumericalError, PreconditionError, TraceError
 from .fingerprint import (
     circle_map_of_blaschke,
@@ -34,9 +34,8 @@ from .fingerprint import (
     is_proper,
     is_proper_oracle,
 )
-from .levelcurves import _component_through
+from .levelcurves import LEVEL_INVARIANT_TOL, level_components
 from .polynomials import (
-    as_rational,
     critical_values,
     design_counterexample,
     normalize_leading,
@@ -44,6 +43,16 @@ from .polynomials import (
 )
 
 ENV_OUTDIR = "LEMNISCATES_OUTDIR"
+# largest accepted value of each count field of RunConfig; larger values would
+# ask for arrays too large to allocate (nodes is a power of two in [64, 4096])
+MAX_COUNTS = {
+    "samples": 1 << 16,
+    "samples_per_lap": 1 << 16,
+    "grid_args": 3600,
+    "grid_moduli": 1000,
+    "svg_width": 1 << 16,
+}
+MIN_TRACE_STEP = 1e-5  # finer steps would ask for more than 600,000 samples per lap
 
 
 @dataclass
@@ -70,9 +79,11 @@ class RunConfig:
                 raise PreconditionError(f"{name} must be positive and finite")
         if self.nodes < 64 or self.nodes > 4096 or self.nodes & (self.nodes - 1):
             raise PreconditionError("nodes must be a power of two in [64, 4096]")
-        for name in ("samples", "samples_per_lap", "grid_args", "grid_moduli", "svg_width"):
-            if getattr(self, name) <= 0:
-                raise PreconditionError(f"{name} must be positive")
+        if self.trace_step < MIN_TRACE_STEP:
+            raise PreconditionError(f"trace_step must be at least {MIN_TRACE_STEP:g}")
+        for name, most in MAX_COUNTS.items():
+            if not 0 < getattr(self, name) <= most:
+                raise PreconditionError(f"{name} must be in [1, {most}]")
         return self
 
     @classmethod
@@ -112,9 +123,14 @@ def _config_value(name, value, default):
 
 
 def _load_curve_arg(arg: str) -> SampledCurve:
+    """The base curve Gamma: "unit-circle" or a curve file holding a closed
+    Jordan polygon (properness is only defined for Jordan curves)."""
     if arg == "unit-circle":
         return unit_circle(512)
-    return lio.load_curve(arg)
+    curve = lio.load_curve(arg)
+    if not is_jordan(curve):
+        raise PreconditionError(f"curve {arg} is not a Jordan curve")
+    return curve
 
 
 def _emit(payload: dict):
@@ -140,20 +156,16 @@ def cmd_roots(args, cfg: RunConfig) -> dict:
     }
 
 
-def _level_family(f, moduli, step):
-    """Deduplicated closed components of |f|=eps through each zero, per eps."""
-    zero_pts = sorted({complex(r) for r, _ in f.zeros()}, key=lambda z: (z.real, z.imag))
+def _level_family(p, moduli, step):
+    """The closed components of |p| = eps that keep the level invariant, per
+    eps; a level whose lap monodromy fails to trace is left out."""
     out = []
     for eps in moduli:
-        seen = set()
-        for z0 in zero_pts:
-            try:
-                loop, signature = _component_through(f, eps, z0, step, zero_pts)
-            except NumericalError:
-                continue
-            if signature not in seen:
-                seen.add(signature)
-                out.append((eps, loop))
+        try:
+            loops = level_components(p, eps, step)
+        except NumericalError:
+            continue
+        out.extend((eps, loop) for loop, dev in loops if dev <= LEVEL_INVARIANT_TOL)
     return out
 
 
@@ -171,7 +183,7 @@ def cmd_lemniscate(args, cfg: RunConfig) -> dict:
         if out.resolve() in inputs:
             raise PreconditionError(f"output {out} would overwrite an input file")
     payload = {"leading_rotation": [rot.real, rot.imag]}
-    if p.degree >= 1 and is_proper(p, gamma):
+    if is_proper(p, gamma):
         curve = pseudo_lemniscate(p, gamma, cfg.samples_per_lap)
         lio.save_curve(curve, json_path)
         lio.curves_to_svg(
@@ -182,10 +194,9 @@ def cmd_lemniscate(args, cfg: RunConfig) -> dict:
              "points": len(curve)}
         )
     else:
-        f = as_rational(p)
-        cvs = critical_values(p) if p.degree >= 2 else []
+        cvs = critical_values(p)  # degree >= 2: lower degrees are proper or rejected
         moduli = sorted({abs(cv) * s for cv in cvs if abs(cv) > 0 for s in (0.98, 1.02)})
-        family = _level_family(f, moduli, cfg.trace_step)
+        family = _level_family(p, moduli, cfg.trace_step)
         curves = [loop for _, loop in family]
         if curves:
             lio.curves_to_svg(
@@ -304,7 +315,7 @@ def cmd_counterexample(args, cfg: RunConfig) -> dict:
     lio.save_curve(chain.curve, curve_path)
     svg_path = _outpath(cfg, "d4_boundary.svg")
     moduli = sorted({s.value for s in chain.specs if s.kind == "level"})
-    family = _level_family(as_rational(f4), moduli, cfg.trace_step)
+    family = _level_family(f4, moduli, cfg.trace_step)
     curves = [chain.curve] + [loop for _, loop in family]
     widths = [2.5] + [0.8] * len(family)
     labels = ["boundary"] + [f"level {eps:g}" for eps, _ in family]

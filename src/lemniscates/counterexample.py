@@ -15,7 +15,7 @@ import numpy as np
 
 from .curves import SampledCurve, is_jordan, winding_number, winding_numbers
 from .errors import ChainClosureError, NumericalError, PreconditionError, TraceError
-from .levelcurves import ArgChangeReaches, TracedArc, trace_gradient, trace_level
+from .levelcurves import TracedArc, trace_gradient, trace_level
 from .polynomials import Polynomial, as_rational, roots_flat
 
 _PI6 = np.pi / 6.0
@@ -135,10 +135,7 @@ def _trace_chain(f, specs, z_start, start_arg, step):
                 raise TraceError(
                     f"level arc at eps={spec.value:.6g} reached with |f|={modulus:.6g}"
                 )
-            direction = 1 if spec.stop > 0 else -1
-            arc = trace_level(
-                f, spec.value, z, direction, ArgChangeReaches(spec.stop), step=step
-            )
+            arc = trace_level(f, spec.value, z, spec.stop, step=step)
             # re-anchor the arc's lift to the chain's continuous bookkeeping
             arc.arg_lift = arc.arg_lift - arc.arg_lift[0] + lift
             lift += spec.stop

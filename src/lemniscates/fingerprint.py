@@ -5,6 +5,11 @@ inverse exterior Riemann map with the interior one; for the preimage curve
 p^{-1}(Gamma) of a degree-n polynomial it factors through a degree-n
 Blaschke product, and `identity_report` measures how well the computed
 objects satisfy that factorization.
+
+The preimage curve is traced by the lap monodromy of `levelcurves`: one lap
+of Gamma lifted from each root of p - Gamma(0). p is proper for Gamma iff
+the lap permutation is a single n-cycle, whose laps joined in order are the
+pseudo-lemniscate.
 """
 from __future__ import annotations
 
@@ -13,11 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from ._fourier import deriv_coeffs, fourier_coeffs, trig_eval, trig_eval_deriv, trig_grid
 from .conformal import DiskMap, ExteriorMap, riemann_maps
 from .curves import NEAR_HIT, SampledCurve, winding_number, winding_numbers
 from .errors import NumericalError, PreconditionError, TraceError
-from .levelcurves import lift_path
+from .levelcurves import _cycles, _lap_monodromy
 from .polynomials import Polynomial, critical_values, roots_flat
 
 _TWO_PI = 2.0 * np.pi
@@ -143,66 +147,11 @@ def nth_root_lift(m: CircleMap, n: int, branch: int = 0) -> CircleMap:
     return CircleMap(m.t_nodes, m.lift_nodes / n + c, degree=1)
 
 
-# -- lap monodromy ----------------------------------------------------------------
-
-
-def _lap_monodromy(p: Polynomial, gamma: SampledCurve, m: int):
-    """Lift one lap of Gamma through p^{-1} from each root of p - Gamma(0).
-
-    Gamma is the trigonometric interpolant of its samples, lifted over the
-    grid tau_j = 2 pi j / m, j = 0..m, from the roots sorted by (re, im).
-    Gamma and Gamma' are sampled on that grid by FFT; only the midpoints of
-    halved steps are evaluated densely.
-    Returns (arcs, perm): arcs[i] is the lap from root i (m + 1 samples) and
-    perm[i] the root its end lands on. Each end must lie within
-    1e-8 * (1 + max|z|) of exactly one root, or TraceError is raised.
-    """
-    if p.degree < 1:
-        raise PreconditionError("polynomial must be nonconstant")
-    if not gamma.closed:
-        raise PreconditionError("the base curve must be closed")
-    if gamma.orientation != 1:
-        raise PreconditionError("the base curve must be positively oriented")
-    gc = fourier_coeffs(gamma.points)
-    taus = (_TWO_PI / m) * np.arange(m + 1)
-    w_taus = trig_grid(gc, m)
-    w_taus = np.append(w_taus, w_taus[0])
-    dw_taus = trig_grid(deriv_coeffs(gc), m)
-    dw_taus = np.append(dw_taus, dw_taus[0])
-
-    def path(t):
-        return w_taus if np.array_equal(t, taus) else trig_eval(gc, t)
-
-    def dpath(t):
-        return dw_taus if np.array_equal(t, taus) else trig_eval_deriv(gc, t)
-
-    w0 = complex(w_taus[0])
-    roots = sorted(roots_flat(p - w0, tol=1e-8), key=lambda z: (z.real, z.imag))
-    arcs, _ = lift_path(p, path, dpath, np.array(roots), taus)
-    tol = 1e-8 * (1.0 + np.max(np.abs(arcs)))
-    hits = np.abs(arcs[:, -1, None] - arcs[None, :, 0]) <= tol
-    for i, count in enumerate(hits.sum(axis=1)):
-        if count != 1:
-            raise TraceError(
-                f"lap from root {arcs[i, 0]:.6g} ends at {arcs[i, -1]:.6g}, "
-                f"within {tol:.3g} of {count} roots",
-                samples=arcs[i],
-            )
-    perm = np.argmax(hits, axis=1)
-    if np.unique(perm).size < perm.size:
-        raise TraceError(f"lap ends {perm.tolist()} are not a permutation of the roots")
-    return arcs, perm
-
-
-def _cycle_of_first_root(perm: np.ndarray) -> list:
-    cycle = [0]
-    while perm[cycle[-1]] != 0:
-        cycle.append(int(perm[cycle[-1]]))
-    return cycle
+# -- pseudo-lemniscates ------------------------------------------------------------
 
 
 def _trace_pseudo_lemniscate(p: Polynomial, gamma: SampledCurve, samples_per_lap: int):
-    """The lap arcs of `_lap_monodromy` joined in cycle order from the first root.
+    """The lap arcs of `_lap_monodromy` joined in the order of the first cycle.
 
     Returns (points, taus): nm samples of the preimage curve, uniform in tau,
     and the base parameter of each (tau in [0, 2 pi n), the Gamma-lap
@@ -211,7 +160,7 @@ def _trace_pseudo_lemniscate(p: Polynomial, gamma: SampledCurve, samples_per_lap
     n = p.degree
     m = samples_per_lap
     arcs, perm = _lap_monodromy(p, gamma, m)
-    cycle = _cycle_of_first_root(perm)
+    cycle = _cycles(perm)[0]
     if len(cycle) < n:
         raise TraceError(f"curve closed after {len(cycle)} of {n} laps; input is not proper")
     pts = arcs[cycle, :m].ravel()
@@ -260,7 +209,7 @@ def is_proper_oracle(p: Polynomial, gamma: SampledCurve) -> bool:
     The answer is a cycle count, exact once each lap lands on a unique root;
     the laps are lifted at ORACLE_STEPS_PER_LAP grid steps."""
     _, perm = _lap_monodromy(p, gamma, ORACLE_STEPS_PER_LAP)
-    return len(_cycle_of_first_root(perm)) == p.degree
+    return len(_cycles(perm)) == 1
 
 
 # -- fingerprints ----------------------------------------------------------------

@@ -9,6 +9,13 @@ jumps branches. Level arcs lift eps*exp(i s) on a uniform grid in s = arg f,
 gradient arcs exp(s + i alpha) on a uniform grid in s = log|f|. Every sample
 lands on its exact target to a relative residual of NEWTON_TOL = 1e-12, so a
 level arc's argument lift is its grid and |f| = eps holds to that residual.
+
+`_lap_monodromy` is the one closed-curve tracer: it lifts one lap of a closed
+curve Gamma through p^{-1} from every root of p - Gamma(0), and the cycles of
+the permutation of the lap ends are the components of p^{-1}(Gamma). With
+Gamma the circle of radius eps they are the closed components of
+{|p| = eps} (`level_components`); with a Jordan curve whose critical values
+lie inside, one n-cycle is the pseudo-lemniscate.
 """
 from __future__ import annotations
 
@@ -16,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SampledCurve, winding_number
+from ._fourier import deriv_coeffs, fourier_coeffs, trig_eval, trig_eval_deriv, trig_grid
+from .curves import SampledCurve, unit_circle, winding_numbers
 from .errors import PreconditionError, TraceError
-from .polynomials import as_rational, critical_values
+from .polynomials import Polynomial, as_rational, critical_values, poly_roots, roots_flat
 
 DEFAULT_STEP = 0.01          # radians of arg (level) / log-modulus (gradient)
 NEWTON_TOL = 1e-12           # corrector goal: |f(z) - w| <= NEWTON_TOL * |w|
@@ -27,25 +35,6 @@ CRITICAL_FIELD_TOL = 1e-10   # |f'| below this scale aborts a trace
 BRANCH_JUMP_FACTOR = 2.0     # kappa: a step may move at most kappa*|dw|/|f'|
 _CORRECTOR_ITERS = 8         # Newton iterations per substep before halving
 _MAX_HALVINGS = 12           # smallest substep is 2^-12 of a grid step
-
-
-# -- stop rules ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ArgChangeReaches:
-    delta: float  # signed total change of arg f
-
-
-@dataclass(frozen=True)
-class ClosedLoop:
-    pass
-
-
-@dataclass(frozen=True)
-class HitsGradient:
-    alpha: float
-    crossing: int = 1  # stop at the k-th crossing of arg f = alpha
 
 
 @dataclass
@@ -60,9 +49,6 @@ class TracedArc:
         self.samples = np.asarray(self.samples, dtype=complex)
         self.f_values = np.asarray(self.f_values, dtype=complex)
         self.arg_lift = np.asarray(self.arg_lift, dtype=float)
-
-    def curve(self, closed=False) -> SampledCurve:
-        return SampledCurve(self.samples, closed=closed)
 
     def __len__(self):
         return self.samples.size
@@ -221,20 +207,19 @@ def _grid(a: float, b: float, step: float) -> np.ndarray:
     return np.linspace(a, b, n + 1)
 
 
-def trace_level(f, eps, start, direction, stop, step: float = DEFAULT_STEP) -> TracedArc:
-    """Follow {|f| = eps} from start with arg f moving in the given direction.
+def trace_level(f, eps, start, delta, step: float = DEFAULT_STEP) -> TracedArc:
+    """Follow {|f| = eps} from start until arg f has changed by delta.
 
-    The arc lifts eps*exp(i s) over a uniform grid in s = arg f of spacing at
-    most step, so its arg_lift is that grid. Stop rules:
-    ArgChangeReaches(delta) ends exactly at lift0 + delta, HitsGradient(alpha, k)
-    at the k-th crossing of arg f = alpha, and ClosedLoop() lifts one full turn
-    at a time until the lift is back at its start.
+    The arc lifts eps*exp(i s) over a uniform grid in s = arg f from
+    lift0 = arg f(start) to lift0 + delta, of spacing at most step, so its
+    arg_lift is that grid; a positive delta turns arg f counterclockwise,
+    a negative one clockwise.
     """
     f = as_rational(f)
     if eps <= 0:
         raise PreconditionError("level needs eps > 0")
-    if direction not in (1, -1):
-        raise PreconditionError("direction must be +1 or -1")
+    if not (np.isfinite(delta) and delta != 0):
+        raise PreconditionError(f"arg change must be nonzero and finite, got {delta!r}")
     fv = complex(f(complex(start)))
     if abs(abs(fv) - eps) > 1e-3 * eps:
         raise PreconditionError(
@@ -248,37 +233,8 @@ def trace_level(f, eps, start, direction, stop, step: float = DEFAULT_STEP) -> T
     def dlevel(s):
         return 1j * eps * np.exp(1j * s)
 
-    if isinstance(stop, HitsGradient):
-        rel = (stop.alpha - lift0) * direction % (2 * np.pi)
-        if rel < 1e-12:
-            rel = 2 * np.pi
-        stop = ArgChangeReaches(direction * (rel + (stop.crossing - 1) * 2 * np.pi))
-    if isinstance(stop, ArgChangeReaches):
-        if stop.delta == 0 or np.sign(stop.delta) != direction:
-            raise PreconditionError("stop delta must be nonzero with the trace's sign")
-        lifts = _grid(lift0, lift0 + stop.delta, step)
-        samples, fvals = lift_path(f, level, dlevel, start, lifts)
-    else:  # ClosedLoop: a component winds at most deg f times
-        lap = _grid(0.0, direction * 2 * np.pi, step)
-        samples, fvals, lifts = [], [], []
-        z = start
-        for k in range(f.num.degree + f.den.degree + 1):
-            s = lift0 + direction * 2 * np.pi * k + lap
-            zs, fs = lift_path(f, level, dlevel, z, s)
-            drop = 1 if k else 0
-            samples.append(zs[drop:])
-            fvals.append(fs[drop:])
-            lifts.append(s[drop:])
-            z = zs[-1]
-            if abs(z - samples[0][0]) <= 1e-7 * (1.0 + abs(samples[0][0])):
-                break
-        else:
-            raise TraceError(
-                f"level component did not close within {k + 1} turns",
-                samples=np.concatenate(samples),
-            )
-        samples, fvals, lifts = map(np.concatenate, (samples, fvals, lifts))
-        samples[-1], fvals[-1] = samples[0], fvals[0]
+    lifts = _grid(lift0, lift0 + delta, step)
+    samples, fvals = lift_path(f, level, dlevel, start, lifts)
     dev = float(np.max(np.abs(np.abs(fvals) - eps))) / eps
     if dev > LEVEL_INVARIANT_TOL:
         raise TraceError(f"level invariant violated: relative deviation {dev:.3g}")
@@ -324,48 +280,99 @@ def trace_gradient(
     return TracedArc(samples, fvals, np.full(s.size, float(alpha)), "gradient", float(alpha))
 
 
-def _component_through(f, eps, z0, step, zero_pts):
-    """Trace the closed component of {|f| = eps} bounding the sublevel region
-    of the zero z0. Returns (loop, winding signature over zero_pts)."""
-    f = as_rational(f)
-    fd = _scalar_kernels(f)
-    z0 = complex(z0)
-    bound = 16.0 * (1.0 + max(abs(z) for z in zero_pts)) + 4.0 * eps
-    last_err = None
-    for phi in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2, np.pi / 4, 5 * np.pi / 4):
-        u = np.exp(1j * phi)
-        try:
-            t_lo, t_hi = 1e-9 * (1.0 + abs(z0)), None
-            t = 1e-6 * (1.0 + abs(z0))
-            while t <= bound:
-                if abs(fd(z0 + t * u)[0]) >= eps:
-                    t_hi = t
-                    break
-                t_lo = t
-                t *= 1.6
-            if t_hi is None:
-                continue
-            for _ in range(200):  # bisect to the first crossing
-                tm = 0.5 * (t_lo + t_hi)
-                if abs(fd(z0 + tm * u)[0]) >= eps:
-                    t_hi = tm
-                else:
-                    t_lo = tm
-                if t_hi - t_lo < 1e-12 * (1.0 + t_hi):
-                    break
-            seed = z0 + t_hi * u
-            fs = fd(seed)[0]
-            seed = solve_target(f, eps * fs / abs(fs), seed)
-            arc = trace_level(f, eps, seed, +1, ClosedLoop(), step=step)
-            loop = SampledCurve(arc.samples[:-1], closed=True)
-            signature = tuple(winding_number(loop, z) for z in zero_pts)
-            if signature[zero_pts.index(z0)] < 1:  # the ray stepped over a neck
-                raise TraceError(f"ray from {z0:.6g} reached another component")
-            return loop, signature
-        except TraceError as err:
-            last_err = err
-            continue
-    raise last_err or TraceError(f"could not seed the level component of {z0:.6g}")
+# -- lap monodromy and closed level components -----------------------------------
+
+
+def _lap_monodromy(p: Polynomial, gamma: SampledCurve, m: int):
+    """Lift one lap of Gamma through p^{-1} from each root of p - Gamma(0).
+
+    Gamma is the trigonometric interpolant of its samples, lifted over the
+    grid tau_j = 2 pi j / m, j = 0..m, from the roots sorted by (re, im).
+    Gamma and Gamma' are sampled on that grid by FFT; only the midpoints of
+    halved steps are evaluated densely.
+    Returns (arcs, perm): arcs[i] is the lap from root i (m + 1 samples) and
+    perm[i] the root its end lands on. Each end must lie within
+    1e-8 * (1 + max|z|) of exactly one root, or TraceError is raised.
+    """
+    if p.degree < 1:
+        raise PreconditionError("polynomial must be nonconstant")
+    if not gamma.closed:
+        raise PreconditionError("the base curve must be closed")
+    if gamma.orientation != 1:
+        raise PreconditionError("the base curve must be positively oriented")
+    gc = fourier_coeffs(gamma.points)
+    taus = (2 * np.pi / m) * np.arange(m + 1)
+    w_taus = trig_grid(gc, m)
+    w_taus = np.append(w_taus, w_taus[0])
+    dw_taus = trig_grid(deriv_coeffs(gc), m)
+    dw_taus = np.append(dw_taus, dw_taus[0])
+
+    def path(t):
+        return w_taus if np.array_equal(t, taus) else trig_eval(gc, t)
+
+    def dpath(t):
+        return dw_taus if np.array_equal(t, taus) else trig_eval_deriv(gc, t)
+
+    w0 = complex(w_taus[0])
+    roots = sorted(roots_flat(p - w0, tol=1e-8), key=lambda z: (z.real, z.imag))
+    arcs, _ = lift_path(p, path, dpath, np.array(roots), taus)
+    tol = 1e-8 * (1.0 + np.max(np.abs(arcs)))
+    hits = np.abs(arcs[:, -1, None] - arcs[None, :, 0]) <= tol
+    for i, count in enumerate(hits.sum(axis=1)):
+        if count != 1:
+            raise TraceError(
+                f"lap from root {arcs[i, 0]:.6g} ends at {arcs[i, -1]:.6g}, "
+                f"within {tol:.3g} of {count} roots",
+                samples=arcs[i],
+            )
+    perm = np.argmax(hits, axis=1)
+    if np.unique(perm).size < perm.size:
+        raise TraceError(f"lap ends {perm.tolist()} are not a permutation of the roots")
+    return arcs, perm
+
+
+def _cycles(perm) -> list:
+    """Every cycle of the permutation, each from its smallest index, in the
+    order of those indices."""
+    cycles, seen = [], set()
+    for first in range(len(perm)):
+        if first not in seen:
+            cycle = [first]
+            while perm[cycle[-1]] != first:
+                cycle.append(int(perm[cycle[-1]]))
+            seen.update(cycle)
+            cycles.append(cycle)
+    return cycles
+
+
+def level_components(p: Polynomial, eps: float, step: float = DEFAULT_STEP) -> list:
+    """The closed components of {|p| = eps}, one per cycle of the lap
+    monodromy of the circle eps*T.
+
+    Each lap lifts eps*exp(i tau) over m = _grid(0, 2 pi, step).size - 1
+    uniform steps from a root of p - eps; a cycle's laps joined in order are
+    a positively oriented loop around which arg p turns once per lap, so it
+    encloses as many zeros of p (with multiplicity) as the cycle has laps.
+    Returns (loop, deviation) pairs ordered by each loop's smallest enclosed
+    zero in (re, im) order; deviation is max | |p| - eps | / eps over the
+    loop's samples, the level invariant held against LEVEL_INVARIANT_TOL.
+    """
+    if not eps > 0:
+        raise PreconditionError("eps must be positive")
+    m = _grid(0.0, 2 * np.pi, step).size - 1
+    arcs, perm = _lap_monodromy(p, unit_circle(8, radius=eps), m)
+    zero_pts = [z for z, _ in poly_roots(p, tol=1e-9)]  # distinct, (re, im) order
+    found = []
+    for cycle in _cycles(perm):
+        loop = SampledCurve(arcs[cycle, :m].ravel(), closed=True)
+        inside = np.flatnonzero(winding_numbers(loop.points, zero_pts, min_distance=0.0)[0])
+        if inside.size == 0:
+            raise TraceError(f"level loop of {len(cycle)} laps encloses no zero",
+                             samples=loop.points)
+        dev = float(np.max(np.abs(np.abs(p(loop.points)) - eps))) / eps
+        found.append((inside[0], loop, dev))
+    found.sort(key=lambda item: item[0])
+    return [(loop, dev) for _, loop, dev in found]
 
 
 def level_component_enclosing(
@@ -374,37 +381,46 @@ def level_component_enclosing(
     """The closed component of {|f| = eps} that winds about every listed zero
     of f and about no other zero.
 
-    Seeded by marching a ray from the first listed zero to its first level
-    crossing, then tracing a closed loop. Fails naming the critical value
-    that blocks the requested grouping.
+    f is a polynomial, or a RationalMap with a constant denominator. The
+    component is the `level_components` loop that winds about the first
+    listed zero. Fails naming the critical value that blocks the requested
+    grouping.
     """
     f = as_rational(f)
+    if not f.is_polynomial:
+        raise PreconditionError("level components need a polynomial")
     if f.num.degree < 1:
         raise PreconditionError("f needs at least one zero")
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
-    cvals = critical_values(f.num) if f.is_polynomial and f.num.degree >= 2 else []
+    p = Polynomial(f.num.coeffs / f.den.coeffs[0])
+    cvals = critical_values(p) if p.degree >= 2 else []
     for cv in cvals:
         if abs(abs(cv) - eps) < 1e-9 * max(eps, abs(cv)):
             raise PreconditionError(
                 f"eps {eps:.6g} coincides with critical modulus |{cv:.6g}|"
             )
-    zero_pts = sorted({complex(r) for r, _ in f.zeros()}, key=lambda z: (z.real, z.imag))
+    zero_pts = [z for z, _ in poly_roots(p, tol=1e-9)]
     subset = []
-    for p in zeros_subset:
-        p = complex(p)
-        match = min(zero_pts, key=lambda z: abs(z - p))
-        if abs(match - p) > 1e-6 * (1.0 + abs(match)):
-            raise PreconditionError(f"{p:.6g} is not a zero of f")
+    for z in zeros_subset:
+        z = complex(z)
+        match = min(zero_pts, key=lambda r: abs(r - z))
+        if abs(match - z) > 1e-6 * (1.0 + abs(match)):
+            raise PreconditionError(f"{z:.6g} is not a zero of f")
         if match not in subset:
             subset.append(match)
-    others = [z for z in zero_pts if z not in subset]
-
-    loop, signature = _component_through(f, eps, subset[0], step, zero_pts)
-    got = dict(zip(zero_pts, signature))
-    if all(got[z] >= 1 for z in subset) and all(got[z] == 0 for z in others):
+    if not subset:
+        raise PreconditionError("list at least one zero of f")
+    first = zero_pts.index(subset[0])
+    for loop, dev in level_components(p, eps, step):
+        counts = winding_numbers(loop.points, zero_pts, min_distance=0.0)[0]
+        if counts[first] >= 1:
+            break
+    else:
+        raise TraceError(f"no level loop winds about the zero {subset[0]:.6g}")
+    if dev > LEVEL_INVARIANT_TOL:
+        raise TraceError(f"level invariant violated: relative deviation {dev:.3g}")
+    enclosed = [z for z, c in zip(zero_pts, counts) if c != 0]
+    if set(enclosed) == set(subset):
         return loop
-    enclosed = [z for z in zero_pts if got[z] >= 1]
     raise TraceError(
         "no component separates the requested zeros: component through "
         f"{subset[0]:.6g} encloses {enclosed}; blocking critical value "

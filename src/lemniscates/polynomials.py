@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError, PreconditionError, RootFindingError
+from .errors import NumericalError, PreconditionError, RootFindingError, TraceError
 
 MAX_DEGREE = 64
 _ABERTH_MAX_ITER = 200
@@ -133,21 +133,6 @@ class RationalMap:
         if self.is_polynomial:
             return self.num(z) / self.den.coeffs[0]
         return self.num(z) / self.den(z)
-
-    def eval_with_derivative(self, z):
-        """Return (f(z), f'(z)) sharing the polynomial evaluations."""
-        n, d = self.num(z), self.den(z)
-        np_, dp = self.num.derivative()(z), self.den.derivative()(z)
-        f = n / d
-        return f, (np_ * d - n * dp) / (d * d)
-
-    def derivative(self) -> "RationalMap":
-        n, d = self.num, self.den
-        if self.is_polynomial:
-            return RationalMap(n.derivative(), d)
-        return RationalMap(
-            n.derivative() * d - n * d.derivative(), d * d
-        )
 
     def zeros(self, tol=1e-9):
         if self.num.degree == 0:
@@ -364,7 +349,8 @@ def design_counterexample(n: int, step: float = 0.02, max_attempts: int = 5):
     k+1 zeros share one component while every farther zero has its own.
     The spacing ratio doubles on failure, up to max_attempts.
     """
-    from .levelcurves import level_component_enclosing  # deferred: cycle
+    from .curves import winding_numbers  # deferred: cycle
+    from .levelcurves import LEVEL_INVARIANT_TOL, level_components
 
     if n < 4:
         raise PreconditionError("counterexample family needs n >= 4")
@@ -387,14 +373,21 @@ def design_counterexample(n: int, step: float = 0.02, max_attempts: int = 5):
                     raise NumericalError(
                         f"critical moduli not strictly increasing: {a:.6g}, {b:.6g}"
                     )
-            f = RationalMap.from_polynomial(poly)
             levels = []
             for k in range(1, len(mods)):
                 eps = float(np.sqrt(mods[k - 1] * mods[k]))
-                group = points[: k + 1]
-                level_component_enclosing(f, eps, group, step=step)
-                for far in points[k + 1 :]:
-                    level_component_enclosing(f, eps, [far], step=step)
+                groups = []
+                for loop, dev in level_components(poly, eps, step):
+                    if dev > LEVEL_INVARIANT_TOL:
+                        raise TraceError(f"level invariant violated: relative deviation {dev:.3g}")
+                    counts = winding_numbers(loop.points, points, min_distance=0.0)[0]
+                    groups.append(tuple(z for z, c in zip(points, counts) if c))
+                expected = [tuple(points[: k + 1])] + [(far,) for far in points[k + 1 :]]
+                if sorted(groups) != sorted(expected):
+                    raise TraceError(
+                        f"level {eps:.6g} groups the zeros as {sorted(groups)}, "
+                        f"expected {sorted(expected)}"
+                    )
                 levels.append(eps)
             return CounterexampleDesign(poly, zeros, ratio, attempt, levels)
         except NumericalError as err:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lemniscates import fingerprint
+from lemniscates import levelcurves
 from lemniscates._fourier import fourier_coeffs, trig_eval, trig_eval_deriv
 from lemniscates.curves import (
     SampledCurve,
@@ -277,7 +277,7 @@ def test_lap_end_at_no_root_raises(circle_T, monkeypatch):
         arcs[:, -1] += 1e-3
         return arcs, values
 
-    monkeypatch.setattr(fingerprint, "lift_path", shifted_ends)
+    monkeypatch.setattr(levelcurves, "lift_path", shifted_ends)
     with pytest.raises(TraceError, match="of 0 roots"):
         is_proper_oracle(Polynomial([-0.1, 0, 1]), circle_T)
 
@@ -288,7 +288,7 @@ def test_lap_end_at_two_roots_raises(circle_T, monkeypatch):
         arcs[0, 1] = 1e9  # widens the end tolerance past the root spacing
         return arcs, values
 
-    monkeypatch.setattr(fingerprint, "lift_path", stray_sample)
+    monkeypatch.setattr(levelcurves, "lift_path", stray_sample)
     with pytest.raises(TraceError, match="of 2 roots"):
         is_proper_oracle(Polynomial([-0.1, 0, 1]), circle_T)
 

@@ -11,7 +11,7 @@ from lemniscates.cli import RunConfig, main
 from lemniscates.curves import ellipse, unit_circle
 from lemniscates.errors import ChainClosureError, PreconditionError, TraceError
 from lemniscates.fingerprint import BlaschkeProduct
-from lemniscates.levelcurves import ClosedLoop, trace_level
+from lemniscates.levelcurves import trace_level
 from lemniscates.polynomials import Polynomial, RationalMap
 
 
@@ -55,7 +55,7 @@ def test_blaschke_roundtrip():
 
 
 def test_arc_csv_columns(tmp_path):
-    arc = trace_level(RationalMap(Polynomial([0, 1])), 1.0, 1.0, 1, ClosedLoop(), 0.05)
+    arc = trace_level(RationalMap(Polynomial([0, 1])), 1.0, 1.0, 2 * np.pi, 0.05)
     path = tmp_path / "arc.csv"
     lio.save_arc_csv(arc, path)
     header = path.read_text().splitlines()[0]
@@ -94,6 +94,86 @@ def _raising(err):
         raise err
 
     return handler
+
+
+_CIRCLE16 = [[float(np.cos(t)), float(np.sin(t))] for t in np.linspace(0, 2 * np.pi, 16, endpoint=False)]
+_BAD_POLYS = {
+    "string_coeffs.json": json.dumps({"coeffs": "z^2 - 0.1"}),
+    "nested_coeffs.json": json.dumps({"coeffs": [[[1, 0]], [0, 0]]}),
+    "null_coeffs.json": json.dumps({"coeffs": None}),
+    "dict_coeffs.json": json.dumps({"coeffs": {"re": 1, "im": 0}}),
+    "nan_coeffs.json": '{"coeffs": [[NaN, 0], [0, 0], [1, 0]]}',
+    "degree70.json": json.dumps({"coeffs": [[1, 0]] * 71}),
+    "constant.json": json.dumps({"coeffs": [[2, 0]]}),
+    "zero.json": json.dumps({"coeffs": [[0, 0], [0, 0]]}),
+}
+_BAD_CURVES = {
+    "two_points.json": json.dumps({"points": [[1, 0], [0, 1]]}),
+    "repeated.json": json.dumps({"points": [[1, 0], [1, 0], [0, 1], [-1, 0], [0, -1]]}),
+    "points_int.json": json.dumps({"points": 5}),
+    "clockwise.json": json.dumps({"points": _CIRCLE16[::-1]}),
+    # counterclockwise overall (the right lobe is larger), origin inside
+    "bow_tie.json": json.dumps({"points": [[-1, -0.5], [-1, 0.5], [2, -2], [2, 2]]}),
+    "open.json": json.dumps({"closed": False, "points": _CIRCLE16}),
+}
+_BAD_CONFIGS = [
+    {"nodes": "1024"}, {"nodes": 100}, {"samples": 2.5}, {"samples_per_lap": 0},
+    {"samples_per_lap": -4}, {"svg_width": 10**30}, {"trace_step": -0.01},
+    {"trace_step": 1e-300}, {"outdir": 3}, {"table_tol": None},
+]
+
+
+def _assert_fails_with_json(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (2, 3), argv
+    record = json.loads(err)
+    assert record["error"] in ("PreconditionError", "TraceError", "NumericalError",
+                               "SolverError", "RootFindingError"), argv
+    assert record["message"], argv
+
+
+@pytest.mark.parametrize("command", ["properness", "lemniscate", "fingerprint"])
+def test_cli_malformed_inputs_exit_2_or_3(files, capsys, command):
+    out = {"properness": [], "lemniscate": ["out.svg"], "fingerprint": ["out.csv"]}[command]
+    for name, text in {**_BAD_POLYS, **_BAD_CURVES}.items():
+        (files / name).write_text(text)
+    base = ["--outdir", str(files / "out")]
+    for name in _BAD_POLYS:
+        _assert_fails_with_json([*base, command, str(files / name), "unit-circle", *out], capsys)
+    p2 = str(files / "p2.json")
+    for name in _BAD_CURVES:
+        _assert_fails_with_json([*base, command, p2, str(files / name), *out], capsys)
+    cfg = files / "cfg.json"
+    for bad in _BAD_CONFIGS:
+        cfg.write_text(json.dumps(bad))
+        _assert_fails_with_json(["--config", str(cfg), *base, command, p2, "unit-circle", *out],
+                                capsys)
+    if command == "fingerprint":  # the fingerprint needs the origin inside the curve
+        (files / "shifted.json").write_text(
+            json.dumps({"points": [[x + 5, y] for x, y in _CIRCLE16]}))
+        _assert_fails_with_json([*base, command, p2, str(files / "shifted.json"), *out], capsys)
+    assert not list(files.glob("out/*"))  # no output file was written
+
+
+@pytest.mark.parametrize("key, argv", [
+    ("samples", ["fingerprint", "p2.json", "unit-circle", "fp.csv"]),
+    ("samples_per_lap", ["fingerprint", "p2.json", "unit-circle", "fp.csv"]),
+    ("samples_per_lap", ["lemniscate", "p2.json", "unit-circle", "lem.svg"]),
+    ("svg_width", ["lemniscate", "p2.json", "unit-circle", "lem.svg"]),
+    ("grid_args", ["counterexample", "noninj"]),
+    ("grid_moduli", ["counterexample", "noninj"]),
+    ("trace_step", ["lemniscate", "f4.json", "unit-circle", "lev.svg"]),
+    ("trace_step", ["counterexample", "noninj"]),
+])
+def test_cli_rejects_oversized_counts(files, capsys, key, argv):
+    # 10**30 samples (or a 1e-300 step) would fail to allocate: the config is refused first
+    cfg = files / "cfg.json"
+    cfg.write_text(json.dumps({key: 1e-300 if key == "trace_step" else 10**30}))
+    argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+    assert main(["--config", str(cfg), "--outdir", str(files), *argv]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PreconditionError" and key in err["message"]
 
 
 def test_cli_error_json_keeps_error_data(files, capsys, monkeypatch):

@@ -9,11 +9,11 @@ from lemniscates.curves import SampledCurve, count_preimages, winding_number
 from lemniscates.errors import PreconditionError, TraceError
 from lemniscates.levelcurves import (
     LEVEL_INVARIANT_TOL,
-    ArgChangeReaches,
-    ClosedLoop,
-    HitsGradient,
+    _grid,
+    _scalar_kernels,
     arg_change_along,
     level_component_enclosing,
+    level_components,
     lift_path,
     solve_target,
     trace_gradient,
@@ -24,6 +24,13 @@ from lemniscates.polynomials import Polynomial, RationalMap, critical_values
 F4 = RationalMap(Polynomial([0, 0, 3, 4, 1]))
 Z = RationalMap(Polynomial([0, 1]))
 PI6 = np.pi / 6
+
+
+def _laps(loop, step):
+    """Laps of the lap-monodromy cycle a level loop was joined from."""
+    m = _grid(0.0, 2 * np.pi, step).size - 1
+    assert len(loop) % m == 0
+    return len(loop) // m
 
 
 def _v5():
@@ -50,15 +57,15 @@ def test_solve_target_critical_point_failure():
 
 
 def test_trace_level_identity_circle():
-    arc = trace_level(Z, 1.0, 1.0, +1, ClosedLoop(), step=0.02)
+    arc = trace_level(Z, 1.0, 1.0, 2 * np.pi, step=0.02)
     assert arg_change_along(arc) == pytest.approx(2 * np.pi, abs=1e-9)
     assert np.max(np.abs(np.abs(arc.samples) - 1.0)) < 1e-8
     assert abs(arc.samples[-1] - arc.samples[0]) < 1e-12
 
 
 def test_trace_level_v5v6_change():
-    # stop at the first crossing of arg f = 5*pi/3 going positively
-    arc = trace_level(F4, 8.0, _v5(), +1, HitsGradient(5 * np.pi / 3, 1), step=0.01)
+    # from arg f = pi/2 to the first crossing of arg f = 5*pi/3 going positively
+    arc = trace_level(F4, 8.0, _v5(), 7 * np.pi / 6, step=0.01)
     assert arg_change_along(arc) == pytest.approx(7 * np.pi / 6, abs=1e-12)
     # honest re-measurement from the samples themselves
     fresh = np.unwrap(np.angle(arc.f_values))
@@ -66,22 +73,24 @@ def test_trace_level_v5v6_change():
 
 
 def test_trace_level_closed_loop_lev8():
-    arc = trace_level(F4, 8.0, _v5(), +1, ClosedLoop(), step=0.01)
+    # the level-8 component is one 4-cycle of laps: arg f turns 8*pi around it
+    [(loop, dev)] = level_components(F4.num, 8.0, 0.01)
+    assert _laps(loop, 0.01) == 4 and dev <= LEVEL_INVARIANT_TOL
+    arc = trace_level(F4, 8.0, _v5(), 8 * np.pi, step=0.01)
     assert arg_change_along(arc) == pytest.approx(8 * np.pi, abs=1e-9)
+    assert abs(arc.samples[-1] - arc.samples[0]) < 1e-9
 
 
 def test_trace_level_invariants():
-    arc = trace_level(F4, 8.0, _v5(), +1, ArgChangeReaches(7 * np.pi / 6), step=0.01)
+    arc = trace_level(F4, 8.0, _v5(), 7 * np.pi / 6, step=0.01)
     assert np.max(np.abs(np.abs(arc.f_values) - 8.0)) / 8.0 <= 1e-8
     assert np.max(np.abs(np.diff(arc.arg_lift))) < np.pi / 4
 
 
 def test_trace_level_reverse_returns_to_start():
     v5 = _v5()
-    fwd = trace_level(F4, 8.0, v5, +1, ArgChangeReaches(np.pi / 2), step=0.01)
-    back = trace_level(
-        F4, 8.0, complex(fwd.samples[-1]), -1, ArgChangeReaches(-np.pi / 2), step=0.01
-    )
+    fwd = trace_level(F4, 8.0, v5, np.pi / 2, step=0.01)
+    back = trace_level(F4, 8.0, complex(fwd.samples[-1]), -np.pi / 2, step=0.01)
     assert abs(back.samples[-1] - v5) < 10 * 0.01 * 1e-6 + 1e-9
 
 
@@ -116,9 +125,10 @@ def test_arg_change_along_closed_component():
     comp = level_component_enclosing(F4, 0.6, [0.0, -1.0], step=0.01)
     k = count_preimages(F4, comp, 0.0)
     assert k == 3
-    start = complex(comp.points[0])
-    arc = trace_level(F4, 0.6, start, +1, ClosedLoop(), step=0.01)
-    assert arg_change_along(arc) == pytest.approx(2 * np.pi * k, abs=1e-9)
+    # its cycle has k laps, and arg f turns 2*pi per lap around it
+    assert _laps(comp, 0.01) == k
+    args = np.unwrap(np.angle(F4(np.append(comp.points, comp.points[0]))))
+    assert args[-1] - args[0] == pytest.approx(2 * np.pi * k, abs=1e-9)
 
 
 def test_level_component_enclosing_examples():
@@ -146,16 +156,35 @@ def test_level_component_rejects_critical_modulus():
         level_component_enclosing(F4, cv, [0.0], step=0.01)
 
 
+def test_level_component_needs_a_listed_zero():
+    with pytest.raises(PreconditionError):
+        level_component_enclosing(F4, 0.15, [], step=0.01)
+
+
+def test_level_component_needs_constant_denominator():
+    halved = RationalMap(F4.num * 0.5, Polynomial([0.5]))  # f4 itself
+    comp = level_component_enclosing(halved, 0.15, [0.0], step=0.01)
+    assert count_preimages(F4, comp, 0.0) == 2
+    with pytest.raises(PreconditionError):
+        level_component_enclosing(RationalMap(F4.num, Polynomial([2.0, 1.0])), 0.15, [0.0])
+
+
 def test_cross_module_lift_vs_count(circle_T):
-    # lift of a closed level loop equals 2*pi*(preimages of 0 inside)
+    # a closed level loop lifts 2*pi per lap: its laps equal the preimages of 0 inside
     comp = level_component_enclosing(F4, 0.15, [0.0], step=0.01)
-    start = complex(comp.points[0])
-    arc = trace_level(F4, 0.15, start, +1, ClosedLoop(), step=0.01)
     inside = count_preimages(F4, comp, 0.0)
-    assert arg_change_along(arc) == pytest.approx(2 * np.pi * inside, abs=1e-6)
+    assert inside == 2
+    assert _laps(comp, 0.01) == inside
 
 
 # -- the path-lifting kernel: properties on random polynomials -------------------
+
+
+def test_scalar_kernels_rational_map():
+    val, der, _ = _scalar_kernels(RationalMap(Polynomial([1.0]), Polynomial([0, 1])))(2.0)
+    assert val == pytest.approx(0.5)
+    assert der == pytest.approx(-0.25)
+
 
 _coord = st.floats(-2.0, 2.0).map(lambda x: round(x, 4))
 _point = st.builds(complex, _coord, _coord)
@@ -176,7 +205,7 @@ def test_lift_level_arc_properties(f, start, delta, direction):
     eps = abs(fv)
     assume(eps > 1e-3 and _clear_of_critical_values(f, eps))
     delta *= direction
-    arc = trace_level(f, eps, start, direction, ArgChangeReaches(delta), step=0.02)
+    arc = trace_level(f, eps, start, delta, step=0.02)
     assert np.max(np.abs(np.abs(arc.f_values) - eps)) / eps <= LEVEL_INVARIANT_TOL
     # one sample per node of the uniform arg grid, ending exactly at lift0 + delta
     lift0 = float(np.angle(fv))
@@ -239,9 +268,32 @@ def test_lift_path_array_of_starts_matches_single_lifts():
 @pytest.mark.parametrize("step", [0.0, -0.01, np.nan, np.inf])
 def test_trace_rejects_bad_step(step):
     with pytest.raises(PreconditionError):
-        trace_level(Z, 1.0, 1.0, +1, ClosedLoop(), step=step)
+        trace_level(Z, 1.0, 1.0, 2 * np.pi, step=step)
     with pytest.raises(PreconditionError):
         trace_gradient(Z, 0.0, 1.0, 2.0, step=step)
+
+
+@pytest.mark.parametrize("delta", [0.0, np.nan, np.inf])
+def test_trace_level_rejects_bad_arg_change(delta):
+    with pytest.raises(PreconditionError):
+        trace_level(Z, 1.0, 1.0, delta)
+
+
+@settings(max_examples=15, deadline=None)
+@given(roots=st.lists(_point, min_size=2, max_size=5), log_eps=st.floats(-3.0, 3.0))
+def test_level_components_match_preimage_counts(roots, log_eps):
+    p = Polynomial.from_roots(roots)
+    eps = float(np.exp(log_eps))
+    assume(_clear_of_critical_values(RationalMap(p), eps, margin=0.01))
+    loops = level_components(p, eps, 0.02)
+    laps = [_laps(loop, 0.02) for loop, _ in loops]
+    assert sum(laps) == p.degree
+    for (loop, dev), k in zip(loops, laps):
+        assert dev <= LEVEL_INVARIANT_TOL
+        assert count_preimages(p, loop, 0.0) == k
+    for z in set(roots):
+        assert sum(winding_number(loop, z) for loop, _ in loops) == 1
+        assert all(winding_number(loop, z) in (0, 1) for loop, _ in loops)
 
 
 def _groupings(eps, step):
@@ -261,9 +313,9 @@ def test_near_pinch_groupings_step_independent():
     """Just below and above each nonzero critical modulus of z^2(z+1)(z+3) the
     level set is about to pinch or has just merged; a coarse step must find
     the same zero groupings as a fine one. Just below a pinch every zero keeps
-    its own component: a seeding ray from -1 (resp. -3) that steps over the
-    narrow neck onto its neighbour's component is rejected and the next
-    direction is tried."""
+    its own component: the laps of eps*T lifted past the narrow neck must stay
+    on their own side of it, so the lap monodromy keeps the two neighbouring
+    cycles apart."""
     cv_small = (3 * np.sqrt(3.0) - 4.5) / 2
     cv_big = max(abs(cv) for cv in critical_values(F4.num))
     expected = {

@@ -170,9 +170,3 @@ def test_rational_map_common_root_rejected():
     with pytest.raises(PreconditionError):
         RationalMap(Polynomial.from_roots([0.5, 2.0]), Polynomial.from_roots([0.5]))
 
-
-def test_rational_map_eval_with_derivative():
-    f = RationalMap(Polynomial([1.0]), Polynomial([0, 1]))  # 1/z
-    val, der = f.eval_with_derivative(2.0)
-    assert val == pytest.approx(0.5)
-    assert der == pytest.approx(-0.25)
