@@ -6,7 +6,7 @@ Level sets {|f| = eps} are traced by lifting the circle eps*exp(i s)
 through f^{-1} on a uniform grid in s = arg f, so "total change of arg f
 along an arc" is the natural stopping currency. Gradient rays
 {arg f = alpha} lift exp(s + i alpha) on a uniform grid in s = log|f|.
-Both use the same Euler predictor and Newton corrector onto the exact
+Both use the same two-step predictor and Newton corrector onto the exact
 target, so every node satisfies its constraint to a relative 1e-12.
 The closed components of {|f| = eps} are the cycles of the lap monodromy:
 one lap of eps*exp(i s) lifted from every root of f - eps, the laps joined

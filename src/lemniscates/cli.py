@@ -53,6 +53,7 @@ MAX_COUNTS = {
     "svg_width": 1 << 16,
 }
 MIN_TRACE_STEP = 1e-5  # finer steps would ask for more than 600,000 samples per lap
+MAX_TRACE_STEP = 2 * math.pi / 64  # a lap keeps >= 64 steps; coarser laps drop levels
 
 
 @dataclass
@@ -79,8 +80,9 @@ class RunConfig:
                 raise PreconditionError(f"{name} must be positive and finite")
         if self.nodes < 64 or self.nodes > 4096 or self.nodes & (self.nodes - 1):
             raise PreconditionError("nodes must be a power of two in [64, 4096]")
-        if self.trace_step < MIN_TRACE_STEP:
-            raise PreconditionError(f"trace_step must be at least {MIN_TRACE_STEP:g}")
+        if not MIN_TRACE_STEP <= self.trace_step <= MAX_TRACE_STEP:
+            raise PreconditionError(
+                f"trace_step must be in [{MIN_TRACE_STEP:g}, {MAX_TRACE_STEP:.6g}]")
         for name, most in MAX_COUNTS.items():
             if not 0 < getattr(self, name) <= most:
                 raise PreconditionError(f"{name} must be in [1, {most}]")

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .conformal import DiskMap, ExteriorMap, riemann_maps
-from .curves import NEAR_HIT, SampledCurve, winding_number, winding_numbers
+from .curves import NEAR_HIT, SampledCurve, is_jordan, winding_number, winding_numbers
 from .errors import NumericalError, PreconditionError, TraceError
 from .levelcurves import _cycles, _lap_monodromy
 from .polynomials import Polynomial, critical_values, roots_flat
@@ -184,13 +184,16 @@ def pseudo_lemniscate(
 
 
 def is_proper(p: Polynomial, gamma: SampledCurve) -> bool:
-    """Criterion: every finite critical value lies in the bounded face."""
+    """Criterion: every finite critical value lies in the bounded face of
+    Gamma, a closed, positively oriented Jordan polygon."""
     if p.degree < 1:
         raise PreconditionError("polynomial must be nonconstant")
     if not gamma.closed:
         raise PreconditionError("winding number needs a closed curve")
     if gamma.orientation != 1:
         raise PreconditionError("the base curve must be positively oriented")
+    if not is_jordan(gamma):
+        raise PreconditionError("the base curve must be a Jordan curve")
     if p.degree == 1:
         return True
     cvs = np.array(critical_values(p))
@@ -207,7 +210,10 @@ def is_proper_oracle(p: Polynomial, gamma: SampledCurve) -> bool:
     the lap monodromy of the n preimages of Gamma(0) is a single n-cycle.
 
     The answer is a cycle count, exact once each lap lands on a unique root;
-    the laps are lifted at ORACLE_STEPS_PER_LAP grid steps."""
+    the laps are lifted at ORACLE_STEPS_PER_LAP grid steps. Gamma must be a
+    closed, positively oriented Jordan polygon."""
+    if not is_jordan(gamma):
+        raise PreconditionError("the base curve must be a Jordan curve")
     _, perm = _lap_monodromy(p, gamma, ORACLE_STEPS_PER_LAP)
     return len(_cycles(perm)) == 1
 

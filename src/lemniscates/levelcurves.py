@@ -1,14 +1,17 @@
 """Tracing of level sets {|f| = eps} and gradient rays {arg f = alpha} by
 lifting w-plane paths through f^{-1}.
 
-`lift_path` is the one continuation kernel: an Euler predictor
-z + w'(s) ds / f'(z) and a Newton corrector onto the exact target w(s_j)
-(Allgower & Georg, Introduction to Numerical Continuation Methods, ch. 2),
-with the substep halved when the corrector does not contract or the step
-jumps branches. Level arcs lift eps*exp(i s) on a uniform grid in s = arg f,
-gradient arcs exp(s + i alpha) on a uniform grid in s = log|f|. Every sample
-lands on its exact target to a relative residual of NEWTON_TOL = 1e-12, so a
-level arc's argument lift is its grid and |f| = eps holds to that residual.
+`lift_path` is the one continuation kernel: a two-step (Adams-Bashforth)
+predictor from the slopes z' = w'(s) / f'(z) of the last two samples and a
+Newton corrector onto the exact target w(s_j) (Allgower & Georg,
+Introduction to Numerical Continuation Methods, ch. 2), with the step
+halved into Euler substeps when the corrector does not contract or the step
+jumps branches. Its O(h^3) prediction error leaves one Newton update and
+one confirming evaluation per grid step. Level arcs lift eps*exp(i s) on a
+uniform grid in s = arg f, gradient arcs exp(s + i alpha) on a uniform grid
+in s = log|f|. Every sample lands on its exact target to a relative residual
+of NEWTON_TOL = 1e-12, so a level arc's argument lift is its grid and
+|f| = eps holds to that residual.
 
 `_lap_monodromy` is the one closed-curve tracer: it lifts one lap of a closed
 curve Gamma through p^{-1} from every root of p - Gamma(0), and the cycles of
@@ -67,7 +70,8 @@ def arg_change_along(arc: TracedArc) -> float:
 def _scalar_kernels(f):
     """Fast scalar z -> (f(z), f'(z), scale) from cached coefficient lists;
     scale = 1 + sum |c_k| |z|^k over the numerator derivative is what a
-    critical |f'| is measured against."""
+    critical |f'| is measured against. A polynomial gets all three from one
+    Horner pass over its coefficients."""
     f = as_rational(f)
     nc = [complex(c) for c in f.num.coeffs][::-1]
     dc = [complex(c) for c in f.den.coeffs][::-1]
@@ -75,18 +79,27 @@ def _scalar_kernels(f):
     dd = [complex(c) for c in f.den.derivative().coeffs][::-1]
     ad = [abs(c) for c in nd]
 
-    def horner(cs, z):
-        acc = cs[0]
-        for c in cs[1:]:
-            acc = acc * z + c
-        return acc
-
     if len(dc) == 1 and dc[0] == 1.0:
+        lead = nc[0]
+        # (c_k, |k c_k|) from the top: p' accumulates the partial sums of p
+        terms = list(zip(nc[1:], ad))
 
         def fd(z):
-            return horner(nc, z), horner(nd, z), horner(ad, abs(z)) + 1.0
+            az = abs(z)
+            v, dv, scale = lead, 0j, 0.0
+            for c, a in terms:
+                dv = dv * z + v
+                scale = scale * az + a
+                v = v * z + c
+            return v, dv, scale + 1.0
 
     else:
+
+        def horner(cs, z):
+            acc = cs[0]
+            for c in cs[1:]:
+                acc = acc * z + c
+            return acc
 
         def fd(z):
             n = horner(nc, z)
@@ -101,24 +114,28 @@ def _scalar_kernels(f):
 def _newton(fd, z, w, tol, iters):
     """Newton iteration onto f(z) = w; returns (z, f(z), f'(z)).
 
-    Stops once |f(z) - w| <= tol*|w| (tol when w == 0) or the update is at
-    rounding level. Each update must be shorter than the one before; a
+    Stops once |f(z) - w| <= tol*|w| (tol when w == 0) or, from the second
+    iterate on, the update is at rounding level: a small first update says
+    the guess is good, not that the residual is at its rounding floor, so it
+    is always applied. Each update must be shorter than the one before; a
     critical point, a growing or non-finite update, or running out of
     iterations raises TraceError carrying the iterates.
     """
     goal = tol * (abs(w) if w != 0 else 1.0)
     trail = [z]
     last = np.inf
-    for _ in range(iters):
+    for k in range(iters):
         fv, dv, scale = fd(z)
         if abs(dv) < CRITICAL_FIELD_TOL * scale:
             raise TraceError(f"critical point near {z:.6g}", samples=trail)
-        dz = (fv - w) / dv
-        if abs(fv - w) <= goal or abs(dz) <= 1e-14 * (1.0 + abs(z)):
+        r = fv - w
+        dz = r / dv
+        size = abs(dz)
+        if abs(r) <= goal or (k and size <= 1e-14 * (1.0 + abs(z))):
             return z, fv, dv
-        if not abs(dz) < last:
+        if not size < last:
             raise TraceError(f"Newton iteration not contracting near {z:.6g}", samples=trail)
-        last = abs(dz)
+        last = size
         z = z - dz
         trail.append(z)
     raise TraceError(f"Newton did not reach |f(z)-w| <= {goal:.3g} from {trail[0]:.6g}",
@@ -130,50 +147,75 @@ def lift_path(f, w, dw, z0, s):
 
     w and dw are vectorized callables for the path and its derivative,
     evaluated once on s and shared when z0 is an array of starts. Each start
-    is first Newton-projected onto w(s[0]); each grid step is an Euler predictor
-    z + dw(s_j)*(s_{j+1} - s_j)/f'(z) and a Newton corrector onto w(s_{j+1}).
-    A substep whose corrector fails to contract, or that moves
+    is first Newton-projected onto w(s[0]). Each grid step h_j = s_{j+1} - s_j
+    is predicted from the slopes z'_j = dw(s_j)/f'(z_j) of the accepted
+    samples by the two-step (Adams-Bashforth) rule
+    z_j + h_j*(z'_j + (h_j/h_{j-1})*(z'_j - z'_{j-1})/2), an Euler step
+    z_j + h_j*z'_j on the first grid step, and corrected by Newton onto
+    w(s_{j+1}); the f' of the accepted corrector is the next slope's.
+    A step whose corrector fails to contract, or that moves
     |dz| > BRANCH_JUMP_FACTOR*|dw|/|f'| (a jump to another branch), is
-    halved, as is one that meets a critical point, down to 2^-_MAX_HALVINGS
-    of the grid step; halved substeps stay internal. Returns
-    (samples, f(samples)), of shape z0.shape + s.shape; raises TraceError
-    when a start projection fails or a substep is still rejected after the
-    last halving.
+    halved into Euler substeps, as is one that meets a critical point, down
+    to 2^-_MAX_HALVINGS of the grid step; halved substeps stay internal.
+    Returns (samples, f(samples)), of shape z0.shape + s.shape; raises
+    TraceError when a start projection fails or a substep is still rejected
+    after the last halving.
     """
     fd = _scalar_kernels(f)
     s = np.asarray(s, dtype=float)
+    tol, iters, kappa = NEWTON_TOL, _CORRECTOR_ITERS, BRANCH_JUMP_FACTOR
     # plain Python scalars keep the per-step arithmetic cheap
     ts = s.tolist()
     ws = np.asarray(w(s), dtype=complex).tolist()
     dws = np.asarray(dw(s), dtype=complex).tolist()
+    hs = np.diff(s)
+    # (h_j/h_{j-1})/2 weighs the slope change; 0 makes the first step Euler
+    bend = np.append(0.0, 0.5 * hs[1:] / np.where(hs[:-1] == 0, np.inf, hs[:-1]))
+    grid_steps = list(zip(hs.tolist(), bend.tolist(), ws[:-1], ws[1:], dws[1:]))
 
-    def advance(z, dv, t0, w0, dw0, t1, w1, depth):
-        try:
-            z1, f1, d1 = _newton(fd, z + dw0 * (t1 - t0) / dv, w1, NEWTON_TOL, _CORRECTOR_ITERS)
-            if abs(z1 - z) > BRANCH_JUMP_FACTOR * abs(w1 - w0) / abs(dv):
-                raise TraceError(f"step from {z:.6g} jumped to another branch at {z1:.6g}")
-            return z1, f1, d1
-        except TraceError:
-            if depth == _MAX_HALVINGS:
-                raise
+    def correct(z, dv, guess, w0, w1):
+        """Newton from guess onto w1; a step from z must stay on its branch."""
+        z1, f1, d1 = _newton(fd, guess, w1, tol, iters)
+        if abs(z1 - z) > kappa * abs(w1 - w0) / abs(dv):
+            raise TraceError(f"step from {z:.6g} jumped to another branch at {z1:.6g}")
+        return z1, f1, d1
+
+    def halve(z, dv, t0, w0, dw0, t1, w1, depth):
+        """Cross [t0, t1] in two Euler substeps of 2^-depth of a grid step,
+        halving a rejected one again."""
         tm = 0.5 * (t0 + t1)
         wm, dwm = complex(w(np.array([tm]))[0]), complex(dw(np.array([tm]))[0])
-        zm, _, dm = advance(z, dv, t0, w0, dw0, tm, wm, depth + 1)
-        return advance(zm, dm, tm, wm, dwm, t1, w1, depth + 1)
+        for ta, wa, dwa, tb, wb in ((t0, w0, dw0, tm, wm), (tm, wm, dwm, t1, w1)):
+            try:
+                z, fv, dv1 = correct(z, dv, z + dwa * (tb - ta) / dv, wa, wb)
+            except TraceError:
+                if depth == _MAX_HALVINGS:
+                    raise
+                z, fv, dv1 = halve(z, dv, ta, wa, dwa, tb, wb, depth + 1)
+            dv = dv1
+        return z, fv, dv
 
     starts = np.asarray(z0, dtype=complex)
     samples = np.empty(starts.shape + s.shape, dtype=complex)
     values = np.empty(starts.shape + s.shape, dtype=complex)
     for k in np.ndindex(starts.shape):
-        row, vals = samples[k], values[k]
-        z, fv, dv = _newton(fd, complex(starts[k]), ws[0], NEWTON_TOL, _CORRECTOR_ITERS)
-        row[0], vals[0] = z, fv
-        for j in range(1, s.size):
+        z, fv, dv = _newton(fd, complex(starts[k]), ws[0], tol, iters)
+        zs, fs = [z], [fv]
+        slope = prev = dws[0] / dv
+        for h, b, w0, w1, dw1 in grid_steps:
             try:
-                z, fv, dv = advance(z, dv, ts[j - 1], ws[j - 1], dws[j - 1], ts[j], ws[j], 0)
-            except TraceError as err:
-                raise TraceError(f"{err} (lifting s = {ts[j]:.6g})", samples=row[:j]) from None
-            row[j], vals[j] = z, fv
+                z1, fv, dv1 = correct(z, dv, z + h * (slope + b * (slope - prev)), w0, w1)
+            except TraceError:
+                j = len(zs)
+                try:
+                    z1, fv, dv1 = halve(z, dv, ts[j - 1], w0, dws[j - 1], ts[j], w1, 1)
+                except TraceError as err:
+                    raise TraceError(f"{err} (lifting s = {ts[j]:.6g})",
+                                     samples=np.array(zs)) from None
+            z, dv, prev, slope = z1, dv1, slope, dw1 / dv1
+            zs.append(z)
+            fs.append(fv)
+        samples[k], values[k] = zs, fs
     return samples, values
 
 
@@ -286,6 +328,9 @@ def trace_gradient(
 def _lap_monodromy(p: Polynomial, gamma: SampledCurve, m: int):
     """Lift one lap of Gamma through p^{-1} from each root of p - Gamma(0).
 
+    Gamma must be a closed, positively oriented Jordan polygon; the callers
+    that take a user's Gamma check `is_jordan` (its absolute default tol
+    would reject the exact eps-circles of `level_components` for tiny eps).
     Gamma is the trigonometric interpolant of its samples, lifted over the
     grid tau_j = 2 pi j / m, j = 0..m, from the roots sorted by (re, im).
     Gamma and Gamma' are sampled on that grid by FFT; only the midpoints of

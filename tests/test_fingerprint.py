@@ -164,6 +164,16 @@ def test_clockwise_base_curve_rejected(circle_T):
             check(p, clockwise)
 
 
+def test_self_crossing_base_curve_rejected():
+    # a counterclockwise bow tie: its two lobes cross, so it bounds no Jordan domain
+    bow_tie = SampledCurve([-1 - 0.5j, -1 + 0.5j, 2 - 2j, 2 + 2j], closed=True)
+    assert bow_tie.orientation == 1 and not is_jordan(bow_tie)
+    p = Polynomial([-0.1, 0, 1])
+    for check in (is_proper, is_proper_oracle, pseudo_lemniscate):
+        with pytest.raises(PreconditionError, match="Jordan"):
+            check(p, bow_tie)
+
+
 def test_is_proper_oracle_examples(circle_T):
     assert is_proper_oracle(zpow(2), circle_T)
     assert not is_proper_oracle(Polynomial([-4, 0, 1]), circle_T)

@@ -119,7 +119,7 @@ _BAD_CURVES = {
 _BAD_CONFIGS = [
     {"nodes": "1024"}, {"nodes": 100}, {"samples": 2.5}, {"samples_per_lap": 0},
     {"samples_per_lap": -4}, {"svg_width": 10**30}, {"trace_step": -0.01},
-    {"trace_step": 1e-300}, {"outdir": 3}, {"table_tol": None},
+    {"trace_step": 1e-300}, {"trace_step": 3.0}, {"outdir": 3}, {"table_tol": None},
 ]
 
 
@@ -387,6 +387,7 @@ def test_runconfig_validation(tmp_path):
         json.dumps({"trace_step": None}),
         '{"trace_step": NaN}',
         '{"trace_step": Infinity}',
+        json.dumps({"trace_step": 3.0}),  # a lap of fewer than 64 steps drops levels
         json.dumps({"nodes": 1024.5}),
         json.dumps({"grid_args": "360"}),
         json.dumps({"outdir": 3}),
@@ -403,10 +404,10 @@ def test_runconfig_validation(tmp_path):
         RunConfig.load(tmp_path / "missing.json")
     with pytest.raises(PreconditionError):
         RunConfig(trace_step=float("nan")).validate()
-    cfg.write_text(json.dumps({"nodes": 512.0, "trace_step": 1, "outdir": "out"}))
+    cfg.write_text(json.dumps({"nodes": 512.0, "table_tol": 1, "outdir": "out"}))
     loaded = RunConfig.load(cfg)
     assert loaded.nodes == 512 and isinstance(loaded.nodes, int)
-    assert loaded.trace_step == 1.0 and isinstance(loaded.trace_step, float)
+    assert loaded.table_tol == 1.0 and isinstance(loaded.table_tol, float)
 
 
 def test_cli_entrypoint_subprocess(files):

@@ -1,15 +1,23 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lemniscates.curves import SampledCurve, count_preimages, winding_number
+from lemniscates import levelcurves
+from lemniscates.curves import SampledCurve, count_preimages, unit_circle, winding_number
 from lemniscates.errors import PreconditionError, TraceError
 from lemniscates.levelcurves import (
+    _CORRECTOR_ITERS,
+    _MAX_HALVINGS,
+    BRANCH_JUMP_FACTOR,
     LEVEL_INVARIANT_TOL,
+    NEWTON_TOL,
     _grid,
+    _lap_monodromy,
+    _newton,
     _scalar_kernels,
     arg_change_along,
     level_component_enclosing,
@@ -19,7 +27,7 @@ from lemniscates.levelcurves import (
     trace_gradient,
     trace_level,
 )
-from lemniscates.polynomials import Polynomial, RationalMap, critical_values
+from lemniscates.polynomials import Polynomial, RationalMap, as_rational, critical_values
 
 F4 = RationalMap(Polynomial([0, 0, 3, 4, 1]))
 Z = RationalMap(Polynomial([0, 1]))
@@ -242,8 +250,9 @@ def test_lift_gradient_arc_properties(f, start, log_ratio, grow):
 def test_lift_path_raises_at_critical_value():
     sq = RationalMap(Polynomial([0, 0, 1]))
     s = np.linspace(1.0, -1.0, 100)  # w(s) = s crosses the critical value 0
-    with pytest.raises(TraceError):
-        lift_path(sq, lambda t: t + 0j, lambda t: np.ones_like(t, dtype=complex), 1.0, s)
+    for lift in (lift_path, _euler_lift_path):  # the kernel and its Euler oracle
+        with pytest.raises(TraceError):
+            lift(sq, lambda t: t + 0j, lambda t: np.ones_like(t, dtype=complex), 1.0, s)
 
 
 def test_lift_path_array_of_starts_matches_single_lifts():
@@ -263,6 +272,153 @@ def test_lift_path_array_of_starts_matches_single_lifts():
         z1, f1 = lift_path(cube, w, lambda t: 1j * np.exp(1j * t), starts[k, 0], s)
         assert np.array_equal(zs[k, 0], z1) and np.array_equal(fs[k, 0], f1)
     assert np.allclose(zs[:, 0, -1], np.roll(starts[:, 0], -1), atol=1e-12)
+
+
+def test_lift_path_two_evaluations_per_grid_step(monkeypatch):
+    """The two-step predictor lands close enough for one Newton update and
+    one confirming evaluation per grid step (the Euler predictor needs 3)."""
+    v5 = _v5()
+    calls = []
+
+    def counted(f):
+        fd = _scalar_kernels(f)
+
+        def counting(z):
+            calls.append(z)
+            return fd(z)
+
+        return counting
+
+    monkeypatch.setattr(levelcurves, "_scalar_kernels", counted)
+    arc = trace_level(F4, 8.0, v5, 8 * np.pi, step=0.01)
+    assert len(calls) <= 2.1 * (len(arc) - 1)
+
+
+# -- the Euler-predictor kernel that lift_path replaced: a test oracle -----------
+
+
+def _horner_kernels(f):
+    """Fast scalar z -> (f(z), f'(z), scale) from cached coefficient lists;
+    scale = 1 + sum |c_k| |z|^k over the numerator derivative is what a
+    critical |f'| is measured against."""
+    f = as_rational(f)
+    nc = [complex(c) for c in f.num.coeffs][::-1]
+    dc = [complex(c) for c in f.den.coeffs][::-1]
+    nd = [complex(c) for c in f.num.derivative().coeffs][::-1]
+    dd = [complex(c) for c in f.den.derivative().coeffs][::-1]
+    ad = [abs(c) for c in nd]
+
+    def horner(cs, z):
+        acc = cs[0]
+        for c in cs[1:]:
+            acc = acc * z + c
+        return acc
+
+    if len(dc) == 1 and dc[0] == 1.0:
+
+        def fd(z):
+            return horner(nc, z), horner(nd, z), horner(ad, abs(z)) + 1.0
+
+    else:
+
+        def fd(z):
+            n = horner(nc, z)
+            d = horner(dc, z)
+            dn = horner(nd, z)
+            ddv = horner(dd, z)
+            return n / d, (dn * d - n * ddv) / (d * d), horner(ad, abs(z)) + 1.0
+
+    return fd
+
+
+def _euler_lift_path(f, w, dw, z0, s):
+    """lift_path with an Euler predictor z + dw(s_j)*(s_{j+1} - s_j)/f'(z)
+    on every step and three Horner passes per evaluation."""
+    fd = _horner_kernels(f)
+    s = np.asarray(s, dtype=float)
+    # plain Python scalars keep the per-step arithmetic cheap
+    ts = s.tolist()
+    ws = np.asarray(w(s), dtype=complex).tolist()
+    dws = np.asarray(dw(s), dtype=complex).tolist()
+
+    def advance(z, dv, t0, w0, dw0, t1, w1, depth):
+        try:
+            z1, f1, d1 = _newton(fd, z + dw0 * (t1 - t0) / dv, w1, NEWTON_TOL, _CORRECTOR_ITERS)
+            if abs(z1 - z) > BRANCH_JUMP_FACTOR * abs(w1 - w0) / abs(dv):
+                raise TraceError(f"step from {z:.6g} jumped to another branch at {z1:.6g}")
+            return z1, f1, d1
+        except TraceError:
+            if depth == _MAX_HALVINGS:
+                raise
+        tm = 0.5 * (t0 + t1)
+        wm, dwm = complex(w(np.array([tm]))[0]), complex(dw(np.array([tm]))[0])
+        zm, _, dm = advance(z, dv, t0, w0, dw0, tm, wm, depth + 1)
+        return advance(zm, dm, tm, wm, dwm, t1, w1, depth + 1)
+
+    starts = np.asarray(z0, dtype=complex)
+    samples = np.empty(starts.shape + s.shape, dtype=complex)
+    values = np.empty(starts.shape + s.shape, dtype=complex)
+    for k in np.ndindex(starts.shape):
+        row, vals = samples[k], values[k]
+        z, fv, dv = _newton(fd, complex(starts[k]), ws[0], NEWTON_TOL, _CORRECTOR_ITERS)
+        row[0], vals[0] = z, fv
+        for j in range(1, s.size):
+            try:
+                z, fv, dv = advance(z, dv, ts[j - 1], ws[j - 1], dws[j - 1], ts[j], ws[j], 0)
+            except TraceError as err:
+                raise TraceError(f"{err} (lifting s = {ts[j]:.6g})", samples=row[:j]) from None
+            row[j], vals[j] = z, fv
+    return samples, values
+
+
+def _assert_same_lift(p, got, oracle):
+    """Each kernel's samples meet the corrector goal |p(z) - w| <= NEWTON_TOL*|w|,
+    so the two may differ by twice that residual over |p'| on top of rounding."""
+    assert got.shape == oracle.shape
+    reach = 2 * NEWTON_TOL * np.abs(p(oracle)) / np.abs(p.derivative()(oracle))
+    assert np.all(np.abs(got - oracle) <= 1e-12 * (1.0 + np.abs(oracle)) + reach)
+
+
+@settings(max_examples=25, deadline=None)
+@given(f=_polys, start=_point, delta=st.floats(0.3, 3 * np.pi), log_ratio=st.floats(0.2, 1.5),
+       grow=st.booleans(), log_radius=st.floats(-3.0, 3.0))
+def test_lift_path_matches_euler_oracle(f, start, delta, log_ratio, grow, log_radius):
+    fv = complex(f(start))
+    eps, alpha = abs(fv), float(np.angle(fv))
+    assume(eps > 1e-3 and _clear_of_critical_values(f, eps))
+    target = eps * np.exp(log_ratio if grow else -log_ratio)
+    lo, hi = sorted((eps, target))
+    for cv in critical_values(f.num):  # keep critical points off the ray
+        on_ray = abs(np.angle(cv * np.exp(-1j * alpha))) < 0.05
+        assume(not (on_ray and 0.9 * lo <= abs(cv) <= 1.1 * hi))
+    # the one-pass kernel: the same f and scale, f' to rounding (degree <= 5)
+    (v, d, scale), (v0, d0, scale0) = _scalar_kernels(f)(start), _horner_kernels(f)(start)
+    assert v == v0 and scale == scale0 and abs(d - d0) <= 1e-14 * scale0
+
+    def level(t):
+        return eps * np.exp(1j * t)
+
+    def dlevel(t):
+        return 1j * eps * np.exp(1j * t)
+
+    def ray(t):
+        return np.exp(t + 1j * alpha)
+
+    for path, dpath, s in [
+        (level, dlevel, _grid(alpha, alpha + delta, 0.02)),
+        (ray, ray, _grid(np.log(eps), np.log(target), 0.02)),
+    ]:
+        _assert_same_lift(f.num, lift_path(f, path, dpath, start, s)[0],
+                          _euler_lift_path(f, path, dpath, start, s)[0])
+    # the laps of a circle: the same ends, so the same permutation
+    radius = float(np.exp(log_radius))
+    assume(_clear_of_critical_values(f, radius))
+    circle = unit_circle(8, radius=radius)
+    arcs, perm = _lap_monodromy(f.num, circle, 64)
+    with mock.patch.object(levelcurves, "lift_path", _euler_lift_path):
+        oracle_arcs, oracle_perm = _lap_monodromy(f.num, circle, 64)
+    _assert_same_lift(f.num, arcs[:, -1], oracle_arcs[:, -1])
+    assert np.array_equal(perm, oracle_perm)
 
 
 @pytest.mark.parametrize("step", [0.0, -0.01, np.nan, np.inf])
@@ -294,6 +450,20 @@ def test_level_components_match_preimage_counts(roots, log_eps):
     for z in set(roots):
         assert sum(winding_number(loop, z) for loop, _ in loops) == 1
         assert all(winding_number(loop, z) in (0, 1) for loop, _ in loops)
+
+
+def test_level_components_of_a_tiny_level():
+    """Level circles far below the Jordan test's absolute tolerance still
+    trace, and the loop about the zero at the origin, where z carries its
+    full relative precision, holds the level invariant: a corrector that
+    accepted a good prediction without an update would leave the
+    predictor's error there. (About the zero at 0.5, z is only known to
+    0.5 ulp of 0.5, i.e. 2.7e-7 of a 1e-10 level.)"""
+    p = Polynomial.from_roots([0.0, 0.5])
+    for eps in (1e-10, 1e-13):
+        (origin, dev), _ = loops = level_components(p, eps, 0.02)
+        assert [_laps(loop, 0.02) for loop, _ in loops] == [1, 1]
+        assert np.max(np.abs(origin.points)) < 1e3 * eps and dev <= LEVEL_INVARIANT_TOL
 
 
 def _groupings(eps, step):
