@@ -47,7 +47,6 @@ from .fingerprint import (
     CircleMap,
     circle_map_of_blaschke,
     fingerprint_of_curve,
-    fingerprint_of_pseudolemniscate,
     identity_report,
     is_proper,
     is_proper_oracle,

@@ -130,8 +130,8 @@ def _load_curve_arg(arg: str) -> SampledCurve:
     if arg == "unit-circle":
         return unit_circle(512)
     curve = lio.load_curve(arg)
-    if not is_jordan(curve):
-        raise PreconditionError(f"curve {arg} is not a Jordan curve")
+    if not (curve.closed and is_jordan(curve)):
+        raise PreconditionError(f"curve {arg} is not a closed Jordan curve")
     return curve
 
 
@@ -400,7 +400,7 @@ def _error_record(err) -> dict:
     if isinstance(err, ChainClosureError):
         record["details"] = {"candidates": [
             {"start": [c["start"].real, c["start"].imag],
-             **{k: c[k] for k in ("closure_residual", "error") if k in c}}
+             **{k: c[k] for k in ("closure_residual", "crossed_after_arc", "error") if k in c}}
             for c in err.candidates
         ]}
     elif isinstance(err, TraceError):

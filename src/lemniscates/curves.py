@@ -87,16 +87,16 @@ def ellipse(a: float, b: float, n: int = 512) -> SampledCurve:
     return SampledCurve(a * np.cos(t) + 1j * b * np.sin(t), closed=True)
 
 
-def winding_number(c: SampledCurve, w, return_residual: bool = False):
+def winding_number(c: SampledCurve, w) -> int:
     """Winding of a closed curve about w; rejects w within NEAR_HIT of the
-    curve. Crossing counts are exact, so the residual on request is 0.0."""
+    curve."""
     if not c.closed:
         raise PreconditionError("winding number needs a closed curve")
     w = complex(w)
     counts, valid = winding_numbers(c.points, [w], min_distance=NEAR_HIT)
     if not valid[0]:
         raise PreconditionError(f"point {w:.6g} within {NEAR_HIT:g} of the curve")
-    return (int(counts[0]), 0.0) if return_residual else int(counts[0])
+    return int(counts[0])
 
 
 def _edge_target_pairs(start: np.ndarray, stop: np.ndarray):
@@ -287,18 +287,18 @@ def _segment_pair_too_close(p1, p2, q1, q2, tol):
 
 
 def is_jordan(c: SampledCurve, tol: float = 1e-9) -> bool:
-    """True iff no two non-adjacent segments of the closed polygon intersect
-    or pass within tol of each other."""
-    if not c.closed:
-        raise PreconditionError("is_jordan needs a closed curve")
+    """True iff no two non-adjacent segments of the polygon intersect or pass
+    within tol of each other. An open polyline has no wrap segment, and its
+    first and last segments are not adjacent."""
     tol = float(tol)
     if not (np.isfinite(tol) and tol >= 0.0):
         raise PreconditionError(f"is_jordan needs a finite tol >= 0, got {tol}")
-    a = c.points
-    b = np.roll(a, -1)
+    p = c.points
+    a, b = (p, np.roll(p, -1)) if c.closed else (p[:-1], p[1:])
     n = a.size
+    last = n - 1 if c.closed else n  # the segment adjacent to segment 0 by the wrap
     # widened boxes of close segments overlap; past the extent widening adds no pair
-    pad = min(tol, np.ptp(a.real) + np.ptp(a.imag))
+    pad = min(tol, np.ptp(p.real) + np.ptp(p.imag))
     lo = np.stack([np.minimum(a.real, b.real), np.minimum(a.imag, b.imag)]) - pad
     hi = np.stack([np.maximum(a.real, b.real), np.maximum(a.imag, b.imag)]) + pad
     origin = lo.min(axis=1, keepdims=True)
@@ -324,7 +324,7 @@ def is_jordan(c: SampledCurve, tol: float = 1e-9) -> bool:
         start = np.where(visitor[order], stop, np.arange(1, cell.size + 1))
         for e, t in _edge_target_pairs(start, stop):
             i, j = np.minimum(seg[e], seg[t]), np.maximum(seg[e], seg[t])
-            apart = (j - i > 1) & ((i > 0) | (j < n - 1))  # drop adjacent pairs
+            apart = (j - i > 1) & ((i > 0) | (j < last))  # drop adjacent pairs
             pair = np.unique(i[apart] * n + j[apart])
             i, j = pair // n, pair % n
             meet = np.all((lo[:, i] <= hi[:, j]) & (lo[:, j] <= hi[:, i]), axis=0)

@@ -255,13 +255,6 @@ def _blaschke_from_maps(
     return BlaschkeProduct(zeros, complex(rot))
 
 
-def fingerprint_of_pseudolemniscate(
-    p: Polynomial, gamma: SampledCurve, nodes: int = 512, samples_per_lap: int = 1024
-) -> CircleMap:
-    """Fingerprint of the traced pseudo-lemniscate."""
-    return fingerprint_of_curve(pseudo_lemniscate(p, gamma, samples_per_lap), nodes)
-
-
 @dataclass
 class IdentityReport:
     """All artifacts of one fingerprint-identity verification."""

@@ -234,8 +234,11 @@ def poly_roots(p: Polynomial, tol: float = 1e-8):
 
     Roots closer than tol*max(1,|z|) are merged into one cluster whose
     multiplicity is the cluster size; the residual |p(root)| of every
-    returned simple root must not exceed tol * eval_scale. Exact zero
-    trailing coefficients are deflated as roots at the origin first.
+    returned simple root must not exceed tol * eval_scale, or the rounding
+    of p's largest coefficient where that is larger (at a root within
+    rounding of 0, eval_scale is the rounding noise of the constant
+    coefficient). Exact zero trailing coefficients are deflated as roots at
+    the origin first.
 
     Raises RootFindingError (carrying the best iterates) on non-convergence.
     """
@@ -251,11 +254,12 @@ def poly_roots(p: Polynomial, tol: float = 1e-8):
         raw = _aberth(c)
         clustered = _cluster(raw, tol)
         q = Polynomial(c)
+        rounding = np.finfo(float).eps * float(np.abs(c).max())
         for z, m in clustered:
             if m > 1:
                 z = _polish_multiple(q, z, m)
             resid = abs(q(z))
-            allowed = tol * max(q.eval_scale(z), 1e-300) * (2.0 ** (m - 1))
+            allowed = max(tol * q.eval_scale(z), rounding) * (2.0 ** (m - 1))
             if m == 1 and resid > allowed:
                 raise RootFindingError(
                     f"root iterate {z:.6g} residual {resid:.3g} exceeds {allowed:.3g}",

@@ -5,6 +5,9 @@ from lemniscates.counterexample import (
     ArcSpec,
     PolarGrid,
     Table1Row,
+    _lies_on,
+    _trace_chain,
+    _trace_until_crossing,
     build_boundary,
     chain_from_table,
     d4_table,
@@ -14,7 +17,7 @@ from lemniscates.counterexample import (
 )
 from lemniscates.curves import SampledCurve, is_jordan, winding_number, winding_numbers
 from lemniscates.errors import ChainClosureError, PreconditionError
-from lemniscates.polynomials import roots_flat
+from lemniscates.polynomials import Polynomial, as_rational, roots_flat
 
 PI6 = np.pi / 6
 
@@ -94,8 +97,55 @@ def test_perturbed_table_fails_closure(f4):
     r = rows[2]
     rows[2] = Table1Row(r.label, r.modulus, r.total_change + 2 * np.pi,
                         r.initial_arg, r.final_arg)
-    with pytest.raises(ChainClosureError):
+    with pytest.raises(ChainClosureError) as info:
         build_boundary(f4, chain_from_table(rows), step=0.02)
+    # every candidate says how it ended: dropped at a crossing, not closed,
+    # or failed; three cross themselves before the last arc
+    ends = [set(c) - {"start"} for c in info.value.candidates]
+    assert len(ends) == 4
+    assert ends.count({"crossed_after_arc"}) == 3
+    assert ends.count({"closure_residual", "diameter"}) == 1
+    assert all(0 <= c.get("crossed_after_arc", 0) < 19 for c in info.value.candidates)
+
+
+def _full_trace_choice(f, specs, start_arg, step):
+    """The chain chosen by tracing every candidate through every arc: the
+    closed Jordan curve of the one candidate that gives one. Also returns
+    each candidate's full curve and whether it is Jordan."""
+    w = specs[0].value * np.exp(1j * start_arg)
+    chosen, full = [], []
+    for cand in sorted(roots_flat(f.num - w * f.den, tol=1e-8), key=lambda z: (z.real, z.imag)):
+        arcs = list(_trace_chain(f, specs, cand, start_arg, step))
+        assert abs(complex(arcs[-1].samples[-1]) - cand) <= 1e-12  # every candidate closes
+        curve = SampledCurve(np.concatenate([a.samples[:-1] for a in arcs]), closed=True)
+        if curve.orientation != 1:
+            curve = curve.reversed()
+        jordan = is_jordan(curve, tol=1e-9)
+        full.append((cand, jordan))
+        if jordan:
+            chosen.append(curve)
+    assert len(chosen) == 1
+    return chosen[0], full
+
+
+@pytest.mark.parametrize("offset", range(10))
+def test_prefix_drop_keeps_the_full_trace_choice(offset):
+    """Dropping candidates at their first self-crossing gives the chain that
+    tracing all four to the end gives, point for point, and drops only
+    candidates whose full curves are not Jordan."""
+    f4 = as_rational(Polynomial([0.0, 0.0, 3.0, 4.0, 1.0]))
+    rows = d4_table()
+    rows = rows[offset:] + rows[:offset]
+    specs = chain_from_table(rows)
+    expected, full = _full_trace_choice(f4, specs, rows[0].initial_arg, 0.01)
+    chain = build_boundary(f4, specs, start_arg=rows[0].initial_arg, step=0.01)
+    assert np.array_equal(chain.curve.points, expected.points)
+    dropped = 0
+    for cand, jordan in full:
+        _, crossed = _trace_until_crossing(f4, specs, cand, rows[0].initial_arg, 0.01)
+        assert crossed is None or not jordan
+        dropped += crossed is not None
+    assert dropped >= 2
 
 
 def test_region_contains(d4_chain):
@@ -214,6 +264,18 @@ def test_noninjectivity_square_on_disk():
     chain = build_boundary(p2, [ArcSpec("level", 1.0, 4 * np.pi)], step=0.02)
     res = noninjectivity_degree(p2, chain, PolarGrid(60, 20, 0.1, 0.9))
     assert res.degree == 2
+    # the kept chain starts at -1 and passes through the other candidate, +1,
+    # between two samples: 1.2e-5 off their chord, below half its length 0.01
+    assert chain.vertices[0] == -1 and _lies_on(chain.curve.points, 1.0)
+    assert not _lies_on(chain.curve.points, 1.0 + 1e-2)
+
+
+def test_symmetric_distinct_chains_raise():
+    """|z^2 - 1| = 0.5 has two components, one about each zero: the two
+    preimages of 0.5 trace two distinct closed Jordan chains."""
+    with pytest.raises(ChainClosureError, match="2 of 2") as info:
+        build_boundary(Polynomial([-1, 0, 1]), [ArcSpec("level", 0.5, 2 * np.pi)], step=0.02)
+    assert all(c["jordan"] for c in info.value.candidates)
 
 
 def test_arcspec_validation():

@@ -33,9 +33,7 @@ def test_winding_basic():
 
 def test_winding_residual_small():
     c = unit_circle(256)
-    k, resid = winding_number(c, 0.3 + 0.2j, return_residual=True)
-    assert k == 1
-    assert resid <= 1e-6
+    assert winding_number(c, 0.3 + 0.2j) == 1
 
 
 def test_winding_orientation_reversal():
@@ -55,7 +53,7 @@ def test_winding_on_segment_interior_rejected():
     for w in (0.5, 0.5 + 1e-13j, 0.5 - 1e-13j, 1.0 + 0.5j):
         with pytest.raises(PreconditionError):
             winding_number(square, w)
-    assert winding_number(square, 0.5 + 0.5j, return_residual=True) == (1, 0.0)
+    assert winding_number(square, 0.5 + 0.5j) == 1
 
 
 # Reference: the dense angle-sum kernel the crossing kernel replaced, kept
@@ -315,6 +313,16 @@ def _dense_is_jordan(c: SampledCurve, tol: float = 1e-9) -> bool:
     return True
 
 
+def _dense_is_jordan_open(c: SampledCurve, tol: float = 1e-9) -> bool:
+    """_dense_is_jordan for an open polyline: every pair of segments
+    p[i]p[i+1], p[j]p[j+1] with j > i + 1 is scored. There is no wrap
+    segment, and the first and last segments are not adjacent."""
+    assert not c.closed
+    p = c.points
+    i, j = np.triu_indices(p.size - 1, 2)
+    return not _segment_pair_too_close(p[i], p[i + 1], p[j], p[j + 1], tol).any()
+
+
 _tols = st.sampled_from([0.0, 1e-9, 1e-2, 0.5])
 
 
@@ -327,6 +335,31 @@ def test_is_jordan_matches_dense_on_lattice_polygons(verts, tol):
     assume(pts.size >= 3)
     c = SampledCurve(pts, closed=True)
     assert is_jordan(c, tol) == _dense_is_jordan(c, tol)
+
+
+@settings(max_examples=60)
+@given(verts=_lattice, tol=_tols)
+def test_is_jordan_matches_dense_on_open_lattice_polylines(verts, tol):
+    """Open polylines: the ends may meet or touch, and then they cross."""
+    pts = np.array([x + 1j * y for x, y in verts])
+    pts = pts[np.concatenate([[True], pts[1:] != pts[:-1]])]
+    assume(pts.size >= 2)
+    c = SampledCurve(pts, closed=False)
+    assert is_jordan(c, tol) == _dense_is_jordan_open(c, tol)
+
+
+def test_is_jordan_open_polylines():
+    square = [0, 1, 1 + 1j, 1j]
+    assert is_jordan(SampledCurve(square, closed=False))
+    assert not is_jordan(SampledCurve(square + [0], closed=False))  # the ends meet
+    near = SampledCurve(square + [-1e-3 + 1e-3j], closed=False)  # the ends nearly meet
+    assert is_jordan(near, tol=1e-9) and not is_jordan(near, tol=1e-2)
+    assert is_jordan(SampledCurve([0, 1], closed=False))
+    t = np.linspace(0, 2 * np.pi, 300, endpoint=False)
+    eight = SampledCurve(np.sin(2 * t) + 1j * np.sin(t), closed=False)
+    assert not is_jordan(eight) and is_jordan(SampledCurve(eight.points[:140], closed=False))
+    circle = unit_circle(300)
+    assert is_jordan(SampledCurve(circle.points, closed=False))
 
 
 @settings(max_examples=60)

@@ -20,7 +20,6 @@ from lemniscates.fingerprint import (
     _trace_pseudo_lemniscate,
     circle_map_of_blaschke,
     fingerprint_of_curve,
-    fingerprint_of_pseudolemniscate,
     identity_report,
     is_proper,
     is_proper_oracle,
@@ -339,13 +338,11 @@ def test_interior_map_closed_form_derivative(circle_T):
     assert dm.center_derivative == pytest.approx(np.sqrt(0.99), abs=1e-10)
 
 
-def test_fingerprint_of_pseudolemniscate_cases(circle_T, ellipse_E):
-    k = fingerprint_of_pseudolemniscate(zpow(2), circle_T, nodes=256, samples_per_lap=256)
+def test_fingerprint_of_curve_on_pseudolemniscates(circle_T, ellipse_E):
+    k = fingerprint_of_curve(pseudo_lemniscate(zpow(2), circle_T, 256), nodes=256)
     t = np.linspace(0, 2 * np.pi, 65)
     assert np.max(np.abs(k.lift(t) - t)) < 1e-10  # the curve is the circle
-    k2 = fingerprint_of_pseudolemniscate(
-        Polynomial([0, 1]), ellipse_E, nodes=256, samples_per_lap=512
-    )
+    k2 = fingerprint_of_curve(pseudo_lemniscate(Polynomial([0, 1]), ellipse_E, 512), nodes=256)
     kg = fingerprint_of_curve(ellipse_E, nodes=256)
     # identity polynomial: same fingerprint as the base curve
     assert np.max(np.abs(k2.lift(t) - kg.lift(t))) < 1e-6

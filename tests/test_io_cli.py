@@ -177,9 +177,10 @@ def test_cli_rejects_oversized_counts(files, capsys, key, argv):
 
 
 def test_cli_error_json_keeps_error_data(files, capsys, monkeypatch):
-    closure = ChainClosureError("2 of 3 candidates gave distinct closed Jordan chains", [
+    closure = ChainClosureError("2 of 4 candidates gave distinct closed Jordan chains", [
         {"start": 1 + 2j, "closure_residual": 1e-12, "diameter": 3.0, "jordan": True},
         {"start": -0.5j, "error": "critical point near 0"},
+        {"start": 0.25 + 0j, "crossed_after_arc": 4},
     ])
     monkeypatch.setitem(cli._HANDLERS, "counterexample", _raising(closure))
     assert run_cli("counterexample", "table", outdir=files) == 3
@@ -188,6 +189,7 @@ def test_cli_error_json_keeps_error_data(files, capsys, monkeypatch):
     assert err["details"] == {"candidates": [
         {"start": [1.0, 2.0], "closure_residual": 1e-12},
         {"start": [0.0, -0.5], "error": "critical point near 0"},
+        {"start": [0.25, 0.0], "crossed_after_arc": 4},
     ]}
 
     trace = TraceError("critical point near 0.5", samples=np.array([0.1, 0.25 + 0.5j]))

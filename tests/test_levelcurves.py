@@ -466,6 +466,15 @@ def test_level_components_of_a_tiny_level():
         assert np.max(np.abs(origin.points)) < 1e3 * eps and dev <= LEVEL_INVARIANT_TOL
 
 
+def test_level_components_when_gamma0_is_p0_up_to_rounding():
+    """At eps = p(0) rounded down, p - eps has a root within rounding of 0,
+    where eval_scale is the rounding noise of the constant coefficient."""
+    p = Polynomial.from_roots([0.3 + 0.1j, 0.3 - 0.1j])  # p(0) = 0.1
+    for eps in (np.nextafter(0.1, 0), 0.1, np.nextafter(0.1, 1)):
+        ((loop, dev),) = level_components(p, eps)
+        assert dev <= LEVEL_INVARIANT_TOL and _laps(loop, 0.01) == 2
+
+
 def _groupings(eps, step):
     zeros = [0.0, -1.0, -3.0]
     found = set()

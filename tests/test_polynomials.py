@@ -170,3 +170,12 @@ def test_rational_map_common_root_rejected():
     with pytest.raises(PreconditionError):
         RationalMap(Polynomial.from_roots([0.5, 2.0]), Polynomial.from_roots([0.5]))
 
+
+
+def test_poly_roots_root_within_rounding_of_zero():
+    """A constant coefficient at rounding level puts a root near 1e-32, where
+    tol * eval_scale is ~1e-40: the residual goal is floored at the rounding
+    of the largest coefficient."""
+    roots = poly_roots(Polynomial([7e-33, -0.6, 1.0]))
+    assert [m for _, m in roots] == [1, 1]
+    assert abs(roots[0][0]) < 1e-31 and abs(roots[1][0] - 0.6) < 1e-15
