@@ -167,9 +167,10 @@ def _trace_until_crossing(f, specs, z_start, start_arg, step):
     """Trace one candidate's chain arc by arc, testing its open prefix for
     self-crossings on the PREFIX_GROWTH schedule.
 
-    Returns (arcs, k): k is the index of the arc after which the prefix
-    crossed itself, and then arcs stop there; k is None when every arc was
-    traced. The last arc closes the chain, so only the closed test sees it.
+    Returns (arcs, k): k is the index of the arc after which a test found
+    the prefix crossing itself (the crossing lies on arc k or before), and
+    then arcs stop there; k is None when every arc was traced. The last arc
+    closes the chain, so only the closed test sees it.
     """
     arcs, size, tested = [], 1, 0
     for k, arc in enumerate(_trace_chain(f, specs, z_start, start_arg, step)):

@@ -296,7 +296,7 @@ def is_jordan(c: SampledCurve, tol: float = 1e-9) -> bool:
     p = c.points
     a, b = (p, np.roll(p, -1)) if c.closed else (p[:-1], p[1:])
     n = a.size
-    last = n - 1 if c.closed else n  # the segment adjacent to segment 0 by the wrap
+    last = n - 1 if c.closed else n  # segment n - 1 meets segment 0 only when closed
     # widened boxes of close segments overlap; past the extent widening adds no pair
     pad = min(tol, np.ptp(p.real) + np.ptp(p.imag))
     lo = np.stack([np.minimum(a.real, b.real), np.minimum(a.imag, b.imag)]) - pad

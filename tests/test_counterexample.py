@@ -111,7 +111,7 @@ def test_perturbed_table_fails_closure(f4):
 def _full_trace_choice(f, specs, start_arg, step):
     """The chain chosen by tracing every candidate through every arc: the
     closed Jordan curve of the one candidate that gives one. Also returns
-    each candidate's full curve and whether it is Jordan."""
+    each candidate's start and whether its full curve is Jordan."""
     w = specs[0].value * np.exp(1j * start_arg)
     chosen, full = [], []
     for cand in sorted(roots_flat(f.num - w * f.den, tol=1e-8), key=lambda z: (z.real, z.imag)):
@@ -265,7 +265,7 @@ def test_noninjectivity_square_on_disk():
     res = noninjectivity_degree(p2, chain, PolarGrid(60, 20, 0.1, 0.9))
     assert res.degree == 2
     # the kept chain starts at -1 and passes through the other candidate, +1,
-    # between two samples: 1.2e-5 off their chord, below half its length 0.01
+    # between two samples: 1.2e-5 off their 0.01-long chord
     assert chain.vertices[0] == -1 and _lies_on(chain.curve.points, 1.0)
     assert not _lies_on(chain.curve.points, 1.0 + 1e-2)
 
