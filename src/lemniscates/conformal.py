@@ -4,18 +4,23 @@ The interior map phi: D -> Omega with phi(0)=0, phi'(0)>0 is computed from
 its inverse f(z) = z * exp(g(z)) where Re g = -log|z| on the boundary. The
 double-layer density mu of Re g solves the Neumann-kernel equation
 (I + wK) mu = h (Nystrom trapezoid) by full-length GMRES, and g is completed
-holomorphically by the singularity-subtracted Cauchy integral of mu. One
-Cauchy matrix gamma'_t / (gamma_t - gamma_s) gives both K (its imaginary
-part) and that integral. On analytic boundaries all of it converges spectrally.
+holomorphically by the singularity-subtracted Cauchy integral of mu. The
+Cauchy matrix C = gamma'_t / (gamma_t - gamma_s) gives both: K is its
+imaginary part, and the correspondence needs only the real part of the
+integral. So each solve holds two real n x n kernels, (2/n) Im C and Re C,
+built a block of rows at a time; C itself is never held whole. On analytic
+boundaries all of it converges spectrally.
 
 Exterior maps are reduced to interior ones by the inversion z -> 1/z. The
 reflected curve's Cauchy matrix is a diagonal rescaling of the curve's, so
-`riemann_maps` builds one matrix per curve, solves the interior system on
-it, rescales it in place and solves the exterior system in the same
-buffers. Both maps share one solve path: the curve is checked once per call
-(closed, positively oriented, origin inside), resampled and checked Jordan
-at each solver resolution, and either solved at the requested node count or
-by one doubling loop that stops when the boundary images settle.
+`riemann_maps` builds one pair of kernels per curve, solves the interior
+system on it, turns it in place into the reflected curve's pair and solves
+the exterior system in the same buffers: 2 * 8n^2 bytes for both maps, plus
+GMRES' own workspace. Both maps share one solve path: the curve is checked
+once per call (closed, positively oriented, origin inside), resampled and
+checked Jordan at each solver resolution, and either solved at the requested
+node count or by one doubling loop that stops when the boundary images
+settle.
 """
 from __future__ import annotations
 
@@ -40,6 +45,7 @@ INTERIOR_MARGIN = 0.02  # reject |w| > 1 - margin in disk-side evaluation
 
 _TWO_PI = 2.0 * np.pi
 _START_EPS = 1e-9
+_BLOCK_ROWS = 16  # rows of C built or rescaled per pass: 0.5 MB of complex at 2048 nodes
 
 
 def _whole_turns(start: float) -> float:
@@ -234,43 +240,80 @@ class DiskMap:
         return f"DiskMap(nodes={self.nodes}, center_derivative={self.center_derivative:.6g})"
 
 
-def _cauchy_matrix(points: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """[s, t] -> gamma'_t / (gamma_t - gamma_s), 0 on the diagonal."""
+def _kernels(points: np.ndarray, dg: np.ndarray):
+    """(im, re): the real n x n kernels im = (2/n) Im C, which is wK with K
+    the Neumann kernel and w the trapezoid weight, and re = Re C, of the
+    Cauchy matrix C[s, t] = gamma'_t / (gamma_t - gamma_s), 0 on the
+    diagonal. C is built _BLOCK_ROWS rows at a time, so no complex n x n
+    array is allocated."""
     if np.min(np.abs(points)) < 1e-12:
         raise PreconditionError("boundary passes through the origin")
-    cauchy = points[None, :] - points[:, None]  # [s, t] -> gamma_t - gamma_s
-    np.fill_diagonal(cauchy, np.inf)  # so that the quotient is 0 on the diagonal
-    np.divide(dg[None, :], cauchy, out=cauchy)
-    return cauchy
+    n = points.size
+    im = np.empty((n, n))
+    re = np.empty((n, n))
+    block = np.empty((min(_BLOCK_ROWS, n), n), dtype=complex)
+    for i0 in range(0, n, _BLOCK_ROWS):
+        rows = points[i0:i0 + _BLOCK_ROWS]
+        i1 = i0 + rows.size
+        c = block[:rows.size]
+        np.subtract(points[None, :], rows[:, None], out=c)  # [s, t] -> gamma_t - gamma_s
+        k = np.arange(rows.size)
+        c[k, i0 + k] = np.inf  # so that the quotient is 0 on the diagonal
+        np.divide(dg[None, :], c, out=c)
+        np.multiply(c.imag, 2.0 / n, out=im[i0:i1])
+        np.copyto(re[i0:i1], c.real)
+    return im, re
 
 
-def _solve_on(cauchy, lhs, points, dg, order) -> DiskMap:
-    """Solve the boundary correspondence of `points` (derivative dg) on its
-    Cauchy matrix stored in the order `order`: cauchy[i, j] is the entry
-    [order[i], order[j]]; order must be its own inverse. lhs, an n x n real
-    buffer, is overwritten with the Neumann-kernel system I + wK."""
+def _rescale(im: np.ndarray, re: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Turn the kernels (im, re) of C in place into those of diag(a) C diag(b).
+    With P + iQ = a_s b_t: Im' = P im + (2/n) Q re and Re' = P re - (n/2) Q im,
+    that is one complex product per entry, taken _BLOCK_ROWS rows at a time
+    in two block buffers."""
+    n = b.size
+    z = np.empty((min(_BLOCK_ROWS, n), n), dtype=complex)
+    f = np.empty_like(z)
+    for i0 in range(0, n, _BLOCK_ROWS):
+        blk_im, blk_re = im[i0:i0 + _BLOCK_ROWS], re[i0:i0 + _BLOCK_ROWS]
+        k = blk_im.shape[0]
+        np.copyto(z[:k].real, blk_re)
+        np.multiply(blk_im, n / 2.0, out=z[:k].imag)  # z = C on these rows
+        np.multiply(a[i0:i0 + k, None], b[None, :], out=f[:k])
+        z[:k] *= f[:k]
+        np.copyto(blk_re, z[:k].real)
+        np.multiply(z[:k].imag, 2.0 / n, out=blk_im)
+
+
+def _solve_on(im, re, points, dg, order) -> DiskMap:
+    """Solve the boundary correspondence of `points` (derivative dg) on the
+    kernels (im, re) of its Cauchy matrix (see _kernels) stored in the order
+    `order`: im[i, j] is the entry [order[i], order[j]]; order must be its own
+    inverse. The diagonal of im holds that of I + wK during the solve and is
+    0 again on return, so (im, re) are still the kernels."""
     n = points.size
     w = _TWO_PI / n
-    np.multiply(cauchy.imag, w / np.pi, out=lhs)  # I + wK, K the Neumann kernel
-    diag = 1.0 + np.imag(trig_diff(dg) / (2.0 * dg)) * (w / np.pi)
-    np.fill_diagonal(lhs, diag[order])
+    diag = 1.0 + np.imag(trig_diff(dg) / (2.0 * dg)) * (2.0 / n)
+    np.fill_diagonal(im, diag[order])  # im is now I + wK, K the Neumann kernel
     h = -np.log(np.abs(points))[order]
     its = []
     # a second cycle only runs when the Arnoldi estimate met rtol but the
     # true residual, recomputed at the cycle's end, lands just above it
-    mu, info = gmres(lhs, h, rtol=1e-14, restart=n, maxiter=2,
+    mu, info = gmres(im, h, rtol=1e-14, restart=n, maxiter=2,
                      callback=its.append, callback_type="pr_norm")
-    resid = np.linalg.norm(h - lhs @ mu) / max(np.linalg.norm(h), 1e-300)
+    resid = np.linalg.norm(h - im @ mu) / max(np.linalg.norm(h), 1e-300)
     if info != 0 or not resid <= 1e-12:
         raise SolverError(f"GMRES failed: {len(its)} iterations, residual {resid:.3g}")
+    np.fill_diagonal(im, 0.0)
 
     # Im g on the boundary is -Re(i_s)/pi, with i_s the Cauchy integral of mu
-    # over the boundary, singularity subtracted
-    i_s = (cauchy @ mu - mu * cauchy.sum(axis=1))[order]
+    # over the boundary, singularity subtracted; one pass over re gives both
+    # of its sums
+    sums = re @ np.stack([mu, np.ones(n)], axis=1)
+    i_s = (sums[:, 0] - mu * sums[:, 1])[order]
     mu = mu[order]
     i_s = (i_s + np.real(trig_diff(mu))) * w
     g0 = (mu * dg / points).sum() * w / (1j * np.pi)
-    theta = np.unwrap(np.angle(points)) - i_s.real / np.pi - g0.imag
+    theta = np.unwrap(np.angle(points)) - i_s / np.pi - g0.imag
     theta -= _TWO_PI * _whole_turns(theta[0])
     center_derivative = float(np.exp(-g0.real))
     return DiskMap(points, theta, center_derivative, mu=mu, g0=g0)
@@ -278,9 +321,8 @@ def _solve_on(cauchy, lhs, points, dg, order) -> DiskMap:
 
 def _solve_interior(points: np.ndarray) -> DiskMap:
     """Solve the boundary correspondence on the given uniform samples."""
-    n = points.size
     dg = trig_diff(points)
-    return _solve_on(_cauchy_matrix(points, dg), np.empty((n, n)), points, dg, slice(None))
+    return _solve_on(*_kernels(points, dg), points, dg, slice(None))
 
 
 def interior_map(gamma: SampledCurve, nodes: int | None = None) -> DiskMap:
@@ -348,30 +390,28 @@ class ExteriorMap:
 
 def _solve_pair(points: np.ndarray):
     """Interior and exterior maps on the given uniform samples, from one
-    Cauchy matrix.
+    pair of kernels.
 
     The exterior map is the interior map of the reflected curve
     rho_k = 1/gamma_{-k}. Its Cauchy matrix is a diagonal rescaling of the
     curve's: with k' = -k mod n,
     C_rho[s', t'] = -C[s, t] * gamma_s * rho'_{t'} gamma_t / gamma'_t,
-    so the curve's matrix is rescaled in place and the reflected system
-    solved with its rows and columns in the curve's order."""
+    so the curve's kernels are rescaled in place (_rescale) and the reflected
+    system solved with its rows and columns in the curve's order."""
     n = points.size
     dg = trig_diff(points)
-    cauchy = _cauchy_matrix(points, dg)
-    lhs = np.empty((n, n))
-    dm = _solve_on(cauchy, lhs, points, dg, slice(None))
+    im, re = _kernels(points, dg)
+    dm = _solve_on(im, re, points, dg, slice(None))
     order = (-np.arange(n)) % n
     reflected = 1.0 / points[order]
     dr = trig_diff(reflected)
-    cauchy *= -points[:, None]
-    cauchy *= dr[order] * points / dg
-    em = ExteriorMap(points, _solve_on(cauchy, lhs, reflected, dr, order))
+    _rescale(im, re, -points, dr[order] * points / dg)
+    em = ExteriorMap(points, _solve_on(im, re, reflected, dr, order))
     return dm, em
 
 
 def riemann_maps(gamma: SampledCurve, nodes: int | None = None):
-    """(interior map, exterior map) of gamma from one Cauchy matrix per
+    """(interior map, exterior map) of gamma from one pair of kernels per
     resolution. Node selection is as in interior_map; with nodes=None the
     pair has settled when both maps' probe images do."""
     return _self_consistent(_solve_pair, gamma, nodes)

@@ -159,11 +159,19 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
     """All roots of the polynomial with the given ascending coefficients.
 
     Simultaneous Newton (Aberth-Ehrlich) iteration from a perturbed circle.
-    The leading and trailing coefficients must be nonzero.
+    The leading and trailing coefficients must be nonzero, and p must be
+    finite in floating point on the disk |z| <= r0 that holds its roots.
     """
     n = coeffs.size - 1
     p = Polynomial(coeffs)
     dp = p.derivative()
+    with np.errstate(over="ignore"):
+        bound = 1.0 + np.max(np.abs(coeffs[:-1])) / np.abs(coeffs[-1])
+        reach = p.eval_scale(bound)
+    if not np.isfinite(reach):
+        raise PreconditionError(
+            f"coefficient range too wide: p overflows on its root bound |z| <= {bound:.3g}"
+        )
     r0 = 1.0 + np.max(np.abs(coeffs[:-1] / coeffs[-1]))
     k = np.arange(n)
     z = 0.7 * r0 * np.exp(2j * np.pi * (k + 0.25) / n + 0.43j)
@@ -240,7 +248,9 @@ def poly_roots(p: Polynomial, tol: float = 1e-8):
     coefficient). Exact zero trailing coefficients are deflated as roots at
     the origin first.
 
-    Raises RootFindingError (carrying the best iterates) on non-convergence.
+    Raises PreconditionError when p overflows on the disk that holds its
+    roots, and RootFindingError (carrying the best iterates) on
+    non-convergence or a non-finite root.
     """
     if not isinstance(p, Polynomial):
         p = Polynomial(p)
@@ -260,7 +270,7 @@ def poly_roots(p: Polynomial, tol: float = 1e-8):
                 z = _polish_multiple(q, z, m)
             resid = abs(q(z))
             allowed = max(tol * q.eval_scale(z), rounding) * (2.0 ** (m - 1))
-            if m == 1 and resid > allowed:
+            if not np.isfinite(z) or (m == 1 and not resid <= allowed):
                 raise RootFindingError(
                     f"root iterate {z:.6g} residual {resid:.3g} exceeds {allowed:.3g}",
                     best=raw,

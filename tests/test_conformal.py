@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,16 +294,59 @@ def test_gmres_failure_raises(monkeypatch, exact, info):
 
 def test_gmres_true_residual_just_above_rtol_is_finished():
     """The reflection solve of this traced quartic pseudo-lemniscate at 2048
-    nodes, on its own Cauchy matrix: the first GMRES cycle's estimate meets
-    rtol after 15 iterations while the recomputed residual reads about
-    1.00e-14 (on x86-64 with OpenBLAS); a second cycle then finishes the
+    nodes, on its own kernels: the first GMRES cycle's estimate meets rtol
+    after 15 iterations while the recomputed residual reads about 1.00e-14
+    (on x86-64 with OpenBLAS on one thread); a second cycle then finishes the
     solve instead of raising SolverError. The exterior map, solved on the
-    rescaled matrix of the curve, is checked on the same curve."""
+    curve's two real kernels rescaled in place, is checked on the same curve."""
     lem = _gmres_edge_quartic()
     ref = _solve_exterior(conformal._resampled_points(lem, 2048))
     assert np.all(np.diff(ref.theta) > 0)
     em = exterior_map(lem, nodes=2048)
     assert np.all(np.diff(em.theta) > 0)
+
+
+def test_kernels_and_rescale_match_dense_cauchy_matrix():
+    """_kernels against the dense complex C = gamma'_t / (gamma_t - gamma_s),
+    and _rescale against diag(a) C diag(b) with the reflection's factors, at
+    a node count that leaves a partial last block of rows."""
+    n = 3 * conformal._BLOCK_ROWS + 5
+    points = ellipse(1.0, 0.6, n).points
+    dg = trig_diff(points)
+    diff = points[None, :] - points[:, None]
+    np.fill_diagonal(diff, 1.0)
+    dense = dg[None, :] / diff
+    np.fill_diagonal(dense, 0.0)
+    im, re = conformal._kernels(points, dg)
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(im - (2.0 / n) * dense.imag)) <= 1e-14 * (2.0 / n) * scale
+    assert np.max(np.abs(re - dense.real)) <= 1e-14 * scale
+
+    order = (-np.arange(n)) % n
+    dr = trig_diff(1.0 / points[order])
+    a, b = -points, dr[order] * points / dg
+    conformal._rescale(im, re, a, b)
+    reflected = a[:, None] * dense * b[None, :]
+    scale = np.max(np.abs(reflected))
+    assert np.max(np.abs(im - (2.0 / n) * reflected.imag)) <= 1e-14 * (2.0 / n) * scale
+    assert np.max(np.abs(re - reflected.real)) <= 1e-14 * scale
+    assert not np.any(np.diag(im)) and not np.any(np.diag(re))
+
+
+def test_riemann_maps_peak_memory():
+    """One Riemann-map pair holds two real n x n kernels. scipy's gmres adds
+    about 2 * 8n^2 bytes of workspace for restart=n, so the peak is about
+    4 * 8n^2; a complex n x n Cauchy matrix would add 2 * 8n^2 more."""
+    n = 1024
+    curve = ellipse(1.0, 0.6, 512)
+    riemann_maps(curve, n)  # imports and caches outside the traced call
+    tracemalloc.start()
+    try:
+        riemann_maps(curve, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * 8 * n * n
 
 
 @settings(max_examples=15)

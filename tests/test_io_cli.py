@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,11 @@ _BAD_POLYS = {
     "constant.json": json.dumps({"coeffs": [[2, 0]]}),
     "zero.json": json.dumps({"coeffs": [[0, 0], [0, 0]]}),
 }
+# p overflows on the disk that holds its roots (Aberth used to return NaN roots)
+_OVERFLOW_POLYS = {
+    "wide_range.json": json.dumps({"coeffs": [[1e308, 0], [0, 0], [1e-308, 0]]}),
+    "subnormal_lead.json": json.dumps({"coeffs": [[1, 0], [0, 0], [1e-320, 0]]}),
+}
 _BAD_CURVES = {
     "two_points.json": json.dumps({"points": [[1, 0], [0, 1]]}),
     "repeated.json": json.dumps({"points": [[1, 0], [1, 0], [0, 1], [-1, 0], [0, -1]]}),
@@ -124,35 +130,53 @@ _BAD_CONFIGS = [
 
 
 def _assert_fails_with_json(argv, capsys):
-    code = main(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
     err = capsys.readouterr().err
     assert code in (2, 3), argv
+    assert not caught, (argv, [str(w.message) for w in caught])  # nothing else on stderr
     record = json.loads(err)
     assert record["error"] in ("PreconditionError", "TraceError", "NumericalError",
                                "SolverError", "RootFindingError"), argv
     assert record["message"], argv
 
 
-@pytest.mark.parametrize("command", ["properness", "lemniscate", "fingerprint"])
+_OUTPUTS = {"properness": [], "lemniscate": ["out.svg"], "fingerprint": ["out.csv"]}
+
+
+@pytest.mark.parametrize("command", [
+    *_OUTPUTS, "roots",
+    "counterexample table", "counterexample noninj", "counterexample family",
+    "counterexample export",
+])
 def test_cli_malformed_inputs_exit_2_or_3(files, capsys, command):
-    out = {"properness": [], "lemniscate": ["out.svg"], "fingerprint": ["out.csv"]}[command]
-    for name, text in {**_BAD_POLYS, **_BAD_CURVES}.items():
+    for name, text in {**_BAD_POLYS, **_OVERFLOW_POLYS, **_BAD_CURVES}.items():
         (files / name).write_text(text)
     base = ["--outdir", str(files / "out")]
-    for name in _BAD_POLYS:
-        _assert_fails_with_json([*base, command, str(files / name), "unit-circle", *out], capsys)
+    argv = command.split()
     p2 = str(files / "p2.json")
-    for name in _BAD_CURVES:
-        _assert_fails_with_json([*base, command, p2, str(files / name), *out], capsys)
+    if argv[0] == "roots":
+        for name in {**_BAD_POLYS, **_OVERFLOW_POLYS}:
+            _assert_fails_with_json([*base, "roots", str(files / name)], capsys)
+        argv.append(p2)
+    elif argv[0] in _OUTPUTS:
+        out = _OUTPUTS[argv[0]]
+        for name in _BAD_POLYS:
+            _assert_fails_with_json([*base, *argv, str(files / name), "unit-circle", *out],
+                                    capsys)
+        for name in _BAD_CURVES:
+            _assert_fails_with_json([*base, *argv, p2, str(files / name), *out], capsys)
+        argv += [p2, "unit-circle", *out]
     cfg = files / "cfg.json"
     for bad in _BAD_CONFIGS:
         cfg.write_text(json.dumps(bad))
-        _assert_fails_with_json(["--config", str(cfg), *base, command, p2, "unit-circle", *out],
-                                capsys)
+        _assert_fails_with_json(["--config", str(cfg), *base, *argv], capsys)
     if command == "fingerprint":  # the fingerprint needs the origin inside the curve
         (files / "shifted.json").write_text(
             json.dumps({"points": [[x + 5, y] for x, y in _CIRCLE16]}))
-        _assert_fails_with_json([*base, command, p2, str(files / "shifted.json"), *out], capsys)
+        _assert_fails_with_json([*base, command, p2, str(files / "shifted.json"), "out.csv"],
+                                capsys)
     assert not list(files.glob("out/*"))  # no output file was written
 
 

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from lemniscates.errors import PreconditionError
+from lemniscates import polynomials
+from lemniscates.errors import PreconditionError, RootFindingError
 from lemniscates.polynomials import (
     Polynomial,
     RationalMap,
@@ -171,7 +174,6 @@ def test_rational_map_common_root_rejected():
         RationalMap(Polynomial.from_roots([0.5, 2.0]), Polynomial.from_roots([0.5]))
 
 
-
 def test_poly_roots_root_within_rounding_of_zero():
     """A constant coefficient at rounding level puts a root near 1e-32, where
     tol * eval_scale is ~1e-40: the residual goal is floored at the rounding
@@ -179,3 +181,20 @@ def test_poly_roots_root_within_rounding_of_zero():
     roots = poly_roots(Polynomial([7e-33, -0.6, 1.0]))
     assert [m for _, m in roots] == [1, 1]
     assert abs(roots[0][0]) < 1e-31 and abs(roots[1][0] - 0.6) < 1e-15
+
+
+@pytest.mark.parametrize("coeffs", [[1e308, 0, 1e-308], [1, 0, 1e-320], [1e300, 0, 1]])
+def test_poly_roots_rejects_overflowing_coefficient_range(coeffs):
+    """p overflows on the disk |z| <= 1 + max|c_k|/|c_n| that holds its roots,
+    where Aberth starts: refused up front, with no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="coefficient range too wide"):
+            poly_roots(Polynomial(coeffs))
+
+
+def test_poly_roots_never_returns_non_finite_roots(monkeypatch):
+    # a NaN residual compares False against any goal: it must still fail
+    monkeypatch.setattr(polynomials, "_aberth", lambda c: np.full(c.size - 1, np.nan + 0j))
+    with pytest.raises(RootFindingError):
+        poly_roots(Polynomial([1, 0, 1]))
