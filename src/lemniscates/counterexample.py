@@ -26,6 +26,7 @@ TABLE_TOL = 1e-3        # radians, per-row reproduction tolerance
 MODULUS_RTOL = 1e-6     # relative |f| deviation allowed on level arcs
 CLOSE_TOL_FACTOR = 1e-6  # chain closure tolerance, relative to diameter
 JORDAN_TOL = 1e-9       # closest approach of non-adjacent boundary segments
+MAX_WITNESSES = 100     # witnesses and skipped targets kept in a NoninjectivityResult
 # a candidate's open prefix is tested for self-crossings after its first arc
 # and then whenever its point count has doubled since the last test, so the
 # tests cost at most two full-length Jordan tests per candidate, and a
@@ -202,7 +203,6 @@ def _lies_on(points: np.ndarray, z: complex) -> bool:
 def build_boundary(
     f,
     specs: list[ArcSpec],
-    seed_hint=None,
     start_arg: float = 0.0,
     step: float = 0.01,
     close_tol_factor: float = CLOSE_TOL_FACTOR,
@@ -232,10 +232,7 @@ def build_boundary(
     w_start = specs[0].value * np.exp(1j * start_arg)
     target = f.num - w_start * f.den
     candidates = [complex(r) for r in roots_flat(target, tol=1e-8)]
-    if seed_hint is not None:
-        candidates.sort(key=lambda z: abs(z - complex(seed_hint)))
-    else:
-        candidates.sort(key=lambda z: (z.real, z.imag))
+    candidates.sort(key=lambda z: (z.real, z.imag))
 
     results = []
     distinct = []
@@ -326,7 +323,7 @@ class NoninjectivityResult:
 
 
 def noninjectivity_degree(
-    f, chain: BoundaryChain, grid: PolarGrid | None = None, max_witnesses: int = 100
+    f, chain: BoundaryChain, grid: PolarGrid | None = None
 ) -> NoninjectivityResult:
     """Max preimage count (with multiplicity) of grid targets inside the chain.
 
@@ -364,10 +361,10 @@ def noninjectivity_degree(
     skipped_idx = np.nonzero(~valid)[0]
     return NoninjectivityResult(
         degree=degree,
-        witnesses=[complex(w) for w in ws[witness_idx[:max_witnesses]]],
+        witnesses=[complex(w) for w in ws[witness_idx[:MAX_WITNESSES]]],
         n_evaluated=int(valid.sum()),
         n_skipped=int(skipped_idx.size),
-        skipped=[complex(w) for w in ws[skipped_idx[:max_witnesses]]],
+        skipped=[complex(w) for w in ws[skipped_idx[:MAX_WITNESSES]]],
         counts=counts,
         grid_w=ws,
     )

@@ -19,6 +19,8 @@ from .polynomials import as_rational
 
 NEAR_HIT = 1e-9  # fixed near-hit rejection threshold
 _MAX_REFINE_POINTS = 1_000_000
+_MAX_REFINE_ROUNDS = 40
+_REL_CHORD = 0.02  # image_curve's largest chord, relative to the image extent
 # index pairs scored at once by either kernel; small blocks keep their
 # temporaries in cache and in the allocator's heap
 _PAIR_BLOCK = 8192
@@ -182,55 +184,42 @@ def resample(c: SampledCurve, count: int) -> SampledCurve:
     return SampledCurve(re + 1j * im, closed=c.closed)
 
 
-def _refine_by_angle(f, zs: np.ndarray, w: complex, max_turn: float):
-    """Image turns about w of the closed polygon zs, with chord midpoints
-    inserted until every turn is small."""
-    for _ in range(40):
-        d = f(zs) - w
-        if np.abs(d).min() < NEAR_HIT:
-            j = int(np.abs(d).argmin())
-            raise PreconditionError(
-                f"image passes within {NEAR_HIT:g} of target "
-                f"(nearest approach {abs(d[j]):.3g} at sample {j})"
-            )
-        turns = np.angle(np.roll(d, -1) / d)
-        bad = np.abs(turns) > max_turn
-        if not bad.any():
-            return turns
-        if zs.size > _MAX_REFINE_POINTS:
-            raise NumericalError(
-                "image refinement exploded; image likely passes through target"
-            )
-        idx = np.nonzero(bad)[0]
-        mids = 0.5 * (zs[idx] + np.roll(zs, -1)[idx])
-        zs = np.insert(zs, idx + 1, mids)
-    raise NumericalError("image refinement did not settle; target too close to image")
+def _refine(f, c: SampledCurve, too_coarse):
+    """Images under the rational map f of the samples of c, with chord
+    midpoints inserted until too_coarse(a, b), given the images a and b at
+    the two ends of every chord, flags none of them.
 
-
-def image_curve(f, c: SampledCurve, rel_chord: float = 0.02) -> SampledCurve:
-    """Pointwise image of c under f, refined where consecutive images are far apart."""
-    f = as_rational(f)
-    zs = c.points.copy()
-    if not f.is_polynomial:
-        dv = np.abs(f.den(zs))
-        if dv.min() < NEAR_HIT:
-            raise PreconditionError("pole of f within 1e-9 of a curve sample")
-    for _ in range(14):
+    Every sample, the first ones and each refined midpoint, must keep 1e-9
+    from the poles of f; a loop that has not settled after 40 rounds or past
+    a million samples raises NumericalError.
+    """
+    zs = added = c.points
+    for round_ in range(_MAX_REFINE_ROUNDS):
+        if not f.is_polynomial and np.abs(f.den(added)).min() < NEAR_HIT:
+            where = "refined" if round_ else "curve"
+            raise PreconditionError(f"pole of f within 1e-9 of a {where} sample")
         ws = np.asarray(f(zs))
-        nxt = np.roll(ws, -1) if c.closed else ws[1:]
-        cur = ws if c.closed else ws[:-1]
-        chord = np.abs(nxt - cur)
-        scale = max(ws.real.max() - ws.real.min(), ws.imag.max() - ws.imag.min())
-        bad = chord > rel_chord * max(scale, 1e-300)
-        if not bad.any() or zs.size > _MAX_REFINE_POINTS:
-            break
+        bad = too_coarse(ws, np.roll(ws, -1)) if c.closed else too_coarse(ws[:-1], ws[1:])
+        if not bad.any():
+            return ws
+        if zs.size > _MAX_REFINE_POINTS:
+            raise NumericalError(f"image refinement exceeded {_MAX_REFINE_POINTS} samples")
         idx = np.nonzero(bad)[0]
-        nxz = np.roll(zs, -1) if c.closed else zs[1:]
-        mids = 0.5 * (zs[idx] + nxz[idx])
-        if not f.is_polynomial and np.abs(f.den(mids)).min() < NEAR_HIT:
-            raise PreconditionError("pole of f within 1e-9 of a refined sample")
-        zs = np.insert(zs, idx + 1, mids)
-    return SampledCurve(np.asarray(f(zs)), closed=c.closed)
+        added = 0.5 * (zs[idx] + np.roll(zs, -1)[idx])
+        zs = np.insert(zs, idx + 1, added)
+    raise NumericalError(f"image refinement did not settle in {_MAX_REFINE_ROUNDS} rounds")
+
+
+def image_curve(f, c: SampledCurve) -> SampledCurve:
+    """Pointwise image of c under f, refined until every chord is at most
+    0.02 times the image's extent."""
+
+    def too_coarse(a, b):
+        ends = np.concatenate([a, b])
+        extent = max(np.ptp(ends.real), np.ptp(ends.imag))
+        return np.abs(b - a) > _REL_CHORD * max(extent, 1e-300)
+
+    return SampledCurve(_refine(as_rational(f), c, too_coarse), closed=c.closed)
 
 
 def count_preimages(f, c: SampledCurve, w, return_residual: bool = False):
@@ -240,18 +229,24 @@ def count_preimages(f, c: SampledCurve, w, return_residual: bool = False):
     then the winding is the rounded angle sum (pre-rounding residual must be
     below 1e-6, and is returned on request).
     """
-    f = as_rational(f)
     if not c.closed:
         raise PreconditionError("count_preimages needs a closed curve")
     if c.orientation != 1:
         raise PreconditionError("count_preimages needs a positively oriented curve")
     w = complex(w)
-    zs = c.points.copy()
-    if not f.is_polynomial:
-        if np.abs(f.den(zs)).min() < NEAR_HIT:
-            raise PreconditionError("pole of f within 1e-9 of a curve sample")
-    turns = _refine_by_angle(f, zs, w, max_turn=0.2)
-    total = float(turns.sum())
+
+    def turns(a, b):
+        d = a - w
+        j = int(np.abs(d).argmin())
+        if abs(d[j]) < NEAR_HIT:
+            raise PreconditionError(
+                f"image passes within {NEAR_HIT:g} of target "
+                f"(nearest approach {abs(d[j]):.3g} at sample {j})"
+            )
+        return np.angle((b - w) / d)
+
+    ws = _refine(as_rational(f), c, lambda a, b: np.abs(turns(a, b)) > 0.2)
+    total = float(turns(ws, np.roll(ws, -1)).sum())
     k = int(round(total / (2 * np.pi)))
     residual = abs(total / (2 * np.pi) - k)
     if residual > 1e-6:

@@ -4,7 +4,8 @@ The fingerprint of a curve is the circle diffeomorphism composing the
 inverse exterior Riemann map with the interior one; for the preimage curve
 p^{-1}(Gamma) of a degree-n polynomial it factors through a degree-n
 Blaschke product, and `identity_report` measures how well the computed
-objects satisfy that factorization.
+objects satisfy that factorization. B's lift is taken in closed form: each
+factor (z - a)/(1 - conj(a) z) lifts to theta + 2 arg(1 - a e^{-i theta}).
 
 The preimage curve is traced by the lap monodromy of `levelcurves`: one lap
 of Gamma lifted from each root of p - Gamma(0). p is proper for Gamma iff
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .conformal import DiskMap, ExteriorMap, riemann_maps
-from .curves import NEAR_HIT, SampledCurve, is_jordan, winding_number, winding_numbers
+from .curves import NEAR_HIT, SampledCurve, is_jordan, winding_numbers
 from .errors import NumericalError, PreconditionError, TraceError
 from .levelcurves import _cycles, _lap_monodromy
 from .polynomials import Polynomial, critical_values, roots_flat
@@ -120,22 +121,25 @@ class BlaschkeProduct:
             out = out * (z - a) / (1.0 - np.conj(a) * z)
         return out if out.ndim else complex(out)
 
+    def lift(self, theta):
+        """Continuous lift of theta -> arg B(e^{i theta}), in closed form:
+        each factor lifts to theta + 2 arg(1 - a e^{-i theta}), continuous
+        as |a| < 1. Shifted by 2 pi k so that lift(0) lies in (-pi, pi]."""
+        theta = np.asarray(theta, dtype=float)
+        u = np.exp(-1j * theta)[..., None]
+        arg = np.angle(self.rotation)
+        lift = arg + self.degree * theta + 2.0 * np.angle(1.0 - self.zeros * u).sum(axis=-1)
+        at0 = arg + 2.0 * np.angle(1.0 - self.zeros).sum()
+        return lift + _TWO_PI * np.floor((np.pi - at0) / _TWO_PI)
+
 
 def circle_map_of_blaschke(b: BlaschkeProduct, samples: int = 4096) -> CircleMap:
-    """Continuous lift of theta -> arg B(e^{i theta}), total increase 2*pi*degree."""
+    """B's lift (total increase 2*pi*degree) as a CircleMap through `samples`
+    uniform nodes."""
     if b.degree < 1:
         raise PreconditionError("need degree >= 1")
     t = np.linspace(0.0, _TWO_PI, samples, endpoint=False)
-    vals = b(np.exp(1j * t))
-    lift = np.unwrap(np.angle(vals))
-    gaps = np.diff(lift)
-    if np.any(gaps <= 0) or gaps.max() >= np.pi / 2:
-        raise NumericalError("Blaschke lift under-resolved; increase samples")
-    cm = CircleMap(t, lift, degree=b.degree)
-    wrap_gap = (lift[0] + b.degree * _TWO_PI) - lift[-1]
-    if not 0 < wrap_gap < np.pi / 2:
-        raise NumericalError("Blaschke lift does not close with the right degree")
-    return cm
+    return CircleMap(t, b.lift(t), degree=b.degree)
 
 
 def nth_root_lift(m: CircleMap, n: int, branch: int = 0) -> CircleMap:
@@ -293,18 +297,14 @@ def identity_report(
     m = samples_per_lap or max(512, (2 * nodes) // n)
     pts, taus = _trace_pseudo_lemniscate(p, gamma, m)
     lem = SampledCurve(pts, closed=True)
-    if winding_number(gamma, 0.0) != 1 or winding_number(lem, 0.0) != 1:
-        raise PreconditionError("the origin must lie inside the curve and its preimage")
-
     dm_lem, em_lem = riemann_maps(lem, nodes)
     dm_gam, em_gam = riemann_maps(gamma, nodes)
     k_p = _fingerprint_from_maps(dm_lem, em_lem)
     k_g = _fingerprint_from_maps(dm_gam, em_gam)
     b = _blaschke_from_maps(p, dm_lem, dm_gam, taus)
-    lb = circle_map_of_blaschke(b, samples=max(4096, 4 * nodes))
 
     theta = np.linspace(0.0, _TWO_PI, samples, endpoint=False)
-    c = n * k_p.lift(theta) - k_g.lift(lb.lift(theta))
+    c = n * k_p.lift(theta) - k_g.lift(b.lift(theta))
     k_star = np.round(np.median(c) / _TWO_PI)
     residual = float(np.max(np.abs(c - _TWO_PI * k_star)))
     return IdentityReport(

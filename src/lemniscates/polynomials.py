@@ -11,6 +11,7 @@ import numpy as np
 from .errors import NumericalError, PreconditionError, RootFindingError, TraceError
 
 MAX_DEGREE = 64
+DESIGN_ATTEMPTS = 5  # spacing ratios tried by design_counterexample
 _ABERTH_MAX_ITER = 200
 
 
@@ -248,10 +249,12 @@ def poly_roots(p: Polynomial, tol: float = 1e-8):
     coefficient). Exact zero trailing coefficients are deflated as roots at
     the origin first.
 
-    Raises PreconditionError when p overflows on the disk that holds its
-    roots, and RootFindingError (carrying the best iterates) on
-    non-convergence or a non-finite root.
+    Raises PreconditionError unless 0 < tol < 1 or when p overflows on the
+    disk that holds its roots, and RootFindingError (carrying the best
+    iterates) on non-convergence or a non-finite root.
     """
+    if not 0.0 < tol < 1.0:  # also refuses NaN
+        raise PreconditionError(f"root tolerance must lie in (0, 1), got {tol}")
     if not isinstance(p, Polynomial):
         p = Polynomial(p)
     if p.degree < 1:
@@ -354,14 +357,14 @@ def _nonzero_critical_moduli(p: Polynomial):
     return mods
 
 
-def design_counterexample(n: int, step: float = 0.02, max_attempts: int = 5):
+def design_counterexample(n: int, step: float = 0.02):
     """Construct and numerically validate the degree-n family member.
 
     Validation checks that the nonzero critical moduli are strictly
     increasing and that between consecutive critical moduli the level set
     splits the zeros as a nested figure-eight sequence requires: the first
     k+1 zeros share one component while every farther zero has its own.
-    The spacing ratio doubles on failure, up to max_attempts.
+    The spacing ratio doubles on failure, up to DESIGN_ATTEMPTS times.
     """
     from .curves import winding_numbers  # deferred: cycle
     from .levelcurves import LEVEL_INVARIANT_TOL, level_components
@@ -374,7 +377,7 @@ def design_counterexample(n: int, step: float = 0.02, max_attempts: int = 5):
 
     ratio = 3.0
     last_err = None
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, DESIGN_ATTEMPTS + 1):
         zeros = counterexample_zeros(n, ratio)
         poly = Polynomial.from_roots(zeros)
         points = sorted(set(zeros), key=abs)  # distinct zero locations
@@ -408,7 +411,7 @@ def design_counterexample(n: int, step: float = 0.02, max_attempts: int = 5):
             last_err = err
             ratio *= 2.0
     raise NumericalError(
-        f"no validated spacing found for n={n} after {max_attempts} attempts: {last_err}"
+        f"no validated spacing found for n={n} after {DESIGN_ATTEMPTS} attempts: {last_err}"
     )
 
 

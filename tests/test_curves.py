@@ -262,6 +262,25 @@ def test_image_curve_pole_rejected():
         image_curve(inv, unit_circle(64))  # the sample at angle 0 is the pole
 
 
+def test_image_curve_resolves_a_pole_near_the_curve():
+    """1/(z - (1 + 1e-6)) sweeps most of its image within 1e-6 of z = 1: the
+    refinement keeps going there until every chord is within 2% of the
+    image extent."""
+    f = RationalMap(Polynomial([1.0]), Polynomial([-(1.0 + 1e-6), 1.0]))
+    img = image_curve(f, unit_circle(64)).points
+    extent = max(np.ptp(img.real), np.ptp(img.imag))
+    assert np.max(np.abs(np.roll(img, -1) - img)) <= 0.02 * extent
+
+
+def test_count_preimages_pole_at_refined_midpoint_rejected():
+    """The pole (1 + i)/2 is the midpoint of the diamond's first chord: it is
+    not a sample, but refinement inserts it."""
+    f = RationalMap(Polynomial([1.0]), Polynomial([-(1 + 1j) / 2, 1.0]))
+    diamond = SampledCurve([1, 1j, -1, -1j])
+    with pytest.raises(PreconditionError, match="refined sample"):
+        count_preimages(f, diamond, 0.0)
+
+
 def test_is_jordan():
     assert is_jordan(unit_circle(256)) is True
     t = np.linspace(0, 2 * np.pi, 256, endpoint=False)

@@ -65,6 +65,49 @@ def test_circle_map_of_blaschke_degrees():
     assert off.check_monotone()
 
 
+@settings(max_examples=60)
+@given(
+    zeros=st.lists(st.complex_numbers(max_magnitude=0.9999), min_size=1, max_size=5),
+    phase=st.floats(0.0, 2 * np.pi),
+)
+def test_blaschke_lift_is_the_continuous_argument(zeros, phase):
+    """The closed-form lift is arg B(e^{i theta}) mod 2 pi, strictly
+    increasing, with total increase 2 pi n, and starts in (-pi, pi]."""
+    b = BlaschkeProduct(zeros, np.exp(1j * phase))
+    # theta is rounded to about eps * 2 pi, and the lift's slope reaches
+    # (1 + |a|)/(1 - |a|) per zero, at the zero's angle
+    r = np.abs(b.zeros)
+    tol = max(1e-12, np.finfo(float).eps * 2 * np.pi * np.sum((1 + r) / (1 - r)))
+    t = np.linspace(0.0, 2 * np.pi, 4097)
+    probe = np.concatenate([t, np.angle(b.zeros)])
+    gap = b.lift(probe) - np.angle(b(np.exp(1j * probe)))
+    assert np.max(np.abs(gap - 2 * np.pi * np.round(gap / (2 * np.pi)))) <= tol
+    lift = b.lift(t)
+    assert np.all(np.diff(lift) > 0)
+    assert abs(lift[-1] - lift[0] - 2 * np.pi * b.degree) <= tol
+    assert -np.pi < lift[0] <= np.pi
+
+
+def test_blaschke_lift_of_z_power_on_circle(circle_T):
+    """For p = z^n on the unit circle, B = z^n and its lift is n theta."""
+    t = np.linspace(0.0, 2 * np.pi, 257)
+    for n in (1, 2, 3, 4):
+        b = identity_report(zpow(n), circle_T, nodes=256, samples_per_lap=256).blaschke
+        assert np.max(np.abs(b.lift(t) - n * t)) <= 1e-12
+
+
+def test_circle_map_of_blaschke_crowded_zero():
+    """A zero at 0.999 turns its factor by 4.4 rad within 0.004 rad, under
+    three spacings of 4096 uniform nodes: too fast for a lift unwrapped from
+    samples, while the closed form needs no finer grid."""
+    b = BlaschkeProduct([0.999, -0.3])
+    m = circle_map_of_blaschke(b, 4096)
+    assert m.check_monotone()
+    assert m.total_increase == pytest.approx(4 * np.pi)
+    gap = m.lift_nodes - np.angle(b(np.exp(1j * m.t_nodes)))
+    assert np.max(np.abs(gap - 2 * np.pi * np.round(gap / (2 * np.pi)))) <= 1e-12
+
+
 def test_circle_map_validation():
     t = np.linspace(0, 2 * np.pi, 32, endpoint=False)
     with pytest.raises(NumericalError):

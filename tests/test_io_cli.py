@@ -159,6 +159,8 @@ def test_cli_malformed_inputs_exit_2_or_3(files, capsys, command):
     if argv[0] == "roots":
         for name in {**_BAD_POLYS, **_OVERFLOW_POLYS}:
             _assert_fails_with_json([*base, "roots", str(files / name)], capsys)
+        for tol in ("inf", "nan", "0", "-1", "1"):
+            _assert_fails_with_json([*base, "roots", p2, "--tol", tol], capsys)
         argv.append(p2)
     elif argv[0] in _OUTPUTS:
         out = _OUTPUTS[argv[0]]

@@ -193,6 +193,14 @@ def test_poly_roots_rejects_overflowing_coefficient_range(coeffs):
             poly_roots(Polynomial(coeffs))
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0, 1.0])
+def test_poly_roots_rejects_tol_outside_unit_interval(tol):
+    """An infinite tol used to merge every root into one cluster at their
+    mean, and a NaN one to fail every residual test."""
+    with pytest.raises(PreconditionError, match="tolerance"):
+        poly_roots(Polynomial([0.05 + 0.02j, 0.1, 0.3 + 0.1j, 0.8]), tol=tol)
+
+
 def test_poly_roots_never_returns_non_finite_roots(monkeypatch):
     # a NaN residual compares False against any goal: it must still fail
     monkeypatch.setattr(polynomials, "_aberth", lambda c: np.full(c.size - 1, np.nan + 0j))
