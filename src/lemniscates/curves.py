@@ -6,9 +6,10 @@ downward one -1, each edge owning the half-open y-range [min, max), so the
 counts are exact integers. Targets sorted by y meet only the edges whose
 y-range holds them.
 
-The Jordan test scores only the segment pairs whose boxes, widened by tol,
-share a cell in a stack of grids of side 2**k: a box is hashed into the grid
-where it spans at most two cells a side and into the coarser ones.
+The Jordan test pairs segments the same way: boxes widened by tol, sorted
+by left edge, meet only the later boxes that start before they end, and the
+pairs whose y-ranges also overlap are scored. Both kernels pair by one sort
+and a searchsorted.
 """
 from __future__ import annotations
 
@@ -187,18 +188,22 @@ def resample(c: SampledCurve, count: int) -> SampledCurve:
 def _refine(f, c: SampledCurve, too_coarse):
     """Images under the rational map f of the samples of c, with chord
     midpoints inserted until too_coarse(a, b), given the images a and b at
-    the two ends of every chord, flags none of them.
+    the two ends of every chord, flags none of them. f is evaluated once per
+    sample, when the sample is added.
 
     Every sample, the first ones and each refined midpoint, must keep 1e-9
     from the poles of f; a loop that has not settled after 40 rounds or past
     a million samples raises NumericalError.
     """
-    zs = added = c.points
-    for round_ in range(_MAX_REFINE_ROUNDS):
-        if not f.is_polynomial and np.abs(f.den(added)).min() < NEAR_HIT:
-            where = "refined" if round_ else "curve"
+
+    def images(z, where):
+        if not f.is_polynomial and np.abs(f.den(z)).min() < NEAR_HIT:
             raise PreconditionError(f"pole of f within 1e-9 of a {where} sample")
-        ws = np.asarray(f(zs))
+        return np.asarray(f(z))
+
+    zs = c.points
+    ws = images(zs, "curve")
+    for _ in range(_MAX_REFINE_ROUNDS):
         bad = too_coarse(ws, np.roll(ws, -1)) if c.closed else too_coarse(ws[:-1], ws[1:])
         if not bad.any():
             return ws
@@ -207,6 +212,7 @@ def _refine(f, c: SampledCurve, too_coarse):
         idx = np.nonzero(bad)[0]
         added = 0.5 * (zs[idx] + np.roll(zs, -1)[idx])
         zs = np.insert(zs, idx + 1, added)
+        ws = np.insert(ws, idx + 1, images(added, "refined"))
     raise NumericalError(f"image refinement did not settle in {_MAX_REFINE_ROUNDS} rounds")
 
 
@@ -294,36 +300,19 @@ def is_jordan(c: SampledCurve, tol: float = 1e-9) -> bool:
     last = n - 1 if c.closed else n  # segment n - 1 meets segment 0 only when closed
     # widened boxes of close segments overlap; past the extent widening adds no pair
     pad = min(tol, np.ptp(p.real) + np.ptp(p.imag))
-    lo = np.stack([np.minimum(a.real, b.real), np.minimum(a.imag, b.imag)]) - pad
-    hi = np.stack([np.maximum(a.real, b.real), np.maximum(a.imag, b.imag)]) + pad
-    origin = lo.min(axis=1, keepdims=True)
-    # grids of cell side 2**level: each box is an owner in the grid of the
-    # level where it spans at most 2 cells a side, and a visitor in the
-    # coarser ones. At most 2**26 cells a side keep the cell keys exact.
-    size = np.maximum((hi - lo).max(axis=0), float((hi - origin).max()) / 2**26)
-    level = np.ceil(np.log2(size))
-    for lev in np.unique(level):
-        member = np.nonzero(level <= lev)[0]
-        h = 2.0**lev
-        c0 = np.floor((lo[:, member] - origin) / h).astype(np.int64)
-        side = np.floor((hi[:, member] - origin) / h).astype(np.int64) - c0 + 1
-        cells = side[0] * side[1]
-        entry = np.repeat(np.arange(member.size), cells)
-        r = np.arange(entry.size) - np.repeat(np.cumsum(cells) - cells, cells)
-        cell = (c0[0, entry] + r // side[1, entry]) * 2**27 + c0[1, entry] + r % side[1, entry]
-        visitor = level[member[entry]] < lev
-        order = np.argsort(2 * cell + visitor, kind="stable")  # owners first
-        cell, seg = cell[order], member[entry[order]]
-        # each owner entry pairs with the later entries of its cell
-        stop = np.searchsorted(cell, cell, side="right")
-        start = np.where(visitor[order], stop, np.arange(1, cell.size + 1))
-        for e, t in _edge_target_pairs(start, stop):
-            i, j = np.minimum(seg[e], seg[t]), np.maximum(seg[e], seg[t])
-            apart = (j - i > 1) & ((i > 0) | (j < last))  # drop adjacent pairs
-            pair = np.unique(i[apart] * n + j[apart])
-            i, j = pair // n, pair % n
-            meet = np.all((lo[:, i] <= hi[:, j]) & (lo[:, j] <= hi[:, i]), axis=0)
-            i, j = i[meet], j[meet]
-            if _segment_pair_too_close(a[i], b[i], a[j], b[j], tol).any():
-                return False
+    xlo, xhi = np.minimum(a.real, b.real) - pad, np.maximum(a.real, b.real) + pad
+    ylo, yhi = np.minimum(a.imag, b.imag) - pad, np.maximum(a.imag, b.imag) + pad
+    # in order of left edge, each box pairs with the later boxes that start
+    # before it ends: every x-overlapping pair is met once
+    order = np.argsort(xlo, kind="stable")
+    xlo, xhi, ylo, yhi = xlo[order], xhi[order], ylo[order], yhi[order]
+    stop = np.searchsorted(xlo, xhi, side="right")
+    for e, t in _edge_target_pairs(np.arange(1, n + 1), stop):
+        meet = (ylo[e] <= yhi[t]) & (ylo[t] <= yhi[e])
+        e, t = order[e[meet]], order[t[meet]]
+        i, j = np.minimum(e, t), np.maximum(e, t)
+        apart = (j - i > 1) & ((i > 0) | (j < last))  # drop adjacent pairs
+        i, j = i[apart], j[apart]
+        if _segment_pair_too_close(a[i], b[i], a[j], b[j], tol).any():
+            return False
     return True

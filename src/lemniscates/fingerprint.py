@@ -157,9 +157,9 @@ def nth_root_lift(m: CircleMap, n: int, branch: int = 0) -> CircleMap:
 def _trace_pseudo_lemniscate(p: Polynomial, gamma: SampledCurve, samples_per_lap: int):
     """The lap arcs of `_lap_monodromy` joined in the order of the first cycle.
 
-    Returns (points, taus): nm samples of the preimage curve, uniform in tau,
-    and the base parameter of each (tau in [0, 2 pi n), the Gamma-lap
-    position); a cycle shorter than n raises TraceError.
+    Returns the nm samples of the preimage curve, uniform in the base
+    parameter tau in [0, 2 pi n) (the Gamma-lap position); a cycle shorter
+    than n raises TraceError.
     """
     n = p.degree
     m = samples_per_lap
@@ -167,8 +167,7 @@ def _trace_pseudo_lemniscate(p: Polynomial, gamma: SampledCurve, samples_per_lap
     cycle = _cycles(perm)[0]
     if len(cycle) < n:
         raise TraceError(f"curve closed after {len(cycle)} of {n} laps; input is not proper")
-    pts = arcs[cycle, :m].ravel()
-    return pts, (_TWO_PI / m) * np.arange(n * m)
+    return arcs[cycle, :m].ravel()
 
 
 def pseudo_lemniscate(
@@ -180,8 +179,7 @@ def pseudo_lemniscate(
         raise PreconditionError(
             "pseudo-lemniscate is not Jordan: some critical value lies outside"
         )
-    pts, _ = _trace_pseudo_lemniscate(p, gamma, samples_per_lap)
-    return SampledCurve(pts, closed=True)
+    return SampledCurve(_trace_pseudo_lemniscate(p, gamma, samples_per_lap), closed=True)
 
 
 # -- properness ----------------------------------------------------------------
@@ -239,18 +237,18 @@ def fingerprint_of_curve(gamma: SampledCurve, nodes: int = 512) -> CircleMap:
 
 
 def _blaschke_from_maps(
-    p: Polynomial, dm_lem: DiskMap, dm_gamma: DiskMap, taus: np.ndarray
+    p: Polynomial, dm_lem: DiskMap, dm_gamma: DiskMap, m: int
 ) -> BlaschkeProduct:
-    """Blaschke model from solved maps and the lap correspondence taus."""
+    """Blaschke model from solved maps; the pseudo-lemniscate was traced at m
+    samples per lap of Gamma."""
     n = p.degree
     roots = np.asarray(roots_flat(p, tol=1e-8), dtype=complex)
     zeros = np.atleast_1d(dm_lem.interior_inverse(roots))
     b0 = BlaschkeProduct(zeros, 1.0)
-    total = taus.size
+    total = n * m
     sel = np.unique(np.linspace(0, total - 1, 256).astype(int))
     # the lemniscate parameter 2 pi sel / total and the lap position
-    # taus[sel] mod 2 pi are nodes of the total- and m-point grids
-    m = total // n
+    # 2 pi sel / m mod 2 pi are nodes of the total- and m-point grids
     a = dm_lem._theta_on_grid(total)[sel]
     eta = dm_gamma._theta_on_grid(m)[sel % m]
     phase = np.exp(1j * eta) / b0(np.exp(1j * a))
@@ -295,13 +293,12 @@ def identity_report(
         raise PreconditionError("input is not proper")
     n = p.degree
     m = samples_per_lap or max(512, (2 * nodes) // n)
-    pts, taus = _trace_pseudo_lemniscate(p, gamma, m)
-    lem = SampledCurve(pts, closed=True)
+    lem = SampledCurve(_trace_pseudo_lemniscate(p, gamma, m), closed=True)
     dm_lem, em_lem = riemann_maps(lem, nodes)
     dm_gam, em_gam = riemann_maps(gamma, nodes)
     k_p = _fingerprint_from_maps(dm_lem, em_lem)
     k_g = _fingerprint_from_maps(dm_gam, em_gam)
-    b = _blaschke_from_maps(p, dm_lem, dm_gam, taus)
+    b = _blaschke_from_maps(p, dm_lem, dm_gam, m)
 
     theta = np.linspace(0.0, _TWO_PI, samples, endpoint=False)
     c = n * k_p.lift(theta) - k_g.lift(b.lift(theta))

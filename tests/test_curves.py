@@ -272,6 +272,22 @@ def test_image_curve_resolves_a_pole_near_the_curve():
     assert np.max(np.abs(np.roll(img, -1) - img)) <= 0.02 * extent
 
 
+def test_image_curve_evaluates_each_sample_once(monkeypatch):
+    """The refinement keeps the images it has: f sees each output sample
+    once, though 1/(z - (1 + 1e-6)) on unit_circle(64) takes 24 rounds."""
+    evaluated = []
+    call = RationalMap.__call__
+
+    def counting(self, z):
+        evaluated.append(np.size(z))
+        return call(self, z)
+
+    monkeypatch.setattr(RationalMap, "__call__", counting)
+    f = RationalMap(Polynomial([1.0]), Polynomial([-(1.0 + 1e-6), 1.0]))
+    img = image_curve(f, unit_circle(64))
+    assert sum(evaluated) == len(img) == 310
+
+
 def test_count_preimages_pole_at_refined_midpoint_rejected():
     """The pole (1 + i)/2 is the midpoint of the diamond's first chord: it is
     not a sample, but refinement inserts it."""
@@ -424,11 +440,18 @@ def _figure_eight(n):
     return SampledCurve(np.sin(2 * t) + 1j * np.sin(t), closed=True)
 
 
+def _x_graded_circle(n, smallest):
+    """The unit circle at angles graded geometrically down to `smallest` on
+    each side of 0: the segments near z = 1 crowd within 1e-9 in x."""
+    theta = np.geomspace(smallest, np.pi, n // 2, endpoint=False)
+    return SampledCurve(np.exp(1j * np.concatenate([-theta[::-1], theta])), closed=True)
+
+
 def test_is_jordan_matches_dense_on_solver_curves(d4_chain):
     from lemniscates._fourier import trig_resample
 
     ell = SampledCurve(trig_resample(ellipse(1.0, 0.6, 512).points, 2048), closed=True)
-    for c in (d4_chain.curve, ell, _figure_eight(3000)):
+    for c in (d4_chain.curve, ell, _figure_eight(3000), _x_graded_circle(1500, 1e-6)):
         for tol in (1e-9, 1e-2):
             assert is_jordan(c, tol) == _dense_is_jordan(c, tol)
     assert is_jordan(d4_chain.curve, 1e-9) and is_jordan(ell, 1e-9)
@@ -448,20 +471,31 @@ def test_is_jordan_independent_of_pair_blocks(monkeypatch):
     assert whole[8:] == [True, True, False, False]
 
 
+def _comb(teeth, pitch):
+    """A closed comb of thin triangular teeth, 1 tall and pitch apart, over a
+    base: neighbouring teeth come within about pitch of each other."""
+    x = pitch * np.arange(teeth)
+    pts = np.stack([x, x + pitch / 2 + 1j], axis=1).ravel()
+    return np.concatenate([pts, [teeth * pitch, teeth * pitch - 1j, -1j]])
+
+
 def test_is_jordan_long_edge_adversary():
     """20,000 graded segments (1e-15 to 0.2 long) along a parabola, closed by
     its 10-unit chord. One uniform grid fitted to the long edge would put
-    most segments into one cell."""
+    most segments into one cell. Then a 2,000-tooth comb, upright and turned
+    on its side, where every tooth overlaps every other in x."""
     import time
 
     s = 10.0 * np.exp(np.linspace(-30.0, 0.0, 20_001))
     arc = (s + 0.5j * np.sqrt(s * (10.0 - s))) * np.exp(0.25j * np.pi)
-    c = SampledCurve(arc, closed=True)
-    for tol, jordan in ((1e-9, True), (1e-2, False)):
-        t0 = time.perf_counter()
-        assert is_jordan(c, tol) is jordan
-        assert time.perf_counter() - t0 < 1.0
-        assert _dense_is_jordan(c, tol) is jordan
+    comb = _comb(2000, 0.005)
+    for pts in (arc, comb, 1j * comb):
+        c = SampledCurve(pts, closed=True)
+        for tol, jordan in ((1e-9, True), (1e-2, False)):
+            t0 = time.perf_counter()
+            assert is_jordan(c, tol) is jordan
+            assert time.perf_counter() - t0 < 1.0
+            assert _dense_is_jordan(c, tol) is jordan
 
 
 @pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf"), -float("inf")])
