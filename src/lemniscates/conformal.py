@@ -11,9 +11,11 @@ integral. So each solve holds two real n x n kernels, (2/n) Im C and Re C,
 built a block of rows at a time; C itself is never held whole. On analytic
 boundaries all of it converges spectrally.
 
-Exterior maps are reduced to interior ones by the inversion z -> 1/z. The
-reflected curve's Cauchy matrix is a diagonal rescaling of the curve's, so
-`riemann_maps` builds one pair of kernels per curve, solves the interior
+Exterior maps are reduced to interior ones by the reflection z -> conj(1/z).
+1/z reverses the orientation and conj reverses it back, so the reflected
+curve keeps the curve's node order and its interior correspondence is the
+exterior one. Its Cauchy matrix is the conjugate of a diagonal rescaling of
+the curve's, so `riemann_maps` builds one pair of kernels per curve, solves the interior
 system on it, turns it in place into the reflected curve's pair and solves
 the exterior system in the same buffers: 2 * 8n^2 bytes for both maps, plus
 GMRES' own workspace. Both maps share one solve path: the curve is checked
@@ -36,7 +38,7 @@ from ._fourier import (
     trig_resample,
 )
 from .curves import SampledCurve, is_jordan, winding_number
-from .errors import NumericalError, PreconditionError, SolverError
+from .errors import PreconditionError, SolverError
 
 DEFAULT_NODES = 512
 MAX_NODES = 4096
@@ -44,14 +46,8 @@ SELF_CONSISTENCY_TOL = 1e-6
 INTERIOR_MARGIN = 0.02  # reject |w| > 1 - margin in disk-side evaluation
 
 _TWO_PI = 2.0 * np.pi
-_START_EPS = 1e-9
+_START_EPS = 1e-9  # theta starts in [-eps, 2*pi - eps)
 _BLOCK_ROWS = 16  # rows of C built or rescaled per pass: 0.5 MB of complex at 2048 nodes
-
-
-def _whole_turns(start: float) -> float:
-    """Turns k such that start - 2*pi*k lies in [-eps, 2*pi - eps): a lift
-    that starts at 0 up to rounding stays at 0 instead of jumping by 2*pi."""
-    return np.floor((start + _START_EPS) / _TWO_PI)
 
 
 def _resampled_points(gamma: SampledCurve, nodes: int) -> np.ndarray:
@@ -90,14 +86,15 @@ def _self_consistent(solve, gamma: SampledCurve, nodes: int | None):
 
 
 class DiskMap:
-    """Boundary correspondence and evaluators for phi: D -> Omega, phi(0)=0."""
+    """Boundary correspondence and evaluators for phi: D -> Omega, phi(0)=0;
+    mu and g0 = g(0) are the solve's density and constant (see _solve_on)."""
 
-    def __init__(self, points, theta, center_derivative, mu=None, g0=0j):
+    def __init__(self, points, theta, center_derivative, mu, g0):
         self.points = np.asarray(points, dtype=complex)
         self.nodes = self.points.size
         self.theta = np.asarray(theta, dtype=float)
         self.center_derivative = float(center_derivative)
-        self._mu = None if mu is None else np.asarray(mu, dtype=float)
+        self._mu = np.asarray(mu, dtype=float)
         self._g0 = complex(g0)
         self._gamma_c = fourier_coeffs(self.points)
         self._dgamma = trig_diff(self.points)
@@ -105,9 +102,9 @@ class DiskMap:
         self._p_c = fourier_coeffs(self.theta - t)  # periodic part of the lift
         self._dtheta = 1.0 + np.real(trig_diff(self.theta - t))
         gaps = np.diff(np.concatenate([self.theta, [self.theta[0] + _TWO_PI]]))
-        if np.any(gaps <= 0):
+        if not np.all(gaps > 0):
             raise SolverError("boundary correspondence is not strictly increasing")
-        if self.center_derivative <= 0:
+        if not self.center_derivative > 0:
             raise SolverError("center derivative must be positive")
 
     # -- parameter <-> angle ------------------------------------------------
@@ -181,46 +178,19 @@ class DiskMap:
             raise PreconditionError(
                 f"interior evaluation needs |w| <= {1.0 - INTERIOR_MARGIN}"
             )
-        out = self._cauchy(w_arr, 1)
-        return out if np.ndim(w) else complex(out[0])
-
-    def _cauchy(self, w, power):
-        """Cauchy sum over the boundary correspondence: phi(w) for power 1,
-        phi'(w) for power 2, at the 1-D array w."""
         zeta = np.exp(1j * self.theta)
         weight = self.points * zeta * self._dtheta / self.nodes
-        return (weight[None, :] / (zeta[None, :] - w[:, None]) ** power).sum(axis=1)
+        out = (weight[None, :] / (zeta[None, :] - w_arr[:, None])).sum(axis=1)
+        return out if np.ndim(w) else complex(out[0])
 
     def interior_inverse(self, z):
-        """w in D with phi(w) = z, for z strictly inside Omega."""
-        if self._mu is not None:
-            f = self._forward_f(z)
-            a = np.abs(np.atleast_1d(f))
-            if np.any(a >= 1.0):
-                raise PreconditionError("point is not strictly inside the domain")
-            return f
-        # density unavailable (cache-loaded map): Newton on the evaluator
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        w = np.clip(
-            np.abs(z_arr / self.center_derivative), 0.0, 0.8
-        ) * np.exp(1j * np.angle(z_arr / self.center_derivative))
-        for _ in range(80):
-            step = (self._cauchy(w, 1) - z_arr) / self._cauchy(w, 2)
-            w = w - step
-            w = np.where(np.abs(w) > 0.97, 0.97 * np.exp(1j * np.angle(w)), w)
-            if np.max(np.abs(step)) < 1e-14:
-                break
-        resid = np.max(np.abs(self._cauchy(w, 1) - z_arr))
-        if resid > 1e-9 * max(np.max(np.abs(self.points)), 1.0):
-            raise NumericalError(f"interior inversion stalled (residual {resid:.3g})")
-        return w if np.ndim(z) else complex(w[0])
-
-    def _forward_f(self, z):
-        """f(z) = phi^{-1}(z) via the solved density."""
+        """w = f(z) in D with phi(w) = z, for z strictly inside Omega."""
         z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
         rho = self._mu * self._dgamma * (_TWO_PI / self.nodes)
         g = (rho / (self.points - z_arr[:, None])).sum(axis=1) / (1j * np.pi)
         f = z_arr * np.exp(g - 1j * self._g0.imag)
+        if np.any(np.abs(f) >= 1.0):
+            raise PreconditionError("point is not strictly inside the domain")
         return f if np.ndim(z) else complex(f[0])
 
     def to_dict(self):
@@ -229,12 +199,22 @@ class DiskMap:
             "theta": self.theta.tolist(),
             "points": [[p.real, p.imag] for p in self.points],
             "center_derivative": self.center_derivative,
+            "mu": self._mu.tolist(),
+            "g0": [self._g0.real, self._g0.imag],
         }
 
     @classmethod
     def from_dict(cls, d):
-        pts = np.array([complex(re, im) for re, im in d["points"]])
-        return cls(pts, np.asarray(d["theta"], dtype=float), d["center_derivative"])
+        """The map written by to_dict. A malformed file, or one without mu
+        and g0 (written before maps carried them), raises PreconditionError."""
+        try:
+            pts = np.array([complex(re, im) for re, im in d["points"]])
+            theta, mu = np.asarray(d["theta"], float), np.asarray(d["mu"], float)
+            if not (pts.size and theta.shape == mu.shape == pts.shape):
+                raise PreconditionError("map JSON: points, theta and mu differ in length")
+            return cls(pts, theta, float(d["center_derivative"]), mu, complex(*d["g0"]))
+        except (KeyError, TypeError, ValueError, SolverError) as err:
+            raise PreconditionError(f"malformed map JSON: {err!r}") from None
 
     def __repr__(self):
         return f"DiskMap(nodes={self.nodes}, center_derivative={self.center_derivative:.6g})"
@@ -266,10 +246,10 @@ def _kernels(points: np.ndarray, dg: np.ndarray):
 
 
 def _rescale(im: np.ndarray, re: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Turn the kernels (im, re) of C in place into those of diag(a) C diag(b).
-    With P + iQ = a_s b_t: Im' = P im + (2/n) Q re and Re' = P re - (n/2) Q im,
-    that is one complex product per entry, taken _BLOCK_ROWS rows at a time
-    in two block buffers."""
+    """Turn the kernels (im, re) of C in place into those of the conjugate
+    conj(diag(a) C diag(b)): one complex product a_s C[s, t] b_t per entry,
+    of which Re and -(2/n) Im are written back, taken _BLOCK_ROWS rows at a
+    time in two block buffers."""
     n = b.size
     z = np.empty((min(_BLOCK_ROWS, n), n), dtype=complex)
     f = np.empty_like(z)
@@ -281,20 +261,19 @@ def _rescale(im: np.ndarray, re: np.ndarray, a: np.ndarray, b: np.ndarray):
         np.multiply(a[i0:i0 + k, None], b[None, :], out=f[:k])
         z[:k] *= f[:k]
         np.copyto(blk_re, z[:k].real)
-        np.multiply(z[:k].imag, 2.0 / n, out=blk_im)
+        np.multiply(z[:k].imag, -2.0 / n, out=blk_im)
 
 
-def _solve_on(im, re, points, dg, order) -> DiskMap:
+def _solve_on(im, re, points, dg) -> DiskMap:
     """Solve the boundary correspondence of `points` (derivative dg) on the
-    kernels (im, re) of its Cauchy matrix (see _kernels) stored in the order
-    `order`: im[i, j] is the entry [order[i], order[j]]; order must be its own
-    inverse. The diagonal of im holds that of I + wK during the solve and is
-    0 again on return, so (im, re) are still the kernels."""
+    kernels (im, re) of its Cauchy matrix (see _kernels). The diagonal of im
+    holds that of I + wK during the solve and is 0 again on return, so
+    (im, re) are still the kernels."""
     n = points.size
     w = _TWO_PI / n
     diag = 1.0 + np.imag(trig_diff(dg) / (2.0 * dg)) * (2.0 / n)
-    np.fill_diagonal(im, diag[order])  # im is now I + wK, K the Neumann kernel
-    h = -np.log(np.abs(points))[order]
+    np.fill_diagonal(im, diag)  # im is now I + wK, K the Neumann kernel
+    h = -np.log(np.abs(points))
     its = []
     # a second cycle only runs when the Arnoldi estimate met rtol but the
     # true residual, recomputed at the cycle's end, lands just above it
@@ -309,20 +288,18 @@ def _solve_on(im, re, points, dg, order) -> DiskMap:
     # over the boundary, singularity subtracted; one pass over re gives both
     # of its sums
     sums = re @ np.stack([mu, np.ones(n)], axis=1)
-    i_s = (sums[:, 0] - mu * sums[:, 1])[order]
-    mu = mu[order]
-    i_s = (i_s + np.real(trig_diff(mu))) * w
+    i_s = (sums[:, 0] - mu * sums[:, 1] + np.real(trig_diff(mu))) * w
     g0 = (mu * dg / points).sum() * w / (1j * np.pi)
     theta = np.unwrap(np.angle(points)) - i_s / np.pi - g0.imag
-    theta -= _TWO_PI * _whole_turns(theta[0])
-    center_derivative = float(np.exp(-g0.real))
-    return DiskMap(points, theta, center_derivative, mu=mu, g0=g0)
+    # a lift that starts at 0 up to rounding stays at 0, not at 2*pi
+    theta -= _TWO_PI * np.floor((theta[0] + _START_EPS) / _TWO_PI)
+    return DiskMap(points, theta, np.exp(-g0.real), mu, g0)
 
 
 def _solve_interior(points: np.ndarray) -> DiskMap:
     """Solve the boundary correspondence on the given uniform samples."""
     dg = trig_diff(points)
-    return _solve_on(*_kernels(points, dg), points, dg, slice(None))
+    return _solve_on(*_kernels(points, dg), points, dg)
 
 
 def interior_map(gamma: SampledCurve, nodes: int | None = None) -> DiskMap:
@@ -337,37 +314,32 @@ def interior_map(gamma: SampledCurve, nodes: int | None = None) -> DiskMap:
 
 class ExteriorMap:
     """phi_plus: exterior of the disk -> exterior of gamma, phi(inf)=inf,
-    with positive Laurent coefficient a."""
+    with positive Laurent coefficient a, as 1/conj(psi(1/conj(zeta))) with psi
+    = `inner` the interior map of conj(1/gamma). On the circle 1/conj(zeta) =
+    zeta, so psi and phi_plus share the boundary correspondence theta."""
 
     def __init__(self, points, inner: DiskMap):
         self.points = np.asarray(points, dtype=complex)
         self.nodes = self.points.size
         self.inner = inner
         self.a = 1.0 / inner.center_derivative
-        n = self.nodes
-        raw = -inner.theta[(-np.arange(n)) % n]
-        lift = np.empty(n)
-        lift[0] = raw[0] - _TWO_PI * _whole_turns(raw[0])
-        steps = np.mod(np.diff(raw), _TWO_PI)
-        lift[1:] = lift[0] + np.cumsum(steps)
-        total = (lift[-1] + np.mod(raw[0] - raw[-1], _TWO_PI)) - lift[0]
-        if abs(total - _TWO_PI) > 1e-6:
-            raise SolverError("exterior correspondence does not have degree 1")
-        self.theta = lift
+        self.theta = inner.theta
 
     def boundary_forward(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = 1.0 / self.inner.boundary_forward(-np.atleast_1d(theta))
-        return out if np.ndim(theta) else complex(out[0])
+        return 1.0 / np.conj(self.inner.boundary_forward(theta))
 
     def boundary_inverse(self, point, tol=None):
-        th = self.inner.boundary_inverse(1.0 / complex(point), tol=tol)
-        return float(np.mod(-th, _TWO_PI))
+        z = complex(point)
+        if z == 0:
+            raise PreconditionError("the origin lies inside the curve, not on it")
+        return self.inner.boundary_inverse(1.0 / z.conjugate(), tol=tol)
 
     def exterior_eval(self, zeta):
-        """phi_plus(zeta) for |zeta| > 1/(1 - margin)."""
+        """phi_plus(zeta) for |zeta| >= 1/(1 - margin)."""
         zeta_arr = np.atleast_1d(np.asarray(zeta, dtype=complex))
-        out = 1.0 / self.inner.interior_eval(1.0 / zeta_arr)
+        if np.any(np.abs(zeta_arr) * (1.0 - INTERIOR_MARGIN) < 1.0):
+            raise PreconditionError(f"exterior evaluation needs |zeta| >= 1/{1 - INTERIOR_MARGIN}")
+        out = 1.0 / np.conj(self.inner.interior_eval(1.0 / np.conj(zeta_arr)))
         return out if np.ndim(zeta) else complex(out[0])
 
     def to_dict(self):
@@ -381,8 +353,15 @@ class ExteriorMap:
 
     @classmethod
     def from_dict(cls, d):
-        pts = np.array([complex(re, im) for re, im in d["points"]])
-        return cls(pts, DiskMap.from_dict(d["inner"]))
+        """The map written by to_dict; refuses input as DiskMap.from_dict does."""
+        try:
+            pts = np.array([complex(re, im) for re, im in d["points"]])
+            inner = DiskMap.from_dict(d["inner"])
+        except (KeyError, TypeError, ValueError) as err:
+            raise PreconditionError(f"malformed map JSON: {err!r}") from None
+        if pts.shape != inner.points.shape:
+            raise PreconditionError("map JSON: points and inner points differ in length")
+        return cls(pts, inner)
 
     def __repr__(self):
         return f"ExteriorMap(nodes={self.nodes}, a={self.a:.6g})"
@@ -393,21 +372,18 @@ def _solve_pair(points: np.ndarray):
     pair of kernels.
 
     The exterior map is the interior map of the reflected curve
-    rho_k = 1/gamma_{-k}. Its Cauchy matrix is a diagonal rescaling of the
-    curve's: with k' = -k mod n,
-    C_rho[s', t'] = -C[s, t] * gamma_s * rho'_{t'} gamma_t / gamma'_t,
-    so the curve's kernels are rescaled in place (_rescale) and the reflected
-    system solved with its rows and columns in the curve's order."""
-    n = points.size
+    rho_k = conj(1/gamma_k), which is positively oriented in the curve's node
+    order. Its Cauchy matrix is the conjugate of a diagonal rescaling of the
+    curve's, C_rho[s, t] = conj(a_s C[s, t] b_t) with a_s = -gamma_s and
+    b_t = conj(rho'_t) gamma_t / gamma'_t, so the curve's kernels are turned
+    into the reflected curve's in place (_rescale)."""
     dg = trig_diff(points)
     im, re = _kernels(points, dg)
-    dm = _solve_on(im, re, points, dg, slice(None))
-    order = (-np.arange(n)) % n
-    reflected = 1.0 / points[order]
+    dm = _solve_on(im, re, points, dg)
+    reflected = np.conj(1.0 / points)
     dr = trig_diff(reflected)
-    _rescale(im, re, -points, dr[order] * points / dg)
-    em = ExteriorMap(points, _solve_on(im, re, reflected, dr, order))
-    return dm, em
+    _rescale(im, re, -points, np.conj(dr) * points / dg)
+    return dm, ExteriorMap(points, _solve_on(im, re, reflected, dr))
 
 
 def riemann_maps(gamma: SampledCurve, nodes: int | None = None):
@@ -418,8 +394,8 @@ def riemann_maps(gamma: SampledCurve, nodes: int | None = None):
 
 
 def exterior_map(gamma: SampledCurve, nodes: int | None = None) -> ExteriorMap:
-    """Exterior Riemann map of gamma via the inversion z -> 1/z, solved
-    together with the interior map (see riemann_maps).
+    """Exterior Riemann map of gamma via the reflection z -> conj(1/z),
+    solved together with the interior map (see riemann_maps).
 
     Requires the origin inside gamma so the reflected curve is bounded.
     """

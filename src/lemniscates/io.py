@@ -97,8 +97,9 @@ def blaschke_to_dict(b: BlaschkeProduct) -> dict:
 
 
 def blaschke_from_dict(d: dict) -> BlaschkeProduct:
-    rot = complex(d["rotation"][0], d["rotation"][1])
-    return BlaschkeProduct(_unpairs(d["zeros"]), rot)
+    if "zeros" not in d or "rotation" not in d:
+        raise PreconditionError('Blaschke JSON needs "zeros" and "rotation" fields')
+    return BlaschkeProduct(_unpairs(d["zeros"]), _unpairs([d["rotation"]])[0])
 
 
 def solved_map_to_dict(m) -> dict:
@@ -106,6 +107,8 @@ def solved_map_to_dict(m) -> dict:
 
 
 def solved_map_from_dict(d: dict):
+    """Refuses a malformed map, or one saved without its density, with
+    PreconditionError."""
     if d.get("kind") == "exterior":
         return ExteriorMap.from_dict(d)
     return DiskMap.from_dict(d)

@@ -107,6 +107,42 @@ def test_exterior_circle():
     assert em1.a == pytest.approx(1.0, abs=1e-12)
 
 
+def _warped_exterior(s):
+    """phi_plus(zeta) = zeta + 0.2/zeta + 0.05i/zeta^2, univalent on |zeta| > 1
+    since sum k|b_k| = 0.3 <= 1, with a = 1."""
+    return s + 0.2 / s + 0.05j / s**2
+
+
+def _warp(t):
+    """The circle angle s(t) of the warped curve's node t: not affine in t,
+    so the exterior correspondence is not a shift of the node index."""
+    return t + 0.3 * np.sin(t + 0.7)
+
+
+def _warped_curve(n=512):
+    t = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    return SampledCurve(_warped_exterior(np.exp(1j * _warp(t))), closed=True)
+
+
+@pytest.mark.parametrize("nodes", [512, 1024])
+def test_exterior_warped_closed_form(nodes):
+    em = exterior_map(_warped_curve(), nodes=nodes)
+    t = np.linspace(0.0, 2 * np.pi, nodes, endpoint=False)
+    assert np.max(np.abs(np.angle(np.exp(1j * (em.theta - _warp(t)))))) <= 1e-10
+    assert em.a == pytest.approx(1.0, abs=1e-10)
+    zeta = 1.5 * np.exp(1j * TH64)
+    assert np.max(np.abs(em.exterior_eval(zeta) - _warped_exterior(zeta))) <= 1e-10
+
+
+def test_exterior_map_refuses_the_origin():
+    em = exterior_map(ellipse(1.0, 0.6, 256), nodes=256)
+    with pytest.raises(PreconditionError):
+        em.boundary_inverse(0)
+    for zeta in (0, np.array([2.0, 0.0]), 1.01):
+        with pytest.raises(PreconditionError):
+            em.exterior_eval(zeta)
+
+
 def test_exterior_ellipse_joukowski():
     em = exterior_map(ellipse(1.0, 0.6, 512), nodes=512)
     assert em.a == pytest.approx(0.8, abs=1e-4)
@@ -173,9 +209,9 @@ def test_solved_map_roundtrip_serialization(tmp_path):
     d = json.loads(json.dumps(solved_map_to_dict(dm)))
     dm2 = solved_map_from_dict(d)
     assert np.max(np.abs(dm2.boundary_forward(TH64) - dm.boundary_forward(TH64))) < 1e-12
-    # cache-loaded maps invert through Newton on the evaluator
-    z = dm.interior_eval(0.4 + 0.1j)
-    assert dm2.interior_inverse(z) == pytest.approx(0.4 + 0.1j, abs=1e-8)
+    # the file carries the density, so the reloaded map inverts bit for bit
+    z = dm.interior_eval(0.9 * np.exp(1j * TH64))
+    assert np.array_equal(dm2.interior_inverse(z), dm.interior_inverse(z))
 
 
 def test_exterior_map_roundtrip_serialization():
@@ -230,10 +266,18 @@ def test_gmres_solve_matches_dense_lu(name, nodes):
 
 
 def _solve_exterior(points):
-    """Reference exterior solve: the interior map of the reflected curve
-    1/gamma_{-k}, from its own Cauchy matrix."""
-    reflected = 1.0 / points[(-np.arange(points.size)) % points.size]
-    return ExteriorMap(points, conformal._solve_interior(reflected))
+    """Reference exterior solve, independent of ExteriorMap: the interior map
+    of the reversed reflection 1/gamma_{-k}, from its own Cauchy matrix, with
+    its correspondence negated, reversed and lifted back to the curve's node
+    order. Returns (theta, a)."""
+    n = points.size
+    order = (-np.arange(n)) % n
+    inner = conformal._solve_interior(1.0 / points[order])
+    raw = -inner.theta[order]
+    start = raw[0] - 2 * np.pi * np.floor((raw[0] + 1e-9) / (2 * np.pi))
+    theta = start + np.concatenate([[0.0], np.cumsum(np.mod(np.diff(raw), 2 * np.pi))])
+    assert theta[-1] < start + 2 * np.pi
+    return theta, 1.0 / inner.center_derivative
 
 
 def _gmres_edge_quartic():
@@ -249,18 +293,24 @@ def _gmres_edge_quartic():
     return pseudo_lemniscate(p, ellipse(1.0, 0.6, 512), 1024)
 
 
+_REFLECTION_CURVES = {
+    **_ORACLE_CURVES, "gmres edge quartic": _gmres_edge_quartic, "warped": _warped_curve,
+}
+
+
 @pytest.mark.parametrize("name, nodes", [
     ("off-centre circle", 512), ("off-centre circle", 2048),
     ("ellipse", 512), ("ellipse", 2048),
     ("gmres edge quartic", 2048),
+    ("warped", 512), ("warped", 2048),
 ])
 def test_riemann_maps_match_reflection_solve(name, nodes):
-    curve = _gmres_edge_quartic() if name == "gmres edge quartic" else _ORACLE_CURVES[name]()
+    curve = _REFLECTION_CURVES[name]()
     dm, em = riemann_maps(curve, nodes)
-    ref = _solve_exterior(conformal._resampled_points(curve, nodes))
+    theta, a = _solve_exterior(conformal._resampled_points(curve, nodes))
     assert em.nodes == nodes
-    assert np.max(np.abs(em.theta - ref.theta)) <= 1e-12
-    assert em.a == pytest.approx(ref.a, abs=1e-12)
+    assert np.max(np.abs(em.theta - theta)) <= 1e-12
+    assert em.a == pytest.approx(a, abs=1e-12)
     alone = interior_map(curve, nodes)
     assert np.array_equal(dm.theta, alone.theta)
     assert np.array_equal(dm._mu, alone._mu)
@@ -300,33 +350,39 @@ def test_gmres_true_residual_just_above_rtol_is_finished():
     solve instead of raising SolverError. The exterior map, solved on the
     curve's two real kernels rescaled in place, is checked on the same curve."""
     lem = _gmres_edge_quartic()
-    ref = _solve_exterior(conformal._resampled_points(lem, 2048))
-    assert np.all(np.diff(ref.theta) > 0)
+    theta, _ = _solve_exterior(conformal._resampled_points(lem, 2048))
+    assert np.all(np.diff(theta) > 0)
     em = exterior_map(lem, nodes=2048)
     assert np.all(np.diff(em.theta) > 0)
 
 
-def test_kernels_and_rescale_match_dense_cauchy_matrix():
-    """_kernels against the dense complex C = gamma'_t / (gamma_t - gamma_s),
-    and _rescale against diag(a) C diag(b) with the reflection's factors, at
-    a node count that leaves a partial last block of rows."""
-    n = 3 * conformal._BLOCK_ROWS + 5
-    points = ellipse(1.0, 0.6, n).points
-    dg = trig_diff(points)
+def _dense_cauchy(points, dg):
+    """C[s, t] = gamma'_t / (gamma_t - gamma_s), 0 on the diagonal."""
     diff = points[None, :] - points[:, None]
     np.fill_diagonal(diff, 1.0)
     dense = dg[None, :] / diff
     np.fill_diagonal(dense, 0.0)
+    return dense
+
+
+def test_kernels_and_rescale_match_dense_cauchy_matrix():
+    """_kernels against the dense complex Cauchy matrix of the curve, and the
+    curve's kernels after _rescale against the dense Cauchy matrix of the
+    reflected curve rho = conj(1/gamma), built from rho's own points and
+    trig_diff(rho), at a node count that leaves a partial last block of rows."""
+    n = 3 * conformal._BLOCK_ROWS + 5
+    points = _warped_curve(n).points
+    dg = trig_diff(points)
+    dense = _dense_cauchy(points, dg)
     im, re = conformal._kernels(points, dg)
     scale = np.max(np.abs(dense))
     assert np.max(np.abs(im - (2.0 / n) * dense.imag)) <= 1e-14 * (2.0 / n) * scale
     assert np.max(np.abs(re - dense.real)) <= 1e-14 * scale
 
-    order = (-np.arange(n)) % n
-    dr = trig_diff(1.0 / points[order])
-    a, b = -points, dr[order] * points / dg
-    conformal._rescale(im, re, a, b)
-    reflected = a[:, None] * dense * b[None, :]
+    rho = np.conj(1.0 / points)
+    dr = trig_diff(rho)
+    conformal._rescale(im, re, -points, np.conj(dr) * points / dg)
+    reflected = _dense_cauchy(rho, dr)
     scale = np.max(np.abs(reflected))
     assert np.max(np.abs(im - (2.0 / n) * reflected.imag)) <= 1e-14 * (2.0 / n) * scale
     assert np.max(np.abs(re - reflected.real)) <= 1e-14 * scale

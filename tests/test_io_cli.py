@@ -55,6 +55,50 @@ def test_blaschke_roundtrip():
     assert np.allclose(b2.zeros, b.zeros) and b2.rotation == pytest.approx(b.rotation)
 
 
+@pytest.mark.parametrize("d", [
+    {},
+    {"zeros": [[0.1, 0]]},
+    {"zeros": [[0.1, 0]], "rotation": 1},
+    {"zeros": [[0.1, 0, 0]], "rotation": [1, 0]},
+    {"zeros": [[1.5, 0]], "rotation": [1, 0]},
+])
+def test_blaschke_malformed_json_refused(d):
+    with pytest.raises(PreconditionError):
+        lio.blaschke_from_dict(d)
+
+
+@pytest.fixture(scope="module")
+def solved_maps():
+    from lemniscates.conformal import riemann_maps
+
+    dicts = [lio.solved_map_to_dict(m) for m in riemann_maps(unit_circle(64, center=0.2), 64)]
+    for d in dicts:
+        lio.solved_map_from_dict(d)  # the unaltered files load
+    return dicts
+
+
+@pytest.mark.parametrize("case", [
+    "empty", "no mu (older format)", "no g0", "short mu", "decreasing theta",
+    "bad points", "exterior without inner", "exterior with older inner",
+])
+def test_solved_map_malformed_json_refused(solved_maps, case):
+    dm, em = solved_maps
+    d = {
+        "empty": {},
+        "no mu (older format)": {k: v for k, v in dm.items() if k != "mu"},
+        "no g0": {k: v for k, v in dm.items() if k != "g0"},
+        "short mu": {**dm, "mu": dm["mu"][:-1]},
+        "decreasing theta": {**dm, "theta": dm["theta"][::-1]},
+        "bad points": {**dm, "points": [1.0] * len(dm["points"])},
+        "exterior without inner": {k: v for k, v in em.items() if k != "inner"},
+        "exterior with older inner": {
+            **em, "inner": {k: v for k, v in em["inner"].items() if k != "mu"},
+        },
+    }[case]
+    with pytest.raises(PreconditionError):
+        lio.solved_map_from_dict(d)
+
+
 def test_arc_csv_columns(tmp_path):
     arc = trace_level(RationalMap(Polynomial([0, 1])), 1.0, 1.0, 2 * np.pi, 0.05)
     path = tmp_path / "arc.csv"
