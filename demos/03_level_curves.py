@@ -48,7 +48,7 @@ save_arc_csv(arc, os.path.join(OUT, "level_arc_8.csv"))
 # arg f4 changes by 8 pi around it; tracing 8 pi from v5 comes back to v5.
 # At step 0.01 a lap has ceil(2 pi / 0.01) = 629 steps.
 for eps in (0.15, 0.6, 8.0):
-    laps = [len(loop) // 629 for loop, _ in level_components(f4.num, eps, 0.01)]
+    laps = [len(loop) // 629 for loop in level_components(f4.num, eps, 0.01)]
     print(f"level {eps:g}: components of {laps} laps")
 loop = trace_level(f4, 8.0, v5, 8 * np.pi, step=0.01)
 print(f"8 pi from v5 closes to {abs(loop.samples[-1] - v5):.1e}")

@@ -56,7 +56,7 @@ rep = identity_report(p, T, samples=512, nodes=1024)
 print("\ndegree-2 over the circle:")
 print("  Blaschke zeros:", np.round(rep.blaschke.zeros, 9).tolist(), "(exact: +-sqrt(0.1))")
 print("  identity residual:", rep.residual, "rad")
-save_circle_map_csv(rep.k_p, os.path.join(OUT, "k_p.csv"), samples=512)
+save_circle_map_csv(rep.k_p, os.path.join(OUT, "k_p.csv"))
 
 rep3 = identity_report(Polynomial([0, -0.3, 0, 1]), E, samples=512, nodes=1024)
 print("\ndegree-3 over the ellipse:")

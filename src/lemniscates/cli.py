@@ -34,7 +34,7 @@ from .fingerprint import (
     is_proper,
     is_proper_oracle,
 )
-from .levelcurves import LEVEL_INVARIANT_TOL, level_components
+from .levelcurves import level_components
 from .polynomials import (
     critical_values,
     design_counterexample,
@@ -159,15 +159,15 @@ def cmd_roots(args, cfg: RunConfig) -> dict:
 
 
 def _level_family(p, moduli, step):
-    """The closed components of |p| = eps that keep the level invariant, per
-    eps; a level whose lap monodromy fails to trace is left out."""
+    """The closed components of |p| = eps, per eps; a level that fails to
+    trace or to keep the level invariant is left out."""
     out = []
     for eps in moduli:
         try:
             loops = level_components(p, eps, step)
         except NumericalError:
             continue
-        out.extend((eps, loop) for loop, dev in loops if dev <= LEVEL_INVARIANT_TOL)
+        out.extend((eps, loop) for loop in loops)
     return out
 
 

@@ -15,14 +15,12 @@ Exterior maps are reduced to interior ones by the reflection z -> conj(1/z).
 1/z reverses the orientation and conj reverses it back, so the reflected
 curve keeps the curve's node order and its interior correspondence is the
 exterior one. Its Cauchy matrix is the conjugate of a diagonal rescaling of
-the curve's, so `riemann_maps` builds one pair of kernels per curve, solves the interior
-system on it, turns it in place into the reflected curve's pair and solves
-the exterior system in the same buffers: 2 * 8n^2 bytes for both maps, plus
-GMRES' own workspace. Both maps share one solve path: the curve is checked
-once per call (closed, positively oriented, origin inside), resampled and
-checked Jordan at each solver resolution, and either solved at the requested
-node count or by one doubling loop that stops when the boundary images
-settle.
+the curve's, so `riemann_maps` builds one pair of kernels per curve, solves
+the interior system on it, turns it in place into the reflected curve's pair
+and solves the exterior system in the same buffers: 2 * 8n^2 bytes for both
+maps, plus GMRES' own workspace. Both maps share one solve path: the curve
+is checked (closed, positively oriented, origin inside), resampled at the
+caller's node count (default 1024), checked Jordan there and solved once.
 """
 from __future__ import annotations
 
@@ -37,12 +35,10 @@ from ._fourier import (
     trig_grid,
     trig_resample,
 )
-from .curves import SampledCurve, is_jordan, winding_number
+from .curves import NEAR_HIT, SampledCurve, is_jordan, winding_number, winding_numbers
 from .errors import PreconditionError, SolverError
 
-DEFAULT_NODES = 512
-MAX_NODES = 4096
-SELF_CONSISTENCY_TOL = 1e-6
+DEFAULT_NODES = 1024
 INTERIOR_MARGIN = 0.02  # reject |w| > 1 - margin in disk-side evaluation
 
 _TWO_PI = 2.0 * np.pi
@@ -51,38 +47,19 @@ _BLOCK_ROWS = 16  # rows of C built or rescaled per pass: 0.5 MB of complex at 2
 
 
 def _resampled_points(gamma: SampledCurve, nodes: int) -> np.ndarray:
-    pts = trig_resample(gamma.points, nodes)
-    if not is_jordan(SampledCurve(pts, closed=True), tol=1e-9):
-        raise PreconditionError("curve is not Jordan at the solver resolution")
-    return pts
-
-
-def _self_consistent(solve, gamma: SampledCurve, nodes: int | None):
-    """solve() on gamma resampled at `nodes`, or, with nodes=None, at 512
-    nodes doubled until the 64 probe images move by at most 1e-6. solve
-    returns a tuple of maps; all of them must settle."""
+    """gamma resampled at `nodes` uniform parameters, after checking that
+    it is closed, positively oriented, winds once about the origin and is
+    Jordan at that resolution."""
     if not gamma.closed:
         raise PreconditionError("conformal maps need a closed curve")
     if gamma.orientation != 1:
         raise PreconditionError("curve must be positively oriented")
     if winding_number(gamma, 0.0) != 1:
         raise PreconditionError("origin must lie inside the curve (winding 1)")
-    if nodes is not None:
-        return solve(_resampled_points(gamma, nodes))
-    n = DEFAULT_NODES
-    maps = solve(_resampled_points(gamma, n))
-    probe = np.linspace(0.0, _TWO_PI, 64, endpoint=False)
-    while 2 * n <= MAX_NODES:
-        finer = solve(_resampled_points(gamma, 2 * n))
-        delta = max(
-            np.max(np.abs(f.boundary_forward(probe) - c.boundary_forward(probe)))
-            for f, c in zip(finer, maps)
-        )
-        maps = finer
-        n *= 2
-        if delta <= SELF_CONSISTENCY_TOL:
-            return maps
-    raise SolverError(f"no self-consistent solve within {MAX_NODES} nodes")
+    pts = trig_resample(gamma.points, nodes)
+    if not is_jordan(SampledCurve(pts, closed=True), tol=1e-9):
+        raise PreconditionError("curve is not Jordan at the solver resolution")
+    return pts
 
 
 class DiskMap:
@@ -147,11 +124,11 @@ class DiskMap:
         out = trig_eval(self._gamma_c, t)
         return out if np.ndim(theta) else complex(out[0])
 
-    def boundary_inverse(self, point, tol=None):
-        """Angle theta in [0, 2pi) with phi(e^{i theta}) = point."""
+    def boundary_inverse(self, point):
+        """Angle theta in [0, 2pi) with phi(e^{i theta}) = point, which must
+        lie within 1e-8 * max|gamma| of the curve."""
         z = complex(point)
-        scale = max(np.max(np.abs(self.points)), 1e-300)
-        tol = 1e-8 * scale if tol is None else tol
+        tol = 1e-8 * max(np.max(np.abs(self.points)), 1e-300)
         j = int(np.argmin(np.abs(self.points - z)))
         t = _TWO_PI * j / self.nodes
         for _ in range(60):
@@ -184,8 +161,12 @@ class DiskMap:
         return out if np.ndim(w) else complex(out[0])
 
     def interior_inverse(self, z):
-        """w = f(z) in D with phi(w) = z, for z strictly inside Omega."""
+        """w = f(z) in D with phi(w) = z, for z strictly inside Omega: the
+        node polygon winds once about z, farther than NEAR_HIT away."""
         z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
+        counts, valid = winding_numbers(self.points, z_arr, min_distance=NEAR_HIT)
+        if not np.all(valid & (counts == 1)):
+            raise PreconditionError("point is not strictly inside the domain")
         rho = self._mu * self._dgamma * (_TWO_PI / self.nodes)
         g = (rho / (self.points - z_arr[:, None])).sum(axis=1) / (1j * np.pi)
         f = z_arr * np.exp(g - 1j * self._g0.imag)
@@ -302,37 +283,40 @@ def _solve_interior(points: np.ndarray) -> DiskMap:
     return _solve_on(*_kernels(points, dg), points, dg)
 
 
-def interior_map(gamma: SampledCurve, nodes: int | None = None) -> DiskMap:
+def interior_map(gamma: SampledCurve, nodes: int = DEFAULT_NODES) -> DiskMap:
     """Interior Riemann map of the bounded face of gamma, normalized by
-    phi(0)=0 and phi'(0)>0.
-
-    With nodes=None the solve starts at 512 nodes and doubles until the
-    boundary images move by less than 1e-6, capped at 4096.
-    """
-    return _self_consistent(lambda pts: (_solve_interior(pts),), gamma, nodes)[0]
+    phi(0)=0 and phi'(0)>0, solved on gamma resampled at `nodes` points."""
+    return _solve_interior(_resampled_points(gamma, nodes))
 
 
 class ExteriorMap:
     """phi_plus: exterior of the disk -> exterior of gamma, phi(inf)=inf,
     with positive Laurent coefficient a, as 1/conj(psi(1/conj(zeta))) with psi
     = `inner` the interior map of conj(1/gamma). On the circle 1/conj(zeta) =
-    zeta, so psi and phi_plus share the boundary correspondence theta."""
+    zeta, so psi and phi_plus share the boundary correspondence theta, and
+    a = 1/psi'(0); both are read off `inner`."""
 
     def __init__(self, points, inner: DiskMap):
         self.points = np.asarray(points, dtype=complex)
         self.nodes = self.points.size
         self.inner = inner
-        self.a = 1.0 / inner.center_derivative
-        self.theta = inner.theta
+
+    @property
+    def theta(self):
+        return self.inner.theta
+
+    @property
+    def a(self):
+        return 1.0 / self.inner.center_derivative
 
     def boundary_forward(self, theta):
         return 1.0 / np.conj(self.inner.boundary_forward(theta))
 
-    def boundary_inverse(self, point, tol=None):
+    def boundary_inverse(self, point):
         z = complex(point)
         if z == 0:
             raise PreconditionError("the origin lies inside the curve, not on it")
-        return self.inner.boundary_inverse(1.0 / z.conjugate(), tol=tol)
+        return self.inner.boundary_inverse(1.0 / z.conjugate())
 
     def exterior_eval(self, zeta):
         """phi_plus(zeta) for |zeta| >= 1/(1 - margin)."""
@@ -345,15 +329,16 @@ class ExteriorMap:
     def to_dict(self):
         return {
             "kind": "exterior",
-            "theta": self.theta.tolist(),
             "points": [[p.real, p.imag] for p in self.points],
-            "a": self.a,
             "inner": self.inner.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, d):
-        """The map written by to_dict; refuses input as DiskMap.from_dict does."""
+        """The map written by to_dict; refuses input as DiskMap.from_dict
+        does, and a file that carries theta or a, which are read off inner."""
+        if "theta" in d or "a" in d:
+            raise PreconditionError("exterior map JSON: theta and a are read off inner")
         try:
             pts = np.array([complex(re, im) for re, im in d["points"]])
             inner = DiskMap.from_dict(d["inner"])
@@ -386,14 +371,13 @@ def _solve_pair(points: np.ndarray):
     return dm, ExteriorMap(points, _solve_on(im, re, reflected, dr))
 
 
-def riemann_maps(gamma: SampledCurve, nodes: int | None = None):
-    """(interior map, exterior map) of gamma from one pair of kernels per
-    resolution. Node selection is as in interior_map; with nodes=None the
-    pair has settled when both maps' probe images do."""
-    return _self_consistent(_solve_pair, gamma, nodes)
+def riemann_maps(gamma: SampledCurve, nodes: int = DEFAULT_NODES):
+    """(interior map, exterior map) of gamma resampled at `nodes` points,
+    from one pair of kernels."""
+    return _solve_pair(_resampled_points(gamma, nodes))
 
 
-def exterior_map(gamma: SampledCurve, nodes: int | None = None) -> ExteriorMap:
+def exterior_map(gamma: SampledCurve, nodes: int = DEFAULT_NODES) -> ExteriorMap:
     """Exterior Riemann map of gamma via the reflection z -> conj(1/z),
     solved together with the interior map (see riemann_maps).
 

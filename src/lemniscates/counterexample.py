@@ -294,19 +294,18 @@ def region_contains(chain: BoundaryChain, z) -> bool:
 
 @dataclass(frozen=True)
 class PolarGrid:
-    """Log-spaced moduli times uniform arguments in the w-plane."""
+    """n_moduli log-spaced moduli in [mod_min, mod_max] times n_args uniform
+    arguments in the w-plane."""
 
-    n_args: int = 360
-    n_moduli: int = 100
-    mod_min: float | None = None
-    mod_max: float | None = None
+    n_args: int
+    n_moduli: int
+    mod_min: float
+    mod_max: float
 
-    def points(self, default_range) -> np.ndarray:
-        lo = self.mod_min if self.mod_min is not None else default_range[0]
-        hi = self.mod_max if self.mod_max is not None else default_range[1]
-        if not 0 < lo < hi:
+    def points(self) -> np.ndarray:
+        if not 0 < self.mod_min < self.mod_max:
             raise PreconditionError("grid moduli must satisfy 0 < min < max")
-        mods = np.geomspace(lo, hi, self.n_moduli)
+        mods = np.geomspace(self.mod_min, self.mod_max, self.n_moduli)
         args = np.linspace(0.0, 2 * np.pi, self.n_args, endpoint=False)
         return (mods[:, None] * np.exp(1j * args)[None, :]).ravel()
 
@@ -322,24 +321,17 @@ class NoninjectivityResult:
     grid_w: np.ndarray = field(repr=False, default=None)
 
 
-def noninjectivity_degree(
-    f, chain: BoundaryChain, grid: PolarGrid | None = None
-) -> NoninjectivityResult:
-    """Max preimage count (with multiplicity) of grid targets inside the chain.
+def noninjectivity_degree(f, chain: BoundaryChain, grid: PolarGrid) -> NoninjectivityResult:
+    """Max preimage count (with multiplicity) inside the chain over the
+    targets grid.points().
 
     For each admissible grid value w the count is the winding of the
     boundary's image about w; grid points closer to the image polyline than
     a chord-curvature margin are skipped and reported.
     """
     f = as_rational(f)
-    grid = grid or PolarGrid()
     img = chain.image_points()
-    level_mods = [s.value for s in chain.specs if s.kind == "level"]
-    if len(set(level_mods)) > 1:
-        default_range = (min(level_mods) * 1.05, max(level_mods) * 0.98)
-    else:
-        default_range = (level_mods[0] * 0.05, level_mods[0] * 0.95)
-    ws = grid.points(default_range)
+    ws = grid.points()
 
     # polyline-vs-true-image deviation: level arcs are circular (sagitta
     # bound eps*dphi^2/8), gradient arcs are radial segments (chords exact)

@@ -125,16 +125,12 @@ def save_arc_csv(arc: TracedArc, path):
             w.writerow([i, repr(z.real), repr(z.imag), repr(abs(fv)), repr(lift)])
 
 
-def save_circle_map_csv(m: CircleMap, path, samples: int | None = None):
+def save_circle_map_csv(m: CircleMap, path):
+    """The lift's nodes as `t,L` rows."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "L"])
-        if samples is None:
-            ts, ls = m.t_nodes, m.lift_nodes
-        else:
-            ts = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
-            ls = m.lift(ts)
-        for t, l in zip(ts, ls):
+        for t, l in zip(m.t_nodes, m.lift_nodes):
             w.writerow([repr(float(t)), repr(float(l))])
 
 

@@ -398,9 +398,10 @@ def level_components(p: Polynomial, eps: float, step: float = DEFAULT_STEP) -> l
     uniform steps from a root of p - eps; a cycle's laps joined in order are
     a positively oriented loop around which arg p turns once per lap, so it
     encloses as many zeros of p (with multiplicity) as the cycle has laps.
-    Returns (loop, deviation) pairs ordered by each loop's smallest enclosed
-    zero in (re, im) order; deviation is max | |p| - eps | / eps over the
-    loop's samples, the level invariant held against LEVEL_INVARIANT_TOL.
+    Returns the loops ordered by each loop's smallest enclosed zero in
+    (re, im) order. A loop whose max | |p| - eps | / eps exceeds
+    LEVEL_INVARIANT_TOL, beyond the rounding of its samples, raises
+    TraceError, as trace_level does for arcs.
     """
     if not eps > 0:
         raise PreconditionError("eps must be positive")
@@ -414,10 +415,17 @@ def level_components(p: Polynomial, eps: float, step: float = DEFAULT_STEP) -> l
         if inside.size == 0:
             raise TraceError(f"level loop of {len(cycle)} laps encloses no zero",
                              samples=loop.points)
-        dev = float(np.max(np.abs(np.abs(p(loop.points)) - eps))) / eps
-        found.append((inside[0], loop, dev))
+        err = np.abs(np.abs(p(loop.points)) - eps)
+        # a sample is only known to rounding, which moves p by up to about
+        # deg * u * eval_scale: more than LEVEL_INVARIANT_TOL * eps on a tiny
+        # level about a zero away from the origin
+        rounding = p.degree * np.finfo(float).eps * p.eval_scale(loop.points)
+        if np.any(err > LEVEL_INVARIANT_TOL * eps + rounding):
+            raise TraceError(f"level invariant violated: relative deviation "
+                             f"{np.max(err) / eps:.3g}", samples=loop.points)
+        found.append((inside[0], loop))
     found.sort(key=lambda item: item[0])
-    return [(loop, dev) for _, loop, dev in found]
+    return [loop for _, loop in found]
 
 
 def level_component_enclosing(
@@ -455,14 +463,12 @@ def level_component_enclosing(
     if not subset:
         raise PreconditionError("list at least one zero of f")
     first = zero_pts.index(subset[0])
-    for loop, dev in level_components(p, eps, step):
+    for loop in level_components(p, eps, step):
         counts = winding_numbers(loop.points, zero_pts, min_distance=0.0)[0]
         if counts[first] >= 1:
             break
     else:
         raise TraceError(f"no level loop winds about the zero {subset[0]:.6g}")
-    if dev > LEVEL_INVARIANT_TOL:
-        raise TraceError(f"level invariant violated: relative deviation {dev:.3g}")
     enclosed = [z for z, c in zip(zero_pts, counts) if c != 0]
     if set(enclosed) == set(subset):
         return loop

@@ -367,7 +367,7 @@ def design_counterexample(n: int, step: float = 0.02):
     The spacing ratio doubles on failure, up to DESIGN_ATTEMPTS times.
     """
     from .curves import winding_numbers  # deferred: cycle
-    from .levelcurves import LEVEL_INVARIANT_TOL, level_components
+    from .levelcurves import level_components
 
     if n < 4:
         raise PreconditionError("counterexample family needs n >= 4")
@@ -394,9 +394,7 @@ def design_counterexample(n: int, step: float = 0.02):
             for k in range(1, len(mods)):
                 eps = float(np.sqrt(mods[k - 1] * mods[k]))
                 groups = []
-                for loop, dev in level_components(poly, eps, step):
-                    if dev > LEVEL_INVARIANT_TOL:
-                        raise TraceError(f"level invariant violated: relative deviation {dev:.3g}")
+                for loop in level_components(poly, eps, step):
                     counts = winding_numbers(loop.points, points, min_distance=0.0)[0]
                     groups.append(tuple(z for z, c in zip(points, counts) if c))
                 expected = [tuple(points[: k + 1])] + [(far,) for far in points[k + 1 :]]

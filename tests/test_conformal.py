@@ -71,6 +71,17 @@ def test_interior_roundtrip(rng):
     assert np.max(np.abs(dm.interior_inverse(z) - w)) <= 1e-7
 
 
+def test_interior_inverse_refuses_points_outside():
+    # the ellipse reaches 0.6i; at 0.7i, outside it, |f| is still below 1
+    dm = interior_map(ellipse(1.0, 0.6, 256), nodes=256)
+    with pytest.raises(PreconditionError, match="not strictly inside"):
+        dm.interior_inverse(0.7j)
+    with pytest.raises(PreconditionError):
+        dm.interior_inverse(np.array([0.3j, 0.7j]))
+    w = dm.interior_inverse(0.3j)
+    assert abs(dm.interior_eval(w) - 0.3j) <= 1e-10
+
+
 def test_interior_eval_margin():
     dm = interior_map(unit_circle(128), nodes=128)
     with pytest.raises(PreconditionError):
@@ -86,9 +97,9 @@ def test_off_curve_point_rejected():
 def test_origin_must_be_inside():
     curve = unit_circle(128, center=5.0)
     for solve in (interior_map, exterior_map):
-        for nodes in (128, None):
+        for kwargs in ({"nodes": 128}, {}):
             with pytest.raises(PreconditionError, match="origin must lie inside"):
-                solve(curve, nodes=nodes)
+                solve(curve, **kwargs)
 
 
 def test_correspondence_strictly_increasing():
@@ -154,9 +165,9 @@ def test_exterior_ellipse_joukowski():
     assert np.max(np.abs(em.exterior_eval(zeta) - expect)) < 1e-6
 
 
-def test_adaptive_exterior_ellipse():
+def test_default_nodes_exterior_ellipse():
     em = exterior_map(ellipse(1.0, 0.6, 512))
-    assert em.nodes == 1024  # one doubling from the 512 default settles
+    assert em.nodes == 1024
     assert em.a == pytest.approx(0.8, abs=1e-10)
     target = 0.8 * np.exp(1j * TH64) + 0.2 * np.exp(-1j * TH64)
     assert np.max(np.abs(em.boundary_forward(TH64) - target)) < 1e-10
@@ -185,9 +196,9 @@ def test_node_doubling_self_consistency():
         assert np.max(np.abs(a - b)) <= 1e-6
 
 
-def test_adaptive_node_selection():
+def test_default_node_count():
     dm = interior_map(unit_circle(1024, center=0.3))
-    assert dm.nodes == 1024  # one doubling from the 512 default settles
+    assert dm.nodes == 1024
     assert dm.center_derivative == pytest.approx(0.91, abs=1e-8)
 
 
@@ -327,7 +338,7 @@ def test_riemann_maps_check_jordan_once_per_resolution(monkeypatch):
 
     monkeypatch.setattr(conformal, "is_jordan", counting)
     riemann_maps(ellipse(1.0, 0.6, 512))
-    assert calls == [512, 1024]
+    assert calls == [1024]
 
 
 @pytest.mark.parametrize("exact, info", [(True, 1), (False, 0)])

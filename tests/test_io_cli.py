@@ -80,6 +80,7 @@ def solved_maps():
 @pytest.mark.parametrize("case", [
     "empty", "no mu (older format)", "no g0", "short mu", "decreasing theta",
     "bad points", "exterior without inner", "exterior with older inner",
+    "exterior with theta", "exterior with a",
 ])
 def test_solved_map_malformed_json_refused(solved_maps, case):
     dm, em = solved_maps
@@ -94,6 +95,9 @@ def test_solved_map_malformed_json_refused(solved_maps, case):
         "exterior with older inner": {
             **em, "inner": {k: v for k, v in em["inner"].items() if k != "mu"},
         },
+        # both are read off inner; a file that carries them is refused, not read
+        "exterior with theta": {**em, "theta": em["inner"]["theta"]},
+        "exterior with a": {**em, "a": 1.0 / em["inner"]["center_derivative"]},
     }[case]
     with pytest.raises(PreconditionError):
         lio.solved_map_from_dict(d)

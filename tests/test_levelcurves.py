@@ -41,6 +41,11 @@ def _laps(loop, step):
     return len(loop) // m
 
 
+def _level_dev(p, loop, eps):
+    """max | |p| - eps | / eps over the loop's samples."""
+    return float(np.max(np.abs(np.abs(p(loop.points)) - eps))) / eps
+
+
 def _v5():
     """Vertex on {|f4|=8} with arg f4 = pi/2, found from a coarse grid seed."""
     gr = (np.linspace(-4, 2, 60)[None, :] + 1j * np.linspace(-3, 3, 60)[:, None]).ravel()
@@ -82,8 +87,8 @@ def test_trace_level_v5v6_change():
 
 def test_trace_level_closed_loop_lev8():
     # the level-8 component is one 4-cycle of laps: arg f turns 8*pi around it
-    [(loop, dev)] = level_components(F4.num, 8.0, 0.01)
-    assert _laps(loop, 0.01) == 4 and dev <= LEVEL_INVARIANT_TOL
+    [loop] = level_components(F4.num, 8.0, 0.01)
+    assert _laps(loop, 0.01) == 4 and _level_dev(F4.num, loop, 8.0) <= LEVEL_INVARIANT_TOL
     arc = trace_level(F4, 8.0, _v5(), 8 * np.pi, step=0.01)
     assert arg_change_along(arc) == pytest.approx(8 * np.pi, abs=1e-9)
     assert abs(arc.samples[-1] - arc.samples[0]) < 1e-9
@@ -442,14 +447,14 @@ def test_level_components_match_preimage_counts(roots, log_eps):
     eps = float(np.exp(log_eps))
     assume(_clear_of_critical_values(RationalMap(p), eps, margin=0.01))
     loops = level_components(p, eps, 0.02)
-    laps = [_laps(loop, 0.02) for loop, _ in loops]
+    laps = [_laps(loop, 0.02) for loop in loops]
     assert sum(laps) == p.degree
-    for (loop, dev), k in zip(loops, laps):
-        assert dev <= LEVEL_INVARIANT_TOL
+    for loop, k in zip(loops, laps):
+        assert _level_dev(p, loop, eps) <= LEVEL_INVARIANT_TOL
         assert count_preimages(p, loop, 0.0) == k
     for z in set(roots):
-        assert sum(winding_number(loop, z) for loop, _ in loops) == 1
-        assert all(winding_number(loop, z) in (0, 1) for loop, _ in loops)
+        assert sum(winding_number(loop, z) for loop in loops) == 1
+        assert all(winding_number(loop, z) in (0, 1) for loop in loops)
 
 
 def test_level_components_of_a_tiny_level():
@@ -461,9 +466,10 @@ def test_level_components_of_a_tiny_level():
     0.5 ulp of 0.5, i.e. 2.7e-7 of a 1e-10 level.)"""
     p = Polynomial.from_roots([0.0, 0.5])
     for eps in (1e-10, 1e-13):
-        (origin, dev), _ = loops = level_components(p, eps, 0.02)
-        assert [_laps(loop, 0.02) for loop, _ in loops] == [1, 1]
-        assert np.max(np.abs(origin.points)) < 1e3 * eps and dev <= LEVEL_INVARIANT_TOL
+        origin, _ = loops = level_components(p, eps, 0.02)
+        assert [_laps(loop, 0.02) for loop in loops] == [1, 1]
+        assert np.max(np.abs(origin.points)) < 1e3 * eps
+        assert _level_dev(p, origin, eps) <= LEVEL_INVARIANT_TOL
 
 
 def test_level_components_when_gamma0_is_p0_up_to_rounding():
@@ -471,8 +477,8 @@ def test_level_components_when_gamma0_is_p0_up_to_rounding():
     where eval_scale is the rounding noise of the constant coefficient."""
     p = Polynomial.from_roots([0.3 + 0.1j, 0.3 - 0.1j])  # p(0) = 0.1
     for eps in (np.nextafter(0.1, 0), 0.1, np.nextafter(0.1, 1)):
-        ((loop, dev),) = level_components(p, eps)
-        assert dev <= LEVEL_INVARIANT_TOL and _laps(loop, 0.01) == 2
+        (loop,) = level_components(p, eps)
+        assert _level_dev(p, loop, eps) <= LEVEL_INVARIANT_TOL and _laps(loop, 0.01) == 2
 
 
 def _groupings(eps, step):
