@@ -11,15 +11,15 @@ import numpy as np
 
 from lemniscates import (
     Polynomial,
-    construct_counterexample_poly,
     critical_points,
     critical_values,
     design_counterexample,
+    f4_polynomial,
     poly_roots,
 )
 
 # the built-in quartic: a double zero at 0 and simple zeros at -1, -3
-f4 = construct_counterexample_poly(4)
+f4 = f4_polynomial()
 print("coefficients (ascending):", f4.coeffs.real.tolist())
 print("f4(1) =", f4(1.0))
 
@@ -31,8 +31,8 @@ print("\ncritical points:", np.round(critical_points(f4), 12).tolist())
 print("critical values:", np.round(critical_values(f4), 12).tolist())
 print("critical moduli sorted:", sorted(round(abs(v), 9) for v in critical_values(f4)))
 
-# the same construction scales to any degree >= 4: geometrically spaced
-# negative zeros, validated so each critical level set nests inside the next
+# the same construction scales to degree 8: negative zeros spaced by 3,
+# validated so each critical level set nests inside the next
 design = design_counterexample(5)
 print("\ndegree-5 family member:")
 print("  zeros:", np.asarray(design.zeros).real.tolist())

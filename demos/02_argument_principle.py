@@ -32,7 +32,7 @@ inv = RationalMap(Polynomial([1.0]), Polynomial([0.0, 1.0]))
 print("1/z on the unit circle, target 0:      ", count_preimages(inv, circle, 0.0))
 
 # the quartic z^2(z+1)(z+3) has two zeros strictly inside the unit circle
-f4 = RationalMap(Polynomial([0, 0, 3, 4, 1]))
+f4 = Polynomial([0, 0, 3, 4, 1])  # polynomials count directly
 img = image_curve(f4, unit_circle(257))  # odd count: the zero at -1 stays unsampled
 print("\nwinding of f4(unit circle) about 0:    ", winding_number(img, 0.0))
 print("preimages of 0 inside |z| = 4:         ", count_preimages(f4, unit_circle(512, radius=4.0), 0.0))

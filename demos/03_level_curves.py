@@ -18,7 +18,6 @@ import numpy as np
 
 from lemniscates import (
     Polynomial,
-    RationalMap,
     arg_change_along,
     level_component_enclosing,
     level_components,
@@ -31,7 +30,7 @@ from lemniscates.io import curves_to_svg, save_arc_csv
 OUT = os.environ.get("LEMNISCATES_OUTDIR", "demo_output")
 os.makedirs(OUT, exist_ok=True)
 
-f4 = RationalMap(Polynomial([0, 0, 3, 4, 1]))  # z^2 (z+1)(z+3)
+f4 = Polynomial([0, 0, 3, 4, 1])  # z^2 (z+1)(z+3)
 
 # a vertex: the point with |f4| = 8 and arg f4 = pi/2, from a coarse seed
 grid = (np.linspace(-4, 2, 60)[None, :] + 1j * np.linspace(-3, 3, 60)[:, None]).ravel()
@@ -48,7 +47,7 @@ save_arc_csv(arc, os.path.join(OUT, "level_arc_8.csv"))
 # arg f4 changes by 8 pi around it; tracing 8 pi from v5 comes back to v5.
 # At step 0.01 a lap has ceil(2 pi / 0.01) = 629 steps.
 for eps in (0.15, 0.6, 8.0):
-    laps = [len(loop) // 629 for loop in level_components(f4.num, eps, 0.01)]
+    laps = [len(loop) // 629 for loop in level_components(f4, eps, 0.01)]
     print(f"level {eps:g}: components of {laps} laps")
 loop = trace_level(f4, 8.0, v5, 8 * np.pi, step=0.01)
 print(f"8 pi from v5 closes to {abs(loop.samples[-1] - v5):.1e}")

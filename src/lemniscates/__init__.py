@@ -18,6 +18,7 @@ from .counterexample import (
     build_d4_chain,
     chain_from_table,
     d4_table,
+    design_counterexample,
     f4_polynomial,
     noninjectivity_degree,
     region_contains,
@@ -65,10 +66,8 @@ from .levelcurves import (
 from .polynomials import (
     Polynomial,
     RationalMap,
-    construct_counterexample_poly,
     critical_points,
     critical_values,
-    design_counterexample,
     normalize_leading,
     poly_roots,
 )

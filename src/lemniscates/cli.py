@@ -22,6 +22,7 @@ from .counterexample import (
     build_boundary,
     chain_from_table,
     d4_table,
+    design_counterexample,
     f4_polynomial,
     noninjectivity_degree,
     reproduce_table,
@@ -35,12 +36,7 @@ from .fingerprint import (
     is_proper_oracle,
 )
 from .levelcurves import level_components
-from .polynomials import (
-    critical_values,
-    design_counterexample,
-    normalize_leading,
-    poly_roots,
-)
+from .polynomials import critical_values, normalize_leading, poly_roots
 
 ENV_OUTDIR = "LEMNISCATES_OUTDIR"
 # largest accepted value of each count field of RunConfig; larger values would
@@ -64,9 +60,6 @@ class RunConfig:
     samples: int = 512
     samples_per_lap: int = 1024
     trace_step: float = 0.01
-    close_tol_factor: float = 1e-6
-    table_tol: float = 1e-3
-    modulus_rtol: float = 1e-6
     grid_args: int = 360
     grid_moduli: int = 100
     grid_mod_min: float = 0.16
@@ -75,9 +68,6 @@ class RunConfig:
     svg_width: int = 800
 
     def validate(self):
-        for name in ("trace_step", "close_tol_factor", "table_tol", "modulus_rtol"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise PreconditionError(f"{name} must be positive and finite")
         if self.nodes < 64 or self.nodes > 4096 or self.nodes & (self.nodes - 1):
             raise PreconditionError("nodes must be a power of two in [64, 4096]")
         if not MIN_TRACE_STEP <= self.trace_step <= MAX_TRACE_STEP:
@@ -261,15 +251,6 @@ def _require_degree4(args):
         )
 
 
-def _build_chain(cfg: RunConfig):
-    return build_boundary(
-        f4_polynomial(),
-        chain_from_table(d4_table()),
-        step=cfg.trace_step,
-        close_tol_factor=cfg.close_tol_factor,
-    )
-
-
 def cmd_counterexample(args, cfg: RunConfig) -> dict:
     if args.action == "family":
         design = design_counterexample(args.n, step=cfg.trace_step)
@@ -278,11 +259,9 @@ def cmd_counterexample(args, cfg: RunConfig) -> dict:
         return {"polynomial_json": str(path), **design.metadata()}
     _require_degree4(args)
     f4 = f4_polynomial()
-    chain = _build_chain(cfg)
+    chain = build_boundary(f4, chain_from_table(d4_table()), step=cfg.trace_step)
     if args.action == "table":
-        report = reproduce_table(
-            f4, chain, table_tol=cfg.table_tol, modulus_rtol=cfg.modulus_rtol
-        )
+        report = reproduce_table(f4, chain)
         path = _outpath(cfg, "table_report.json")
         path.write_text(json.dumps(report.to_dict(), sort_keys=True) + "\n")
         return {

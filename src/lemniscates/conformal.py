@@ -294,12 +294,11 @@ class ExteriorMap:
     with positive Laurent coefficient a, as 1/conj(psi(1/conj(zeta))) with psi
     = `inner` the interior map of conj(1/gamma). On the circle 1/conj(zeta) =
     zeta, so psi and phi_plus share the boundary correspondence theta, and
-    a = 1/psi'(0); both are read off `inner`."""
+    a = 1/psi'(0); both are read off `inner`, and so is the node count."""
 
-    def __init__(self, points, inner: DiskMap):
-        self.points = np.asarray(points, dtype=complex)
-        self.nodes = self.points.size
+    def __init__(self, inner: DiskMap):
         self.inner = inner
+        self.nodes = inner.nodes
 
     @property
     def theta(self):
@@ -327,26 +326,19 @@ class ExteriorMap:
         return out if np.ndim(zeta) else complex(out[0])
 
     def to_dict(self):
-        return {
-            "kind": "exterior",
-            "points": [[p.real, p.imag] for p in self.points],
-            "inner": self.inner.to_dict(),
-        }
+        return {"kind": "exterior", "inner": self.inner.to_dict()}
 
     @classmethod
     def from_dict(cls, d):
         """The map written by to_dict; refuses input as DiskMap.from_dict
-        does, and a file that carries theta or a, which are read off inner."""
-        if "theta" in d or "a" in d:
-            raise PreconditionError("exterior map JSON: theta and a are read off inner")
-        try:
-            pts = np.array([complex(re, im) for re, im in d["points"]])
-            inner = DiskMap.from_dict(d["inner"])
-        except (KeyError, TypeError, ValueError) as err:
-            raise PreconditionError(f"malformed map JSON: {err!r}") from None
-        if pts.shape != inner.points.shape:
-            raise PreconditionError("map JSON: points and inner points differ in length")
-        return cls(pts, inner)
+        does, and a file that carries points, theta or a, which would load
+        unread."""
+        extra = sorted({"points", "theta", "a"} & set(d))
+        if extra:
+            raise PreconditionError(f"exterior map JSON carries {extra}; only inner is read")
+        if "inner" not in d:
+            raise PreconditionError('exterior map JSON needs an "inner" field')
+        return cls(DiskMap.from_dict(d["inner"]))
 
     def __repr__(self):
         return f"ExteriorMap(nodes={self.nodes}, a={self.a:.6g})"
@@ -368,7 +360,7 @@ def _solve_pair(points: np.ndarray):
     reflected = np.conj(1.0 / points)
     dr = trig_diff(reflected)
     _rescale(im, re, -points, np.conj(dr) * points / dg)
-    return dm, ExteriorMap(points, _solve_on(im, re, reflected, dr))
+    return dm, ExteriorMap(_solve_on(im, re, reflected, dr))
 
 
 def riemann_maps(gamma: SampledCurve, nodes: int = DEFAULT_NODES):

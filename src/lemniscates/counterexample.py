@@ -1,6 +1,8 @@
 """The counterexample region: a Jordan domain bounded by alternating level
 and gradient arcs of z^2(z+1)(z+3), built from tabulated arc data, plus the
-degree-of-non-injectivity scan over a polar target grid.
+degree-of-non-injectivity scan over a polar target grid and the degree-n
+family that generalizes z^2(z+1)(z+3). Every polynomial argument here is a
+`Polynomial`; anything else raises PreconditionError.
 
 The boundary chain is resolved by enumerating all preimages of the starting
 vertex value and keeping the unique candidate whose chain closes and is
@@ -18,13 +20,14 @@ import numpy as np
 
 from .curves import SampledCurve, is_jordan, winding_number, winding_numbers
 from .errors import ChainClosureError, NumericalError, PreconditionError, TraceError
-from .levelcurves import TracedArc, trace_gradient, trace_level
-from .polynomials import Polynomial, as_rational, roots_flat
+from .levelcurves import TracedArc, level_components, trace_gradient, trace_level
+from .polynomials import Polynomial, critical_values, require_polynomial, roots_flat
 
 _PI6 = np.pi / 6.0
 TABLE_TOL = 1e-3        # radians, per-row reproduction tolerance
 MODULUS_RTOL = 1e-6     # relative |f| deviation allowed on level arcs
 CLOSE_TOL_FACTOR = 1e-6  # chain closure tolerance, relative to diameter
+SPACING_RATIO = 3.0     # ratio of consecutive negative zeros in the degree-n family
 JORDAN_TOL = 1e-9       # closest approach of non-adjacent boundary segments
 MAX_WITNESSES = 100     # witnesses and skipped targets kept in a NoninjectivityResult
 # a candidate's open prefix is tested for self-crossings after its first arc
@@ -89,6 +92,7 @@ def d4_table() -> list[Table1Row]:
 
 
 def f4_polynomial() -> Polynomial:
+    """z^2 (z+1)(z+3), the degree-4 member of the family."""
     return Polynomial([0.0, 0.0, 3.0, 4.0, 1.0])
 
 
@@ -201,16 +205,13 @@ def _lies_on(points: np.ndarray, z: complex) -> bool:
 
 
 def build_boundary(
-    f,
-    specs: list[ArcSpec],
-    start_arg: float = 0.0,
-    step: float = 0.01,
-    close_tol_factor: float = CLOSE_TOL_FACTOR,
+    f, specs: list[ArcSpec], start_arg: float = 0.0, step: float = 0.01
 ) -> BoundaryChain:
-    """Resolve and trace the closed boundary chain described by specs.
+    """Resolve and trace the closed boundary chain of the polynomial f
+    described by specs.
 
-    The starting vertex is the unique preimage of eps_1*exp(i*start_arg)
-    from which the traced chain closes (within close_tol_factor * diameter)
+    The starting vertex is the unique root of f - eps_1*exp(i*start_arg)
+    from which the traced chain closes (within CLOSE_TOL_FACTOR * diameter)
     and is Jordan. Each candidate is traced arc by arc and dropped once its
     open prefix crosses itself, since such a prefix can never become a
     Jordan chain; the closure and full Jordan tests run on the survivors.
@@ -219,7 +220,7 @@ def build_boundary(
     ChainClosureError listing every candidate's residual, error or
     "crossed_after_arc" index.
     """
-    f = as_rational(f)
+    require_polynomial(f)
     if not specs:
         raise PreconditionError("chain needs at least one arc")
     if len(specs) >= 2:
@@ -230,8 +231,7 @@ def build_boundary(
         raise PreconditionError("chain must start with a level arc")
 
     w_start = specs[0].value * np.exp(1j * start_arg)
-    target = f.num - w_start * f.den
-    candidates = [complex(r) for r in roots_flat(target, tol=1e-8)]
+    candidates = [complex(r) for r in roots_flat(f - w_start, tol=1e-8)]
     candidates.sort(key=lambda z: (z.real, z.imag))
 
     results = []
@@ -259,7 +259,7 @@ def build_boundary(
         )
         resid = abs(complex(arcs[-1].samples[-1]) - cand)
         entry.update(closure_residual=resid, diameter=diam)
-        if resid > close_tol_factor * diam:
+        if resid > CLOSE_TOL_FACTOR * diam:
             continue
         points = np.concatenate([a.samples[:-1] for a in arcs])
         curve = SampledCurve(points, closed=True)
@@ -327,9 +327,10 @@ def noninjectivity_degree(f, chain: BoundaryChain, grid: PolarGrid) -> Noninject
 
     For each admissible grid value w the count is the winding of the
     boundary's image about w; grid points closer to the image polyline than
-    a chord-curvature margin are skipped and reported.
+    a chord-curvature margin are skipped and reported. The image is the
+    chain's own f-values, so the polynomial f is checked but never read.
     """
-    f = as_rational(f)
+    require_polynomial(f)
     img = chain.image_points()
     ws = grid.points()
 
@@ -384,8 +385,6 @@ class RowReport:
 @dataclass
 class TableReport:
     rows: list[RowReport]
-    table_tol: float
-    modulus_rtol: float
 
     @property
     def all_ok(self) -> bool:
@@ -393,8 +392,8 @@ class TableReport:
 
     def to_dict(self):
         return {
-            "table_tol_rad": self.table_tol,
-            "modulus_rtol": self.modulus_rtol,
+            "table_tol_rad": TABLE_TOL,
+            "modulus_rtol": MODULUS_RTOL,
             "all_ok": self.all_ok,
             "rows": [r.to_dict() for r in self.rows],
         }
@@ -405,19 +404,16 @@ def _circ_dist(a: float, b: float) -> float:
     return min(d, 2 * np.pi - d)
 
 
-def reproduce_table(
-    f,
-    chain: BoundaryChain,
-    table_tol: float = TABLE_TOL,
-    modulus_rtol: float = MODULUS_RTOL,
-) -> TableReport:
+def reproduce_table(f, chain: BoundaryChain) -> TableReport:
     """Re-measure every level arc of the chain from its raw samples and
-    compare with the driving arc data.
+    compare with the driving arc data, to TABLE_TOL in the angles and
+    MODULUS_RTOL in |f|.
 
     The measured total change comes from freshly unwrapping arg f along the
-    arc samples, independent of the stop-rule bookkeeping used to trace it.
+    arc samples of the polynomial f, independent of the stop-rule
+    bookkeeping used to trace it.
     """
-    f = as_rational(f)
+    require_polynomial(f)
     rows = []
     lift = chain.start_arg
     level_idx = 0
@@ -437,10 +433,10 @@ def reproduce_table(
         measured_initial = float(np.angle(fvals[0])) % (2 * np.pi)
         measured_final = float(np.angle(fvals[-1])) % (2 * np.pi)
         ok = (
-            abs(measured_change - spec.stop) <= table_tol
-            and mod_dev <= modulus_rtol
-            and _circ_dist(measured_initial, expected_initial) <= table_tol
-            and _circ_dist(measured_final, expected_final) <= table_tol
+            abs(measured_change - spec.stop) <= TABLE_TOL
+            and mod_dev <= MODULUS_RTOL
+            and _circ_dist(measured_initial, expected_initial) <= TABLE_TOL
+            and _circ_dist(measured_final, expected_final) <= TABLE_TOL
         )
         rows.append(
             RowReport(
@@ -459,9 +455,74 @@ def reproduce_table(
             )
         )
         lift += spec.stop
-    return TableReport(rows=rows, table_tol=table_tol, modulus_rtol=modulus_rtol)
+    return TableReport(rows=rows)
 
 
 def build_d4_chain(step: float = 0.01) -> BoundaryChain:
     """Convenience: the degree-4 region's boundary chain."""
     return build_boundary(f4_polynomial(), chain_from_table(d4_table()), step=step)
+
+
+# -- the degree-n family ---------------------------------------------------------
+
+
+@dataclass
+class CounterexampleDesign:
+    """Validated member of the counterexample family, with build metadata."""
+
+    poly: Polynomial
+    zeros: list
+    ratio: float
+    levels_checked: list
+
+    def metadata(self):
+        return {
+            "degree": self.poly.degree,
+            "zeros": [[z.real, z.imag] for z in np.asarray(self.zeros, dtype=complex)],
+            "spacing_ratio": self.ratio,
+            "levels_checked": self.levels_checked,
+        }
+
+
+def design_counterexample(n: int, step: float = 0.02) -> CounterexampleDesign:
+    """Construct and numerically validate the degree-n family member: a
+    double zero at 0 plus n - 2 simple zeros at -1, -3, -9, ...
+    (SPACING_RATIO).
+
+    n = 4 is f4_polynomial(). For n >= 5 validation checks that the n - 2
+    nonzero critical moduli are strictly increasing and that between
+    consecutive critical moduli the level set splits the zeros as a nested
+    figure-eight sequence requires: the first k+1 zeros share one component
+    while every farther zero has its own. A member that fails raises
+    NumericalError; with zeros spaced by SPACING_RATIO, n = 5..8 validate.
+    """
+    if n < 4:
+        raise PreconditionError("counterexample family needs n >= 4")
+    zeros = [0.0, 0.0] + [-(SPACING_RATIO**k) for k in range(n - 2)]
+    if n == 4:
+        return CounterexampleDesign(f4_polynomial(), zeros, SPACING_RATIO, [])
+    poly = Polynomial.from_roots(zeros)
+    points = sorted(set(zeros), key=abs)  # distinct zero locations
+    vals = critical_values(poly)
+    scale = max(abs(v) for v in vals)
+    mods = sorted(abs(v) for v in vals if abs(v) > 1e-12 * max(scale, 1.0))
+    if len(mods) != n - 2:
+        raise NumericalError(f"degree {n}: {len(mods)} nonzero critical moduli, expected {n - 2}")
+    for a, b in zip(mods, mods[1:]):
+        if not b > a * (1.0 + 1e-9):
+            raise NumericalError(f"critical moduli not strictly increasing: {a:.6g}, {b:.6g}")
+    levels = []
+    for k in range(1, len(mods)):
+        eps = float(np.sqrt(mods[k - 1] * mods[k]))
+        groups = []
+        for loop in level_components(poly, eps, step):
+            counts = winding_numbers(loop.points, points, min_distance=0.0)[0]
+            groups.append(tuple(z for z, c in zip(points, counts) if c))
+        expected = [tuple(points[: k + 1])] + [(far,) for far in points[k + 1 :]]
+        if sorted(groups) != sorted(expected):
+            raise TraceError(
+                f"level {eps:.6g} groups the zeros as {sorted(groups)}, "
+                f"expected {sorted(expected)}"
+            )
+        levels.append(eps)
+    return CounterexampleDesign(poly, zeros, SPACING_RATIO, levels)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .conformal import DiskMap, ExteriorMap, riemann_maps
+from .conformal import DEFAULT_NODES, DiskMap, ExteriorMap, riemann_maps
 from .curves import NEAR_HIT, SampledCurve, is_jordan, winding_numbers
 from .errors import NumericalError, PreconditionError, TraceError
 from .levelcurves import _cycles, _lap_monodromy
@@ -231,7 +231,7 @@ def _fingerprint_from_maps(dm: DiskMap, em: ExteriorMap) -> CircleMap:
     return CircleMap(x, y, degree=1)
 
 
-def fingerprint_of_curve(gamma: SampledCurve, nodes: int = 512) -> CircleMap:
+def fingerprint_of_curve(gamma: SampledCurve, nodes: int = DEFAULT_NODES) -> CircleMap:
     """Welding fingerprint of an analytic Jordan curve with 0 inside."""
     return _fingerprint_from_maps(*riemann_maps(gamma, nodes))
 

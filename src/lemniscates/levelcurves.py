@@ -1,5 +1,6 @@
-"""Tracing of level sets {|f| = eps} and gradient rays {arg f = alpha} by
-lifting w-plane paths through f^{-1}.
+"""Tracing of level sets {|f| = eps} and gradient rays {arg f = alpha} of a
+polynomial f by lifting w-plane paths through f^{-1}. Every entry point takes
+a `Polynomial` and refuses anything else with PreconditionError.
 
 `lift_path` is the one continuation kernel: a two-step (Adams-Bashforth)
 predictor from the slopes z' = w'(s) / f'(z) of the last two samples and a
@@ -29,7 +30,13 @@ import numpy as np
 from ._fourier import deriv_coeffs, fourier_coeffs, trig_eval, trig_eval_deriv, trig_grid
 from .curves import SampledCurve, unit_circle, winding_numbers
 from .errors import PreconditionError, TraceError
-from .polynomials import Polynomial, as_rational, critical_values, poly_roots, roots_flat
+from .polynomials import (
+    Polynomial,
+    critical_values,
+    poly_roots,
+    require_polynomial,
+    roots_flat,
+)
 
 DEFAULT_STEP = 0.01          # radians of arg (level) / log-modulus (gradient)
 NEWTON_TOL = 1e-12           # corrector goal: |f(z) - w| <= NEWTON_TOL * |w|
@@ -67,46 +74,25 @@ def arg_change_along(arc: TracedArc) -> float:
 # -- the path-lifting kernel -----------------------------------------------------
 
 
-def _scalar_kernels(f):
-    """Fast scalar z -> (f(z), f'(z), scale) from cached coefficient lists;
-    scale = 1 + sum |c_k| |z|^k over the numerator derivative is what a
-    critical |f'| is measured against. A polynomial gets all three from one
-    Horner pass over its coefficients."""
-    f = as_rational(f)
-    nc = [complex(c) for c in f.num.coeffs][::-1]
-    dc = [complex(c) for c in f.den.coeffs][::-1]
-    nd = [complex(c) for c in f.num.derivative().coeffs][::-1]
-    dd = [complex(c) for c in f.den.derivative().coeffs][::-1]
-    ad = [abs(c) for c in nd]
+def _scalar_kernels(p):
+    """Fast scalar z -> (p(z), p'(z), scale) for the polynomial p, all three
+    from one Horner pass over cached coefficient lists; scale =
+    1 + sum |k c_k| |z|^(k-1), over p', is what a critical |p'| is measured
+    against."""
+    nc = [complex(c) for c in require_polynomial(p).coeffs][::-1]
+    ad = [abs(complex(c)) for c in p.derivative().coeffs][::-1]
+    lead = nc[0]
+    # (c_k, |k c_k|) from the top: p' accumulates the partial sums of p
+    terms = list(zip(nc[1:], ad))
 
-    if len(dc) == 1 and dc[0] == 1.0:
-        lead = nc[0]
-        # (c_k, |k c_k|) from the top: p' accumulates the partial sums of p
-        terms = list(zip(nc[1:], ad))
-
-        def fd(z):
-            az = abs(z)
-            v, dv, scale = lead, 0j, 0.0
-            for c, a in terms:
-                dv = dv * z + v
-                scale = scale * az + a
-                v = v * z + c
-            return v, dv, scale + 1.0
-
-    else:
-
-        def horner(cs, z):
-            acc = cs[0]
-            for c in cs[1:]:
-                acc = acc * z + c
-            return acc
-
-        def fd(z):
-            n = horner(nc, z)
-            d = horner(dc, z)
-            dn = horner(nd, z)
-            ddv = horner(dd, z)
-            return n / d, (dn * d - n * ddv) / (d * d), horner(ad, abs(z)) + 1.0
+    def fd(z):
+        az = abs(z)
+        v, dv, scale = lead, 0j, 0.0
+        for c, a in terms:
+            dv = dv * z + v
+            scale = scale * az + a
+            v = v * z + c
+        return v, dv, scale + 1.0
 
     return fd
 
@@ -145,10 +131,10 @@ def _newton(fd, z, w, tol, iters):
 def lift_path(f, w, dw, z0, s):
     """Lift the w-plane path w(s) through f^{-1} from z0, one sample per node of s.
 
-    w and dw are vectorized callables for the path and its derivative,
-    evaluated once on s and shared when z0 is an array of starts. Each start
-    is first Newton-projected onto w(s[0]). Each grid step h_j = s_{j+1} - s_j
-    is predicted from the slopes z'_j = dw(s_j)/f'(z_j) of the accepted
+    f is a Polynomial; w and dw are vectorized callables for the path and its
+    derivative, evaluated once on s and shared when z0 is an array of starts.
+    Each start is first Newton-projected onto w(s[0]). Each grid step
+    h_j = s_{j+1} - s_j is predicted from the slopes z'_j = dw(s_j)/f'(z_j) of the accepted
     samples by the two-step (Adams-Bashforth) rule
     z_j + h_j*(z'_j + (h_j/h_{j-1})*(z'_j - z'_{j-1})/2), an Euler step
     z_j + h_j*z'_j on the first grid step, and corrected by Newton onto
@@ -220,7 +206,8 @@ def lift_path(f, w, dw, z0, s):
 
 
 def solve_target(f, w, seed, tol: float = 1e-12) -> complex:
-    """Newton-solve f(z) = w from the given seed with the lift_path corrector.
+    """Newton-solve f(z) = w for the polynomial f from the given seed with the
+    lift_path corrector.
 
     The tolerance is relative to |w| (absolute when w == 0); landing on a
     critical point or a stalled iteration raises TraceError carrying the
@@ -257,7 +244,7 @@ def trace_level(f, eps, start, delta, step: float = DEFAULT_STEP) -> TracedArc:
     arg_lift is that grid; a positive delta turns arg f counterclockwise,
     a negative one clockwise.
     """
-    f = as_rational(f)
+    require_polynomial(f)
     if eps <= 0:
         raise PreconditionError("level needs eps > 0")
     if not (np.isfinite(delta) and delta != 0):
@@ -293,7 +280,7 @@ def trace_gradient(
     returned arc stores it unchanged so chained traces keep a continuous
     argument bookkeeping.
     """
-    f = as_rational(f)
+    require_polynomial(f)
     if target_modulus <= 0:
         raise PreconditionError("target modulus must be positive")
     fv = complex(f(complex(start)))
@@ -432,19 +419,15 @@ def level_component_enclosing(
     f, eps, zeros_subset, step: float = DEFAULT_STEP
 ) -> SampledCurve:
     """The closed component of {|f| = eps} that winds about every listed zero
-    of f and about no other zero.
+    of the polynomial f and about no other zero.
 
-    f is a polynomial, or a RationalMap with a constant denominator. The
-    component is the `level_components` loop that winds about the first
+    The component is the `level_components` loop that winds about the first
     listed zero. Fails naming the critical value that blocks the requested
     grouping.
     """
-    f = as_rational(f)
-    if not f.is_polynomial:
-        raise PreconditionError("level components need a polynomial")
-    if f.num.degree < 1:
+    p = require_polynomial(f)
+    if p.degree < 1:
         raise PreconditionError("f needs at least one zero")
-    p = Polynomial(f.num.coeffs / f.den.coeffs[0])
     cvals = critical_values(p) if p.degree >= 2 else []
     for cv in cvals:
         if abs(abs(cv) - eps) < 1e-9 * max(eps, abs(cv)):

@@ -1,6 +1,8 @@
 """Complex polynomials and rational maps: evaluation, roots, critical data.
 
-Coefficients are stored in ascending degree order as complex128 arrays.
+Every layer above takes a Polynomial (`require_polynomial`); a RationalMap
+serves only the argument-principle count of `curves.count_preimages` and the
+image refinement of `curves.image_curve`. Coefficients are stored in ascending degree order as complex128 arrays.
 Root finding is a simultaneous (Aberth-Ehrlich) iteration started from a
 perturbed circle, with multiple roots recovered by cluster merging.
 """
@@ -8,10 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError, PreconditionError, RootFindingError, TraceError
+from .errors import PreconditionError, RootFindingError
 
 MAX_DEGREE = 64
-DESIGN_ATTEMPTS = 5  # spacing ratios tried by design_counterexample
 _ABERTH_MAX_ITER = 200
 
 
@@ -122,10 +123,6 @@ class RationalMap:
                         f"numerator and denominator share a root near {a:.6g}"
                     )
 
-    @classmethod
-    def from_polynomial(cls, p):
-        return cls(p if isinstance(p, Polynomial) else Polynomial(p))
-
     @property
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
@@ -135,16 +132,6 @@ class RationalMap:
             return self.num(z) / self.den.coeffs[0]
         return self.num(z) / self.den(z)
 
-    def zeros(self, tol=1e-9):
-        if self.num.degree == 0:
-            return []
-        return poly_roots(self.num, tol=tol)
-
-    def poles(self, tol=1e-9):
-        if self.den.degree == 0:
-            return []
-        return poly_roots(self.den, tol=tol)
-
     def __repr__(self):
         return f"RationalMap(num_degree={self.num.degree}, den_degree={self.den.degree})"
 
@@ -153,7 +140,14 @@ def as_rational(f) -> RationalMap:
     """Coerce a Polynomial or RationalMap to RationalMap."""
     if isinstance(f, RationalMap):
         return f
-    return RationalMap.from_polynomial(f)
+    return RationalMap(f)
+
+
+def require_polynomial(f) -> Polynomial:
+    """f itself; anything but a Polynomial raises PreconditionError."""
+    if not isinstance(f, Polynomial):
+        raise PreconditionError(f"expected a Polynomial, got {type(f).__name__}")
+    return f
 
 
 def _aberth(coeffs: np.ndarray) -> np.ndarray:
@@ -315,104 +309,3 @@ def normalize_leading(p: Polynomial):
     if rot == 1.0:
         return p, 1.0 + 0j
     return Polynomial(p.coeffs * rot), rot
-
-
-def counterexample_zeros(n: int, ratio: float = 3.0):
-    """Zero list for the degree-n family: double zero at 0 plus n-2
-    geometrically spaced simple zeros on the negative real axis."""
-    if n < 4:
-        raise PreconditionError("the family starts at degree 4")
-    zs = [0.0, 0.0]
-    x = 1.0
-    for _ in range(n - 2):
-        zs.append(-x)
-        x *= ratio
-    return zs
-
-
-class CounterexampleDesign:
-    """Validated member of the counterexample family, with build metadata."""
-
-    def __init__(self, poly, zeros, ratio, attempts, levels_checked):
-        self.poly = poly
-        self.zeros = zeros
-        self.ratio = ratio
-        self.attempts = attempts
-        self.levels_checked = levels_checked
-
-    def metadata(self):
-        return {
-            "degree": self.poly.degree,
-            "zeros": [[z.real, z.imag] for z in np.asarray(self.zeros, dtype=complex)],
-            "spacing_ratio": self.ratio,
-            "attempts": self.attempts,
-            "levels_checked": self.levels_checked,
-        }
-
-
-def _nonzero_critical_moduli(p: Polynomial):
-    vals = critical_values(p)
-    scale = max(abs(v) for v in vals) if vals else 1.0
-    mods = sorted(abs(v) for v in vals if abs(v) > 1e-12 * max(scale, 1.0))
-    return mods
-
-
-def design_counterexample(n: int, step: float = 0.02):
-    """Construct and numerically validate the degree-n family member.
-
-    Validation checks that the nonzero critical moduli are strictly
-    increasing and that between consecutive critical moduli the level set
-    splits the zeros as a nested figure-eight sequence requires: the first
-    k+1 zeros share one component while every farther zero has its own.
-    The spacing ratio doubles on failure, up to DESIGN_ATTEMPTS times.
-    """
-    from .curves import winding_numbers  # deferred: cycle
-    from .levelcurves import level_components
-
-    if n < 4:
-        raise PreconditionError("counterexample family needs n >= 4")
-    if n == 4:
-        poly = Polynomial([0.0, 0.0, 3.0, 4.0, 1.0])  # z^2 (z+1)(z+3)
-        return CounterexampleDesign(poly, counterexample_zeros(4), 3.0, 1, [])
-
-    ratio = 3.0
-    last_err = None
-    for attempt in range(1, DESIGN_ATTEMPTS + 1):
-        zeros = counterexample_zeros(n, ratio)
-        poly = Polynomial.from_roots(zeros)
-        points = sorted(set(zeros), key=abs)  # distinct zero locations
-        try:
-            mods = _nonzero_critical_moduli(poly)
-            if len(mods) != n - 2:
-                raise NumericalError("unexpected critical value count")
-            for a, b in zip(mods, mods[1:]):
-                if not b > a * (1.0 + 1e-9):
-                    raise NumericalError(
-                        f"critical moduli not strictly increasing: {a:.6g}, {b:.6g}"
-                    )
-            levels = []
-            for k in range(1, len(mods)):
-                eps = float(np.sqrt(mods[k - 1] * mods[k]))
-                groups = []
-                for loop in level_components(poly, eps, step):
-                    counts = winding_numbers(loop.points, points, min_distance=0.0)[0]
-                    groups.append(tuple(z for z, c in zip(points, counts) if c))
-                expected = [tuple(points[: k + 1])] + [(far,) for far in points[k + 1 :]]
-                if sorted(groups) != sorted(expected):
-                    raise TraceError(
-                        f"level {eps:.6g} groups the zeros as {sorted(groups)}, "
-                        f"expected {sorted(expected)}"
-                    )
-                levels.append(eps)
-            return CounterexampleDesign(poly, zeros, ratio, attempt, levels)
-        except NumericalError as err:
-            last_err = err
-            ratio *= 2.0
-    raise NumericalError(
-        f"no validated spacing found for n={n} after {DESIGN_ATTEMPTS} attempts: {last_err}"
-    )
-
-
-def construct_counterexample_poly(n: int) -> Polynomial:
-    """Degree-n member of the counterexample family (n=4 gives z^2(z+1)(z+3))."""
-    return design_counterexample(n).poly

@@ -11,13 +11,15 @@ from lemniscates.counterexample import (
     build_boundary,
     chain_from_table,
     d4_table,
+    design_counterexample,
+    f4_polynomial,
     noninjectivity_degree,
     region_contains,
     reproduce_table,
 )
 from lemniscates.curves import SampledCurve, is_jordan, winding_number, winding_numbers
-from lemniscates.errors import ChainClosureError, PreconditionError
-from lemniscates.polynomials import Polynomial, as_rational, roots_flat
+from lemniscates.errors import ChainClosureError, NumericalError, PreconditionError
+from lemniscates.polynomials import Polynomial, critical_values, roots_flat
 
 PI6 = np.pi / 6
 
@@ -114,7 +116,7 @@ def _full_trace_choice(f, specs, start_arg, step):
     each candidate's start and whether its full curve is Jordan."""
     w = specs[0].value * np.exp(1j * start_arg)
     chosen, full = [], []
-    for cand in sorted(roots_flat(f.num - w * f.den, tol=1e-8), key=lambda z: (z.real, z.imag)):
+    for cand in sorted(roots_flat(f - w, tol=1e-8), key=lambda z: (z.real, z.imag)):
         arcs = list(_trace_chain(f, specs, cand, start_arg, step))
         assert abs(complex(arcs[-1].samples[-1]) - cand) <= 1e-12  # every candidate closes
         curve = SampledCurve(np.concatenate([a.samples[:-1] for a in arcs]), closed=True)
@@ -133,7 +135,7 @@ def test_prefix_drop_keeps_the_full_trace_choice(offset):
     """Dropping candidates at their first self-crossing gives the chain that
     tracing all four to the end gives, point for point, and drops only
     candidates whose full curves are not Jordan."""
-    f4 = as_rational(Polynomial([0.0, 0.0, 3.0, 4.0, 1.0]))
+    f4 = Polynomial([0.0, 0.0, 3.0, 4.0, 1.0])
     rows = d4_table()
     rows = rows[offset:] + rows[:offset]
     specs = chain_from_table(rows)
@@ -285,3 +287,54 @@ def test_arcspec_validation():
         ArcSpec("gradient", 1.0, -2.0)
     with pytest.raises(PreconditionError):
         ArcSpec("surface", 1.0, 1.0)
+
+
+# -- the degree-n family ---------------------------------------------------------
+
+
+def test_counterexample_poly_degree4(f4):
+    design = design_counterexample(4)
+    assert design.poly.coeffs.tolist() == f4_polynomial().coeffs.tolist() == f4.coeffs.tolist()
+    assert design.zeros == [0.0, 0.0, -1.0, -3.0] and design.levels_checked == []
+
+
+def test_counterexample_poly_degree5():
+    design = design_counterexample(5)
+    assert design.ratio == 3.0
+    assert sorted(z.real for z in np.asarray(design.zeros, dtype=complex)) == [
+        -9.0,
+        -3.0,
+        -1.0,
+        0.0,
+        0.0,
+    ]
+    mods = sorted(
+        abs(v) for v in critical_values(design.poly) if abs(v) > 1e-9
+    )
+    assert all(b > a for a, b in zip(mods, mods[1:]))
+
+
+def test_counterexample_rejects_small_degree():
+    with pytest.raises(PreconditionError):
+        design_counterexample(3)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_family_validates_through_degree_8(n):
+    """Zeros spaced by 3 validate on the one ratio tried: n - 3 levels between
+    the n - 2 strictly increasing nonzero critical moduli."""
+    design = design_counterexample(n)
+    assert design.poly.degree == n and design.ratio == 3.0
+    assert np.allclose(design.poly(np.asarray(design.zeros)), 0.0)
+    assert len(design.levels_checked) == (0 if n == 4 else n - 3)
+    assert design.levels_checked == sorted(design.levels_checked)
+    assert "attempts" not in design.metadata()
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_family_fails_past_degree_8(n):
+    """Past degree 8 the smallest nonzero critical moduli of the ratio-3
+    member lie below 1e-12 of the largest, where they cannot be told from
+    the critical value 0: the failure is numerical, not a precondition."""
+    with pytest.raises(NumericalError):
+        design_counterexample(n)

@@ -13,7 +13,7 @@ from lemniscates.curves import ellipse, unit_circle
 from lemniscates.errors import ChainClosureError, PreconditionError, TraceError
 from lemniscates.fingerprint import BlaschkeProduct
 from lemniscates.levelcurves import trace_level
-from lemniscates.polynomials import Polynomial, RationalMap
+from lemniscates.polynomials import Polynomial
 
 
 @pytest.fixture()
@@ -80,7 +80,7 @@ def solved_maps():
 @pytest.mark.parametrize("case", [
     "empty", "no mu (older format)", "no g0", "short mu", "decreasing theta",
     "bad points", "exterior without inner", "exterior with older inner",
-    "exterior with theta", "exterior with a",
+    "exterior with theta", "exterior with a", "exterior with points",
 ])
 def test_solved_map_malformed_json_refused(solved_maps, case):
     dm, em = solved_maps
@@ -95,16 +95,17 @@ def test_solved_map_malformed_json_refused(solved_maps, case):
         "exterior with older inner": {
             **em, "inner": {k: v for k, v in em["inner"].items() if k != "mu"},
         },
-        # both are read off inner; a file that carries them is refused, not read
+        # all are read off inner; a file that carries them is refused, not read
         "exterior with theta": {**em, "theta": em["inner"]["theta"]},
         "exterior with a": {**em, "a": 1.0 / em["inner"]["center_derivative"]},
+        "exterior with points": {**em, "points": em["inner"]["points"]},
     }[case]
     with pytest.raises(PreconditionError):
         lio.solved_map_from_dict(d)
 
 
 def test_arc_csv_columns(tmp_path):
-    arc = trace_level(RationalMap(Polynomial([0, 1])), 1.0, 1.0, 2 * np.pi, 0.05)
+    arc = trace_level(Polynomial([0, 1]), 1.0, 1.0, 2 * np.pi, 0.05)
     path = tmp_path / "arc.csv"
     lio.save_arc_csv(arc, path)
     header = path.read_text().splitlines()[0]
@@ -173,7 +174,7 @@ _BAD_CURVES = {
 _BAD_CONFIGS = [
     {"nodes": "1024"}, {"nodes": 100}, {"samples": 2.5}, {"samples_per_lap": 0},
     {"samples_per_lap": -4}, {"svg_width": 10**30}, {"trace_step": -0.01},
-    {"trace_step": 1e-300}, {"trace_step": 3.0}, {"outdir": 3}, {"table_tol": None},
+    {"trace_step": 1e-300}, {"trace_step": 3.0}, {"outdir": 3}, {"grid_mod_min": None},
 ]
 
 
@@ -454,7 +455,7 @@ def test_runconfig_validation(tmp_path):
     with pytest.raises(PreconditionError):
         RunConfig(nodes=8192).validate()
     with pytest.raises(PreconditionError):
-        RunConfig(table_tol=-1.0).validate()
+        RunConfig(trace_step=-1.0).validate()
     cfg = tmp_path / "bad.json"
     for text in [
         json.dumps({"not_a_key": 1}),
@@ -470,6 +471,10 @@ def test_runconfig_validation(tmp_path):
         json.dumps({"seed": 1}),
         json.dumps({"oracle_nx": 96}),
         json.dumps({"oracle_ny": 96}),
+        # the tolerances the acceptance suite pins are not configurable
+        json.dumps({"close_tol_factor": 1e-6}),
+        json.dumps({"table_tol": 1e-3}),
+        json.dumps({"modulus_rtol": 1e-6}),
         json.dumps({"trace_step": 0.01})[:-1],
         json.dumps([1, 2]),
     ]:
@@ -480,10 +485,10 @@ def test_runconfig_validation(tmp_path):
         RunConfig.load(tmp_path / "missing.json")
     with pytest.raises(PreconditionError):
         RunConfig(trace_step=float("nan")).validate()
-    cfg.write_text(json.dumps({"nodes": 512.0, "table_tol": 1, "outdir": "out"}))
+    cfg.write_text(json.dumps({"nodes": 512.0, "grid_mod_max": 8, "outdir": "out"}))
     loaded = RunConfig.load(cfg)
     assert loaded.nodes == 512 and isinstance(loaded.nodes, int)
-    assert loaded.table_tol == 1.0 and isinstance(loaded.table_tol, float)
+    assert loaded.grid_mod_max == 8.0 and isinstance(loaded.grid_mod_max, float)
 
 
 def test_cli_entrypoint_subprocess(files):

@@ -7,6 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lemniscates import levelcurves
+from lemniscates.counterexample import (
+    PolarGrid,
+    build_boundary,
+    chain_from_table,
+    d4_table,
+    noninjectivity_degree,
+    reproduce_table,
+)
 from lemniscates.curves import SampledCurve, count_preimages, unit_circle, winding_number
 from lemniscates.errors import PreconditionError, TraceError
 from lemniscates.levelcurves import (
@@ -27,10 +35,10 @@ from lemniscates.levelcurves import (
     trace_gradient,
     trace_level,
 )
-from lemniscates.polynomials import Polynomial, RationalMap, as_rational, critical_values
+from lemniscates.polynomials import Polynomial, RationalMap, critical_values
 
-F4 = RationalMap(Polynomial([0, 0, 3, 4, 1]))
-Z = RationalMap(Polynomial([0, 1]))
+F4 = Polynomial([0, 0, 3, 4, 1])
+Z = Polynomial([0, 1])
 PI6 = np.pi / 6
 
 
@@ -55,7 +63,7 @@ def _v5():
 
 
 def test_solve_target_examples():
-    sq = RationalMap(Polynomial([0, 0, 1]))
+    sq = Polynomial([0, 0, 1])
     assert solve_target(sq, 4.0, 1.9) == pytest.approx(2.0, abs=1e-9)
     assert solve_target(Z, 0.7 + 0.1j, 0.5) == pytest.approx(0.7 + 0.1j, abs=1e-12)
     v5 = _v5()
@@ -64,7 +72,7 @@ def test_solve_target_examples():
 
 
 def test_solve_target_critical_point_failure():
-    sq = RationalMap(Polynomial([0, 0, 1]))
+    sq = Polynomial([0, 0, 1])
     with pytest.raises(TraceError):
         solve_target(sq, 0.0, 0.5)  # solution z=0 is critical
 
@@ -87,8 +95,8 @@ def test_trace_level_v5v6_change():
 
 def test_trace_level_closed_loop_lev8():
     # the level-8 component is one 4-cycle of laps: arg f turns 8*pi around it
-    [loop] = level_components(F4.num, 8.0, 0.01)
-    assert _laps(loop, 0.01) == 4 and _level_dev(F4.num, loop, 8.0) <= LEVEL_INVARIANT_TOL
+    [loop] = level_components(F4, 8.0, 0.01)
+    assert _laps(loop, 0.01) == 4 and _level_dev(F4, loop, 8.0) <= LEVEL_INVARIANT_TOL
     arc = trace_level(F4, 8.0, _v5(), 8 * np.pi, step=0.01)
     assert arg_change_along(arc) == pytest.approx(8 * np.pi, abs=1e-9)
     assert abs(arc.samples[-1] - arc.samples[0]) < 1e-9
@@ -175,11 +183,11 @@ def test_level_component_needs_a_listed_zero():
 
 
 def test_level_component_needs_constant_denominator():
-    halved = RationalMap(F4.num * 0.5, Polynomial([0.5]))  # f4 itself
-    comp = level_component_enclosing(halved, 0.15, [0.0], step=0.01)
-    assert count_preimages(F4, comp, 0.0) == 2
-    with pytest.raises(PreconditionError):
-        level_component_enclosing(RationalMap(F4.num, Polynomial([2.0, 1.0])), 0.15, [0.0])
+    """Level components take a Polynomial: even a RationalMap with a constant
+    denominator, f4 itself, is refused."""
+    for f in (RationalMap(F4 * 0.5, Polynomial([0.5])), RationalMap(F4, Polynomial([2.0, 1.0]))):
+        with pytest.raises(PreconditionError, match="expected a Polynomial"):
+            level_component_enclosing(f, 0.15, [0.0], step=0.01)
 
 
 def test_cross_module_lift_vs_count(circle_T):
@@ -194,21 +202,45 @@ def test_cross_module_lift_vs_count(circle_T):
 
 
 def test_scalar_kernels_rational_map():
-    val, der, _ = _scalar_kernels(RationalMap(Polynomial([1.0]), Polynomial([0, 1])))(2.0)
-    assert val == pytest.approx(0.5)
-    assert der == pytest.approx(-0.25)
+    """The kernel is one Horner pass over a Polynomial; a RationalMap, even 1/z
+    with its closed-form f and f', is refused up front."""
+    with pytest.raises(PreconditionError, match="expected a Polynomial"):
+        _scalar_kernels(RationalMap(Polynomial([1.0]), Polynomial([0, 1])))
+    val, der, scale = _scalar_kernels(Polynomial([1.0, 0.0, 2.0]))(2.0)  # 1 + 2z^2
+    assert (val, der, scale) == (9.0, 8.0, 9.0)
+
+
+_F4_RATIONAL = RationalMap(F4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: lift_path(f, np.exp, np.exp, 1.0, np.linspace(0.0, 0.1, 5)),
+    lambda f: solve_target(f, 8j, 1.0),
+    lambda f: trace_level(f, 8.0, 1.0, 0.1),
+    lambda f: trace_gradient(f, 0.0, 1.0, 9.0),
+    lambda f: level_component_enclosing(f, 0.15, [0.0]),
+    lambda f: build_boundary(f, chain_from_table(d4_table())),
+    lambda f: reproduce_table(f, None),
+    lambda f: noninjectivity_degree(f, None, PolarGrid(8, 2, 0.5, 2.0)),
+], ids=["lift_path", "solve_target", "trace_level", "trace_gradient",
+        "level_component_enclosing", "build_boundary", "reproduce_table",
+        "noninjectivity_degree"])
+def test_continuation_refuses_rational_map(call):
+    """Every continuation entry point takes a Polynomial and refuses a
+    RationalMap, even one that is a polynomial, with PreconditionError
+    before it reads any other argument."""
+    with pytest.raises(PreconditionError, match="expected a Polynomial"):
+        call(_F4_RATIONAL)
 
 
 _coord = st.floats(-2.0, 2.0).map(lambda x: round(x, 4))
 _point = st.builds(complex, _coord, _coord)
-_polys = st.lists(_point, min_size=2, max_size=5).map(
-    lambda roots: RationalMap(Polynomial.from_roots(roots))
-)
+_polys = st.lists(_point, min_size=2, max_size=5).map(Polynomial.from_roots)
 
 
 def _clear_of_critical_values(f, eps, margin=0.05):
     """eps is at least `margin` (relative) away from every critical modulus."""
-    return all(abs(abs(cv) - eps) >= margin * eps for cv in critical_values(f.num))
+    return all(abs(abs(cv) - eps) >= margin * eps for cv in critical_values(f))
 
 
 @settings(max_examples=25)
@@ -241,7 +273,7 @@ def test_lift_gradient_arc_properties(f, start, log_ratio, grow):
     assume(m0 > 1e-3 and _clear_of_critical_values(f, m0))
     target = m0 * np.exp(log_ratio if grow else -log_ratio)
     lo, hi = sorted((m0, target))
-    for cv in critical_values(f.num):  # keep critical points off the ray
+    for cv in critical_values(f):  # keep critical points off the ray
         on_ray = abs(np.angle(cv * np.exp(-1j * alpha))) < 0.05
         assume(not (on_ray and 0.9 * lo <= abs(cv) <= 1.1 * hi))
     arc = trace_gradient(f, alpha, start, target, step=0.02)
@@ -253,7 +285,7 @@ def test_lift_gradient_arc_properties(f, start, log_ratio, grow):
 
 
 def test_lift_path_raises_at_critical_value():
-    sq = RationalMap(Polynomial([0, 0, 1]))
+    sq = Polynomial([0, 0, 1])
     s = np.linspace(1.0, -1.0, 100)  # w(s) = s crosses the critical value 0
     for lift in (lift_path, _euler_lift_path):  # the kernel and its Euler oracle
         with pytest.raises(TraceError):
@@ -261,7 +293,7 @@ def test_lift_path_raises_at_critical_value():
 
 
 def test_lift_path_array_of_starts_matches_single_lifts():
-    cube = RationalMap(Polynomial([0, 0, 0, 1]))
+    cube = Polynomial([0, 0, 0, 1])
     s = np.linspace(0.0, 2 * np.pi, 65)
     evals = []
 
@@ -302,15 +334,12 @@ def test_lift_path_two_evaluations_per_grid_step(monkeypatch):
 # -- the Euler-predictor kernel that lift_path replaced: a test oracle -----------
 
 
-def _horner_kernels(f):
-    """Fast scalar z -> (f(z), f'(z), scale) from cached coefficient lists;
-    scale = 1 + sum |c_k| |z|^k over the numerator derivative is what a
-    critical |f'| is measured against."""
-    f = as_rational(f)
-    nc = [complex(c) for c in f.num.coeffs][::-1]
-    dc = [complex(c) for c in f.den.coeffs][::-1]
-    nd = [complex(c) for c in f.num.derivative().coeffs][::-1]
-    dd = [complex(c) for c in f.den.derivative().coeffs][::-1]
+def _horner_kernels(p):
+    """Scalar z -> (p(z), p'(z), scale) by three Horner passes over cached
+    coefficient lists; scale = 1 + sum |c_k| |z|^k over p' is what a
+    critical |p'| is measured against."""
+    nc = [complex(c) for c in p.coeffs][::-1]
+    nd = [complex(c) for c in p.derivative().coeffs][::-1]
     ad = [abs(c) for c in nd]
 
     def horner(cs, z):
@@ -319,19 +348,8 @@ def _horner_kernels(f):
             acc = acc * z + c
         return acc
 
-    if len(dc) == 1 and dc[0] == 1.0:
-
-        def fd(z):
-            return horner(nc, z), horner(nd, z), horner(ad, abs(z)) + 1.0
-
-    else:
-
-        def fd(z):
-            n = horner(nc, z)
-            d = horner(dc, z)
-            dn = horner(nd, z)
-            ddv = horner(dd, z)
-            return n / d, (dn * d - n * ddv) / (d * d), horner(ad, abs(z)) + 1.0
+    def fd(z):
+        return horner(nc, z), horner(nd, z), horner(ad, abs(z)) + 1.0
 
     return fd
 
@@ -393,7 +411,7 @@ def test_lift_path_matches_euler_oracle(f, start, delta, log_ratio, grow, log_ra
     assume(eps > 1e-3 and _clear_of_critical_values(f, eps))
     target = eps * np.exp(log_ratio if grow else -log_ratio)
     lo, hi = sorted((eps, target))
-    for cv in critical_values(f.num):  # keep critical points off the ray
+    for cv in critical_values(f):  # keep critical points off the ray
         on_ray = abs(np.angle(cv * np.exp(-1j * alpha))) < 0.05
         assume(not (on_ray and 0.9 * lo <= abs(cv) <= 1.1 * hi))
     # the one-pass kernel: the same f and scale, f' to rounding (degree <= 5)
@@ -413,16 +431,16 @@ def test_lift_path_matches_euler_oracle(f, start, delta, log_ratio, grow, log_ra
         (level, dlevel, _grid(alpha, alpha + delta, 0.02)),
         (ray, ray, _grid(np.log(eps), np.log(target), 0.02)),
     ]:
-        _assert_same_lift(f.num, lift_path(f, path, dpath, start, s)[0],
+        _assert_same_lift(f, lift_path(f, path, dpath, start, s)[0],
                           _euler_lift_path(f, path, dpath, start, s)[0])
     # the laps of a circle: the same ends, so the same permutation
     radius = float(np.exp(log_radius))
     assume(_clear_of_critical_values(f, radius))
     circle = unit_circle(8, radius=radius)
-    arcs, perm = _lap_monodromy(f.num, circle, 64)
+    arcs, perm = _lap_monodromy(f, circle, 64)
     with mock.patch.object(levelcurves, "lift_path", _euler_lift_path):
-        oracle_arcs, oracle_perm = _lap_monodromy(f.num, circle, 64)
-    _assert_same_lift(f.num, arcs[:, -1], oracle_arcs[:, -1])
+        oracle_arcs, oracle_perm = _lap_monodromy(f, circle, 64)
+    _assert_same_lift(f, arcs[:, -1], oracle_arcs[:, -1])
     assert np.array_equal(perm, oracle_perm)
 
 
@@ -445,7 +463,7 @@ def test_trace_level_rejects_bad_arg_change(delta):
 def test_level_components_match_preimage_counts(roots, log_eps):
     p = Polynomial.from_roots(roots)
     eps = float(np.exp(log_eps))
-    assume(_clear_of_critical_values(RationalMap(p), eps, margin=0.01))
+    assume(_clear_of_critical_values(p, eps, margin=0.01))
     loops = level_components(p, eps, 0.02)
     laps = [_laps(loop, 0.02) for loop in loops]
     assert sum(laps) == p.degree
@@ -502,7 +520,7 @@ def test_near_pinch_groupings_step_independent():
     on their own side of it, so the lap monodromy keeps the two neighbouring
     cycles apart."""
     cv_small = (3 * np.sqrt(3.0) - 4.5) / 2
-    cv_big = max(abs(cv) for cv in critical_values(F4.num))
+    cv_big = max(abs(cv) for cv in critical_values(F4))
     expected = {
         0.999 * cv_small: {(0.0,), (-1.0,), (-3.0,)},
         1.001 * cv_small: {(0.0, -1.0), (-3.0,)},

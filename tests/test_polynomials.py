@@ -1,4 +1,6 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +10,8 @@ from lemniscates.errors import PreconditionError, RootFindingError
 from lemniscates.polynomials import (
     Polynomial,
     RationalMap,
-    construct_counterexample_poly,
     critical_points,
     critical_values,
-    design_counterexample,
     normalize_leading,
     poly_roots,
 )
@@ -130,32 +130,6 @@ def test_critical_value_moduli_ordering(f4):
     assert mods[2] == pytest.approx(abs(CV_MINUS), abs=1e-9)
 
 
-def test_counterexample_poly_degree4(f4):
-    p = construct_counterexample_poly(4)
-    assert np.allclose(p.coeffs, f4.coeffs)
-
-
-def test_counterexample_poly_degree5():
-    design = design_counterexample(5)
-    assert design.ratio == 3.0
-    assert sorted(z.real for z in np.asarray(design.zeros, dtype=complex)) == [
-        -9.0,
-        -3.0,
-        -1.0,
-        0.0,
-        0.0,
-    ]
-    mods = sorted(
-        abs(v) for v in critical_values(design.poly) if abs(v) > 1e-9
-    )
-    assert all(b > a for a, b in zip(mods, mods[1:]))
-
-
-def test_counterexample_rejects_small_degree():
-    with pytest.raises(PreconditionError):
-        construct_counterexample_poly(3)
-
-
 def test_degree_cap():
     with pytest.raises(PreconditionError):
         Polynomial(np.ones(70))
@@ -206,3 +180,16 @@ def test_poly_roots_never_returns_non_finite_roots(monkeypatch):
     monkeypatch.setattr(polynomials, "_aberth", lambda c: np.full(c.size - 1, np.nan + 0j))
     with pytest.raises(RootFindingError):
         poly_roots(Polynomial([1, 0, 1]))
+
+
+def test_polynomials_is_a_bottom_layer():
+    """polynomials imports nothing of the package but its errors, so every
+    layer above can import it without a cycle."""
+    tree = ast.parse(Path(polynomials.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):  # deferred imports inside functions too
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {m for m in imported if m.startswith((".", "lemniscates"))} == {".errors"}
