@@ -2,8 +2,10 @@
 
 Subcommands: roots, lemniscate, fingerprint, counterexample, properness.
 Exit codes: 0 success, 2 precondition/usage violation, 3 numerical failure;
-failures also emit a machine-readable JSON object on stderr (type, message
-and, for chain-closure and trace errors, the data they carry). Output is
+failures, usage errors among them, also emit a machine-readable JSON object
+on stderr (type, message and, for chain-closure and trace errors, the data
+they carry). Every command that takes a curve checks it with `is_proper`
+(closed, positively oriented, Jordan) before it writes anything. Output is
 deterministic for a fixed configuration.
 """
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .counterexample import (
     noninjectivity_degree,
     reproduce_table,
 )
-from .curves import SampledCurve, is_jordan, unit_circle
+from .curves import SampledCurve, unit_circle
 from .errors import ChainClosureError, NumericalError, PreconditionError, TraceError
 from .fingerprint import (
     circle_map_of_blaschke,
@@ -115,14 +117,9 @@ def _config_value(name, value, default):
 
 
 def _load_curve_arg(arg: str) -> SampledCurve:
-    """The base curve Gamma: "unit-circle" or a curve file holding a closed
-    Jordan polygon (properness is only defined for Jordan curves)."""
-    if arg == "unit-circle":
-        return unit_circle(512)
-    curve = lio.load_curve(arg)
-    if not (curve.closed and is_jordan(curve)):
-        raise PreconditionError(f"curve {arg} is not a closed Jordan curve")
-    return curve
+    """The base curve Gamma: "unit-circle" or a curve file; `is_proper`
+    refuses one that is not a closed, positively oriented Jordan polygon."""
+    return unit_circle(512) if arg == "unit-circle" else lio.load_curve(arg)
 
 
 def _emit(payload: dict):
@@ -131,7 +128,10 @@ def _emit(payload: dict):
 
 def _outpath(cfg: RunConfig, name: str) -> Path:
     out = Path(cfg.outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise PreconditionError(f"cannot create output directory {out}: {err}") from None
     return out / name
 
 
@@ -167,6 +167,7 @@ def cmd_lemniscate(args, cfg: RunConfig) -> dict:
     p = lio.load_polynomial(args.poly)
     p, rot = normalize_leading(p)
     gamma = _load_curve_arg(args.curve)
+    proper = is_proper(p, gamma)
     svg_path = _outpath(cfg, Path(args.out).name)
     json_path = svg_path.with_suffix(".json")
     inputs = {Path(a).resolve() for a in (args.poly, args.curve, args.config)
@@ -175,7 +176,7 @@ def cmd_lemniscate(args, cfg: RunConfig) -> dict:
         if out.resolve() in inputs:
             raise PreconditionError(f"output {out} would overwrite an input file")
     payload = {"leading_rotation": [rot.real, rot.imag]}
-    if is_proper(p, gamma):
+    if proper:
         curve = pseudo_lemniscate(p, gamma, cfg.samples_per_lap)
         lio.save_curve(curve, json_path)
         lio.curves_to_svg(
@@ -326,8 +327,15 @@ def cmd_properness(args, cfg: RunConfig) -> dict:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise PreconditionError: a JSON record and exit code 2."""
+
+    def error(self, message):
+        raise PreconditionError(f"{self.prog}: {message}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="lemniscates",
         description="Polynomial lemniscates, welding fingerprints, and the "
         "degree-4 non-injectivity region.",
@@ -390,8 +398,8 @@ def _error_record(err) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         cfg = RunConfig.load(args.config, {"outdir": args.outdir})
         payload = _HANDLERS[args.command](args, cfg)
     except (PreconditionError, NumericalError) as err:

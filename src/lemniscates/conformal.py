@@ -66,11 +66,10 @@ class DiskMap:
     """Boundary correspondence and evaluators for phi: D -> Omega, phi(0)=0;
     mu and g0 = g(0) are the solve's density and constant (see _solve_on)."""
 
-    def __init__(self, points, theta, center_derivative, mu, g0):
+    def __init__(self, points, theta, mu, g0):
         self.points = np.asarray(points, dtype=complex)
         self.nodes = self.points.size
         self.theta = np.asarray(theta, dtype=float)
-        self.center_derivative = float(center_derivative)
         self._mu = np.asarray(mu, dtype=float)
         self._g0 = complex(g0)
         self._gamma_c = fourier_coeffs(self.points)
@@ -81,8 +80,14 @@ class DiskMap:
         gaps = np.diff(np.concatenate([self.theta, [self.theta[0] + _TWO_PI]]))
         if not np.all(gaps > 0):
             raise SolverError("boundary correspondence is not strictly increasing")
-        if not self.center_derivative > 0:
-            raise SolverError("center derivative must be positive")
+        if not (np.isfinite(self._g0) and 0 < self.center_derivative < np.inf):
+            raise SolverError(f"g0 = {self._g0} gives no finite positive center derivative")
+
+    @property
+    def center_derivative(self) -> float:
+        """phi'(0) = exp(-Re g0), the inverse of |f'(0)| for f = z exp(g)."""
+        with np.errstate(over="ignore"):
+            return float(np.exp(-self._g0.real))
 
     # -- parameter <-> angle ------------------------------------------------
 
@@ -179,21 +184,23 @@ class DiskMap:
             "kind": "interior",
             "theta": self.theta.tolist(),
             "points": [[p.real, p.imag] for p in self.points],
-            "center_derivative": self.center_derivative,
             "mu": self._mu.tolist(),
             "g0": [self._g0.real, self._g0.imag],
         }
 
     @classmethod
     def from_dict(cls, d):
-        """The map written by to_dict. A malformed file, or one without mu
-        and g0 (written before maps carried them), raises PreconditionError."""
+        """The map written by to_dict. A malformed file, one without mu and
+        g0 (written before maps carried them) or one that carries
+        center_derivative, which g0 determines, raises PreconditionError."""
+        if "center_derivative" in d:
+            raise PreconditionError("map JSON carries center_derivative; it is read off g0")
         try:
             pts = np.array([complex(re, im) for re, im in d["points"]])
             theta, mu = np.asarray(d["theta"], float), np.asarray(d["mu"], float)
             if not (pts.size and theta.shape == mu.shape == pts.shape):
                 raise PreconditionError("map JSON: points, theta and mu differ in length")
-            return cls(pts, theta, float(d["center_derivative"]), mu, complex(*d["g0"]))
+            return cls(pts, theta, mu, complex(*d["g0"]))
         except (KeyError, TypeError, ValueError, SolverError) as err:
             raise PreconditionError(f"malformed map JSON: {err!r}") from None
 
@@ -274,7 +281,7 @@ def _solve_on(im, re, points, dg) -> DiskMap:
     theta = np.unwrap(np.angle(points)) - i_s / np.pi - g0.imag
     # a lift that starts at 0 up to rounding stays at 0, not at 2*pi
     theta -= _TWO_PI * np.floor((theta[0] + _START_EPS) / _TWO_PI)
-    return DiskMap(points, theta, np.exp(-g0.real), mu, g0)
+    return DiskMap(points, theta, mu, g0)
 
 
 def _solve_interior(points: np.ndarray) -> DiskMap:

@@ -20,7 +20,8 @@ import numpy as np
 
 from .curves import SampledCurve, is_jordan, winding_number, winding_numbers
 from .errors import ChainClosureError, NumericalError, PreconditionError, TraceError
-from .levelcurves import TracedArc, level_components, trace_gradient, trace_level
+from .levelcurves import (DEFAULT_STEP, TracedArc, level_components, trace_gradient,
+                          trace_level)
 from .polynomials import Polynomial, critical_values, require_polynomial, roots_flat
 
 _PI6 = np.pi / 6.0
@@ -145,25 +146,14 @@ def _trace_chain(f, specs, z_start, start_arg, step):
     yielding each arc as soon as it is traced."""
     z = z_start
     lift = start_arg
-    modulus = specs[0].value
     for spec in specs:
         if spec.kind == "level":
-            if abs(spec.value - modulus) > 1e-9 * max(spec.value, modulus):
-                raise TraceError(
-                    f"level arc at eps={spec.value:.6g} reached with |f|={modulus:.6g}"
-                )
             arc = trace_level(f, spec.value, z, spec.stop, step=step)
             # re-anchor the arc's lift to the chain's continuous bookkeeping
             arc.arg_lift = arc.arg_lift - arc.arg_lift[0] + lift
             lift += spec.stop
         else:
-            misfit = (lift - spec.value) % (2 * np.pi)
-            if min(misfit, 2 * np.pi - misfit) > 1e-6:
-                raise TraceError(
-                    f"gradient arc at alpha={spec.value:.6g} reached with arg={lift:.6g}"
-                )
             arc = trace_gradient(f, lift, z, spec.stop, step=step)
-            modulus = spec.stop
         yield arc
         z = complex(arc.samples[-1])
 
@@ -216,7 +206,9 @@ def build_boundary(
     open prefix crosses itself, since such a prefix can never become a
     Jordan chain; the closure and full Jordan tests run on the survivors.
     Two closed Jordan candidates are one chain when the second one's start
-    lies on the first one's curve. Zero or several distinct chains raise
+    lies on the first one's curve. Specs whose arc does not start at the
+    modulus or argument the one before reached raise PreconditionError
+    before any tracing; zero or several distinct chains raise
     ChainClosureError listing every candidate's residual, error or
     "crossed_after_arc" index.
     """
@@ -229,6 +221,19 @@ def build_boundary(
             raise PreconditionError("arc kinds must alternate cyclically")
     if specs[0].kind != "level":
         raise PreconditionError("chain must start with a level arc")
+    lift, modulus = start_arg, specs[0].value
+    for spec in specs:  # each arc starts at the modulus or argument reached before it
+        if spec.kind == "level":
+            if abs(spec.value - modulus) > 1e-9 * max(spec.value, modulus):
+                raise PreconditionError(
+                    f"level arc at eps={spec.value:.6g} reached with |f|={modulus:.6g}")
+            lift += spec.stop
+        else:
+            misfit = (lift - spec.value) % (2 * np.pi)
+            if min(misfit, 2 * np.pi - misfit) > 1e-6:
+                raise PreconditionError(
+                    f"gradient arc at alpha={spec.value:.6g} reached with arg={lift:.6g}")
+            modulus = spec.stop
 
     w_start = specs[0].value * np.exp(1j * start_arg)
     candidates = [complex(r) for r in roots_flat(f - w_start, tol=1e-8)]
@@ -484,7 +489,7 @@ class CounterexampleDesign:
         }
 
 
-def design_counterexample(n: int, step: float = 0.02) -> CounterexampleDesign:
+def design_counterexample(n: int, step: float = DEFAULT_STEP) -> CounterexampleDesign:
     """Construct and numerically validate the degree-n family member: a
     double zero at 0 plus n - 2 simple zeros at -1, -3, -9, ...
     (SPACING_RATIO).

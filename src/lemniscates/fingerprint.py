@@ -7,10 +7,10 @@ Blaschke product, and `identity_report` measures how well the computed
 objects satisfy that factorization. B's lift is taken in closed form: each
 factor (z - a)/(1 - conj(a) z) lifts to theta + 2 arg(1 - a e^{-i theta}).
 
-The preimage curve is traced by the lap monodromy of `levelcurves`: one lap
-of Gamma lifted from each root of p - Gamma(0). p is proper for Gamma iff
-the lap permutation is a single n-cycle, whose laps joined in order are the
-pseudo-lemniscate.
+The preimage curve is traced by `levelcurves.preimage_loops`, which joins
+the laps of Gamma lifted from the roots of p - Gamma(0) into the components
+of p^{-1}(Gamma). p is proper for Gamma iff there is one component, the
+pseudo-lemniscate; `is_proper` decides it from the critical values alone.
 """
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ from scipy.interpolate import PchipInterpolator
 from .conformal import DEFAULT_NODES, DiskMap, ExteriorMap, riemann_maps
 from .curves import NEAR_HIT, SampledCurve, is_jordan, winding_numbers
 from .errors import NumericalError, PreconditionError, TraceError
-from .levelcurves import _cycles, _lap_monodromy
-from .polynomials import Polynomial, critical_values, roots_flat
+from .levelcurves import preimage_loops
+from .polynomials import Polynomial, critical_values, require_polynomial, roots_flat
 
 _TWO_PI = 2.0 * np.pi
 LIFT_TOL = 1e-8  # allowed defect in the 2*pi*degree total increase
@@ -154,32 +154,20 @@ def nth_root_lift(m: CircleMap, n: int, branch: int = 0) -> CircleMap:
 # -- pseudo-lemniscates ------------------------------------------------------------
 
 
-def _trace_pseudo_lemniscate(p: Polynomial, gamma: SampledCurve, samples_per_lap: int):
-    """The lap arcs of `_lap_monodromy` joined in the order of the first cycle.
-
-    Returns the nm samples of the preimage curve, uniform in the base
-    parameter tau in [0, 2 pi n) (the Gamma-lap position); a cycle shorter
-    than n raises TraceError.
-    """
-    n = p.degree
-    m = samples_per_lap
-    arcs, perm = _lap_monodromy(p, gamma, m)
-    cycle = _cycles(perm)[0]
-    if len(cycle) < n:
-        raise TraceError(f"curve closed after {len(cycle)} of {n} laps; input is not proper")
-    return arcs[cycle, :m].ravel()
-
-
-def pseudo_lemniscate(
-    p: Polynomial, gamma: SampledCurve, samples_per_lap: int = 1024
-) -> SampledCurve:
-    """The preimage curve p^{-1}(Gamma), traced as a single closed Jordan
-    curve covering Gamma degree-n times. Requires a proper input."""
+def pseudo_lemniscate(p: Polynomial, gamma: SampledCurve,
+                      samples_per_lap: int = 1024) -> SampledCurve:
+    """The preimage curve p^{-1}(Gamma), the one `preimage_loops` component
+    covering Gamma degree-n times. Requires a proper input; a trace that
+    still splits into several loops raises TraceError."""
     if not is_proper(p, gamma):
         raise PreconditionError(
             "pseudo-lemniscate is not Jordan: some critical value lies outside"
         )
-    return SampledCurve(_trace_pseudo_lemniscate(p, gamma, samples_per_lap), closed=True)
+    first, *rest = preimage_loops(p, gamma, samples_per_lap)
+    if rest:
+        raise TraceError(f"curve closed after {first.size // samples_per_lap} of "
+                         f"{p.degree} laps; input is not proper")
+    return SampledCurve(first, closed=True)
 
 
 # -- properness ----------------------------------------------------------------
@@ -188,7 +176,7 @@ def pseudo_lemniscate(
 def is_proper(p: Polynomial, gamma: SampledCurve) -> bool:
     """Criterion: every finite critical value lies in the bounded face of
     Gamma, a closed, positively oriented Jordan polygon."""
-    if p.degree < 1:
+    if require_polynomial(p).degree < 1:
         raise PreconditionError("polynomial must be nonconstant")
     if not gamma.closed:
         raise PreconditionError("winding number needs a closed curve")
@@ -209,15 +197,14 @@ def is_proper(p: Polynomial, gamma: SampledCurve) -> bool:
 
 def is_proper_oracle(p: Polynomial, gamma: SampledCurve) -> bool:
     """Independent properness test: p^{-1}(Gamma) is one Jordan curve, i.e.
-    the lap monodromy of the n preimages of Gamma(0) is a single n-cycle.
+    `preimage_loops` finds a single component.
 
-    The answer is a cycle count, exact once each lap lands on a unique root;
+    The answer is a loop count, exact once each lap lands on a unique root;
     the laps are lifted at ORACLE_STEPS_PER_LAP grid steps. Gamma must be a
     closed, positively oriented Jordan polygon."""
     if not is_jordan(gamma):
         raise PreconditionError("the base curve must be a Jordan curve")
-    _, perm = _lap_monodromy(p, gamma, ORACLE_STEPS_PER_LAP)
-    return len(_cycles(perm)) == 1
+    return len(preimage_loops(p, gamma, ORACLE_STEPS_PER_LAP)) == 1
 
 
 # -- fingerprints ----------------------------------------------------------------
@@ -286,14 +273,12 @@ def identity_report(
     The polynomial must have positive leading coefficient and be proper for
     the curve; the origin must lie inside both the curve and its preimage.
     """
-    lead = p.coeffs[-1]
+    lead = require_polynomial(p).coeffs[-1]
     if abs(lead.imag) > 1e-12 * abs(lead) or lead.real <= 0:
         raise PreconditionError("polynomial must have a positive leading coefficient")
-    if not is_proper(p, gamma):
-        raise PreconditionError("input is not proper")
     n = p.degree
-    m = samples_per_lap or max(512, (2 * nodes) // n)
-    lem = SampledCurve(_trace_pseudo_lemniscate(p, gamma, m), closed=True)
+    m = samples_per_lap or max(512, (2 * nodes) // max(n, 1))  # is_proper refuses n = 0
+    lem = pseudo_lemniscate(p, gamma, m)
     dm_lem, em_lem = riemann_maps(lem, nodes)
     dm_gam, em_gam = riemann_maps(gamma, nodes)
     k_p = _fingerprint_from_maps(dm_lem, em_lem)

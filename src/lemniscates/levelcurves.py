@@ -14,12 +14,13 @@ in s = log|f|. Every sample lands on its exact target to a relative residual
 of NEWTON_TOL = 1e-12, so a level arc's argument lift is its grid and
 |f| = eps holds to that residual.
 
-`_lap_monodromy` is the one closed-curve tracer: it lifts one lap of a closed
-curve Gamma through p^{-1} from every root of p - Gamma(0), and the cycles of
-the permutation of the lap ends are the components of p^{-1}(Gamma). With
-Gamma the circle of radius eps they are the closed components of
-{|p| = eps} (`level_components`); with a Jordan curve whose critical values
-lie inside, one n-cycle is the pseudo-lemniscate.
+`preimage_loops` is the one closed-curve tracer: it lifts one lap of a closed
+curve Gamma through p^{-1} from every root of p - Gamma(0), and each cycle of
+the permutation of the lap ends, its laps joined in order, is a component of
+p^{-1}(Gamma). With Gamma the circle of radius eps they are the closed
+components of {|p| = eps} (`level_components`); with a Jordan curve whose
+critical values lie inside, the one loop of n laps is the pseudo-lemniscate,
+and the loop count is `fingerprint.is_proper_oracle`.
 """
 from __future__ import annotations
 
@@ -309,23 +310,24 @@ def trace_gradient(
     return TracedArc(samples, fvals, np.full(s.size, float(alpha)), "gradient", float(alpha))
 
 
-# -- lap monodromy and closed level components -----------------------------------
+# -- preimage loops and closed level components ----------------------------------
 
 
-def _lap_monodromy(p: Polynomial, gamma: SampledCurve, m: int):
-    """Lift one lap of Gamma through p^{-1} from each root of p - Gamma(0).
+def preimage_loops(p, gamma: SampledCurve, m: int) -> list:
+    """The components of p^{-1}(Gamma) for the polynomial p: one array of
+    k*m samples per cycle of k laps, in the order of each cycle's smallest
+    root, the roots of p - Gamma(0) sorted by (re, im).
 
     Gamma must be a closed, positively oriented Jordan polygon; the callers
     that take a user's Gamma check `is_jordan` (its absolute default tol
     would reject the exact eps-circles of `level_components` for tiny eps).
     Gamma is the trigonometric interpolant of its samples, lifted over the
-    grid tau_j = 2 pi j / m, j = 0..m, from the roots sorted by (re, im).
-    Gamma and Gamma' are sampled on that grid by FFT; only the midpoints of
-    halved steps are evaluated densely.
-    Returns (arcs, perm): arcs[i] is the lap from root i (m + 1 samples) and
-    perm[i] the root its end lands on. Each end must lie within
-    1e-8 * (1 + max|z|) of exactly one root, or TraceError is raised.
+    grid tau_j = 2 pi j / m, j = 0..m, from each root. Gamma and Gamma' are
+    sampled on that grid by FFT; only the midpoints of halved steps are
+    evaluated densely. Each lap end must lie within 1e-8 * (1 + max|z|) of
+    exactly one root, or TraceError is raised.
     """
+    p = require_polynomial(p)
     if p.degree < 1:
         raise PreconditionError("polynomial must be nonconstant")
     if not gamma.closed:
@@ -360,31 +362,24 @@ def _lap_monodromy(p: Polynomial, gamma: SampledCurve, m: int):
     perm = np.argmax(hits, axis=1)
     if np.unique(perm).size < perm.size:
         raise TraceError(f"lap ends {perm.tolist()} are not a permutation of the roots")
-    return arcs, perm
-
-
-def _cycles(perm) -> list:
-    """Every cycle of the permutation, each from its smallest index, in the
-    order of those indices."""
-    cycles, seen = [], set()
+    loops, seen = [], set()
     for first in range(len(perm)):
         if first not in seen:
             cycle = [first]
             while perm[cycle[-1]] != first:
                 cycle.append(int(perm[cycle[-1]]))
             seen.update(cycle)
-            cycles.append(cycle)
-    return cycles
+            loops.append(arcs[cycle, :m].ravel())
+    return loops
 
 
 def level_components(p: Polynomial, eps: float, step: float = DEFAULT_STEP) -> list:
-    """The closed components of {|p| = eps}, one per cycle of the lap
-    monodromy of the circle eps*T.
+    """The closed components of {|p| = eps}: the `preimage_loops` of the
+    circle eps*T.
 
     Each lap lifts eps*exp(i tau) over m = _grid(0, 2 pi, step).size - 1
-    uniform steps from a root of p - eps; a cycle's laps joined in order are
-    a positively oriented loop around which arg p turns once per lap, so it
-    encloses as many zeros of p (with multiplicity) as the cycle has laps.
+    uniform steps; arg p turns once per lap around a loop, which is
+    positively oriented, so a loop of k laps encloses k zeros (with multiplicity).
     Returns the loops ordered by each loop's smallest enclosed zero in
     (re, im) order. A loop whose max | |p| - eps | / eps exceeds
     LEVEL_INVARIANT_TOL, beyond the rounding of its samples, raises
@@ -393,14 +388,13 @@ def level_components(p: Polynomial, eps: float, step: float = DEFAULT_STEP) -> l
     if not eps > 0:
         raise PreconditionError("eps must be positive")
     m = _grid(0.0, 2 * np.pi, step).size - 1
-    arcs, perm = _lap_monodromy(p, unit_circle(8, radius=eps), m)
+    loops = preimage_loops(p, unit_circle(8, radius=eps), m)
     zero_pts = [z for z, _ in poly_roots(p, tol=1e-9)]  # distinct, (re, im) order
     found = []
-    for cycle in _cycles(perm):
-        loop = SampledCurve(arcs[cycle, :m].ravel(), closed=True)
+    for loop in map(SampledCurve, loops):
         inside = np.flatnonzero(winding_numbers(loop.points, zero_pts, min_distance=0.0)[0])
         if inside.size == 0:
-            raise TraceError(f"level loop of {len(cycle)} laps encloses no zero",
+            raise TraceError(f"level loop of {len(loop) // m} laps encloses no zero",
                              samples=loop.points)
         err = np.abs(np.abs(p(loop.points)) - eps)
         # a sample is only known to rounding, which moves p by up to about

@@ -289,6 +289,20 @@ def test_arcspec_validation():
         ArcSpec("surface", 1.0, 1.0)
 
 
+@pytest.mark.parametrize("index, spec, message", [
+    (2, ArcSpec("level", 0.61, 6 * PI6), "level arc at eps=0.61 reached with [|]f[|]=0.6"),
+    (3, ArcSpec("gradient", 4 * PI6, 8.0), "gradient arc at alpha=2.0944 reached with"),
+])
+def test_build_boundary_refuses_discontinuous_specs(f4, monkeypatch, index, spec, message):
+    """An arc that does not start where the one before it ends is a fault of
+    the specs, refused before any candidate is traced."""
+    specs = chain_from_table(d4_table())
+    specs[index] = spec
+    monkeypatch.setattr("lemniscates.counterexample.trace_level", None)
+    with pytest.raises(PreconditionError, match=message):
+        build_boundary(f4, specs)
+
+
 # -- the degree-n family ---------------------------------------------------------
 
 

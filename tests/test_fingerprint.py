@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lemniscates import levelcurves
+from lemniscates import fingerprint, levelcurves
 from lemniscates._fourier import fourier_coeffs, trig_eval, trig_eval_deriv
 from lemniscates.curves import (
     SampledCurve,
@@ -17,7 +17,6 @@ from lemniscates.errors import NumericalError, PreconditionError, SolverError, T
 from lemniscates.fingerprint import (
     BlaschkeProduct,
     CircleMap,
-    _trace_pseudo_lemniscate,
     circle_map_of_blaschke,
     fingerprint_of_curve,
     identity_report,
@@ -286,7 +285,7 @@ def _n_lap_trace(p: Polynomial, gamma: SampledCurve, samples_per_lap: int):
 
 
 def _assert_matches_n_lap_trace(p, gamma, m):
-    pts = _trace_pseudo_lemniscate(p, gamma, m)
+    pts = pseudo_lemniscate(p, gamma, m).points
     ref_pts, _ = _n_lap_trace(p, gamma, m)
     assert np.max(np.abs(pts - ref_pts)) <= 1e-12
 
@@ -317,9 +316,12 @@ def test_lap_arcs_match_n_lap_trace_on_proper_draws(roots, log_lead, curve):
     _assert_matches_n_lap_trace(p, gamma, 128)
 
 
-def test_trace_rejects_short_cycle(circle_T):
+def test_pseudo_lemniscate_rejects_two_loops(circle_T, monkeypatch):
+    """z^2 - 4 over T has two preimage loops; with the critical-value test
+    fooled, the traced loop count still refuses the input."""
+    monkeypatch.setattr(fingerprint, "is_proper", lambda p, gamma: True)
     with pytest.raises(TraceError, match="closed after 1 of 2 laps"):
-        _trace_pseudo_lemniscate(Polynomial([-4, 0, 1]), circle_T, 128)
+        pseudo_lemniscate(Polynomial([-4, 0, 1]), circle_T, 128)
 
 
 def test_lap_end_at_no_root_raises(circle_T, monkeypatch):

@@ -81,6 +81,7 @@ def solved_maps():
     "empty", "no mu (older format)", "no g0", "short mu", "decreasing theta",
     "bad points", "exterior without inner", "exterior with older inner",
     "exterior with theta", "exterior with a", "exterior with points",
+    "with center_derivative", "infinite g0",
 ])
 def test_solved_map_malformed_json_refused(solved_maps, case):
     dm, em = solved_maps
@@ -97,8 +98,11 @@ def test_solved_map_malformed_json_refused(solved_maps, case):
         },
         # all are read off inner; a file that carries them is refused, not read
         "exterior with theta": {**em, "theta": em["inner"]["theta"]},
-        "exterior with a": {**em, "a": 1.0 / em["inner"]["center_derivative"]},
+        "exterior with a": {**em, "a": float(np.exp(em["inner"]["g0"][0]))},
         "exterior with points": {**em, "points": em["inner"]["points"]},
+        # g0 determines phi'(0) = exp(-Re g0); a stored copy could disagree
+        "with center_derivative": {**dm, "center_derivative": float(np.exp(-dm["g0"][0]))},
+        "infinite g0": {**dm, "g0": [float("inf"), 0.0]},
     }[case]
     with pytest.raises(PreconditionError):
         lio.solved_map_from_dict(d)
@@ -425,6 +429,35 @@ def test_cli_counterexample_family(files, capsys):
     assert run_cli("counterexample", "family", "--n", "5", outdir=files) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["degree"] == 5 and out["spacing_ratio"] == 3.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "family", "--n", "5", "--outdir", "x"],  # a global option after
+    ["roots"],
+    ["counterexample", "bogus"],
+    ["counterexample", "family", "--n", "abc"],
+], ids=["unknown option", "missing positional", "bad action", "non-integer --n"])
+def test_cli_usage_errors_emit_json(files, capsys, argv):
+    assert run_cli(*argv, outdir=files / "out") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err)["error"] == "PreconditionError"
+    assert not (files / "out").exists()
+
+
+def test_cli_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["counterexample", "--help"])
+    assert info.value.code == 0 and "family" in capsys.readouterr().out
+
+
+def test_cli_outdir_that_is_a_file(files, capsys):
+    blocker = files / "blocker"
+    blocker.write_text("")
+    before = sorted(files.iterdir())
+    assert run_cli("counterexample", "family", "--n", "5", outdir=blocker) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "PreconditionError" and "output directory" in record["message"]
+    assert sorted(files.iterdir()) == before and blocker.read_text() == ""
 
 
 def test_cli_counterexample_rejects_higher_degree_region(files, capsys):

@@ -17,6 +17,7 @@ from lemniscates.counterexample import (
 )
 from lemniscates.curves import SampledCurve, count_preimages, unit_circle, winding_number
 from lemniscates.errors import PreconditionError, TraceError
+from lemniscates.fingerprint import identity_report, is_proper, is_proper_oracle, pseudo_lemniscate
 from lemniscates.levelcurves import (
     _CORRECTOR_ITERS,
     _MAX_HALVINGS,
@@ -24,13 +25,13 @@ from lemniscates.levelcurves import (
     LEVEL_INVARIANT_TOL,
     NEWTON_TOL,
     _grid,
-    _lap_monodromy,
     _newton,
     _scalar_kernels,
     arg_change_along,
     level_component_enclosing,
     level_components,
     lift_path,
+    preimage_loops,
     solve_target,
     trace_gradient,
     trace_level,
@@ -219,16 +220,23 @@ _F4_RATIONAL = RationalMap(F4)
     lambda f: trace_level(f, 8.0, 1.0, 0.1),
     lambda f: trace_gradient(f, 0.0, 1.0, 9.0),
     lambda f: level_component_enclosing(f, 0.15, [0.0]),
+    lambda f: level_components(f, 0.15),
+    lambda f: preimage_loops(f, unit_circle(64), 64),
     lambda f: build_boundary(f, chain_from_table(d4_table())),
     lambda f: reproduce_table(f, None),
     lambda f: noninjectivity_degree(f, None, PolarGrid(8, 2, 0.5, 2.0)),
+    lambda f: is_proper(f, unit_circle(64)),
+    lambda f: is_proper_oracle(f, unit_circle(64)),
+    lambda f: pseudo_lemniscate(f, unit_circle(64)),
+    lambda f: identity_report(f, unit_circle(64)),
 ], ids=["lift_path", "solve_target", "trace_level", "trace_gradient",
-        "level_component_enclosing", "build_boundary", "reproduce_table",
-        "noninjectivity_degree"])
+        "level_component_enclosing", "level_components", "preimage_loops", "build_boundary",
+        "reproduce_table", "noninjectivity_degree", "is_proper", "is_proper_oracle",
+        "pseudo_lemniscate", "identity_report"])
 def test_continuation_refuses_rational_map(call):
-    """Every continuation entry point takes a Polynomial and refuses a
-    RationalMap, even one that is a polynomial, with PreconditionError
-    before it reads any other argument."""
+    """Every continuation entry point, and every fingerprint entry point that
+    traces p^{-1}(Gamma), takes a Polynomial and refuses a RationalMap, even
+    one that is a polynomial, with PreconditionError."""
     with pytest.raises(PreconditionError, match="expected a Polynomial"):
         call(_F4_RATIONAL)
 
@@ -433,15 +441,16 @@ def test_lift_path_matches_euler_oracle(f, start, delta, log_ratio, grow, log_ra
     ]:
         _assert_same_lift(f, lift_path(f, path, dpath, start, s)[0],
                           _euler_lift_path(f, path, dpath, start, s)[0])
-    # the laps of a circle: the same ends, so the same permutation
+    # the laps of a circle: the same laps, so the same loops
     radius = float(np.exp(log_radius))
     assume(_clear_of_critical_values(f, radius))
     circle = unit_circle(8, radius=radius)
-    arcs, perm = _lap_monodromy(f, circle, 64)
+    loops = preimage_loops(f, circle, 64)
     with mock.patch.object(levelcurves, "lift_path", _euler_lift_path):
-        oracle_arcs, oracle_perm = _lap_monodromy(f, circle, 64)
-    _assert_same_lift(f, arcs[:, -1], oracle_arcs[:, -1])
-    assert np.array_equal(perm, oracle_perm)
+        oracle_loops = preimage_loops(f, circle, 64)
+    assert [loop.size for loop in loops] == [loop.size for loop in oracle_loops]
+    for loop, oracle in zip(loops, oracle_loops):
+        _assert_same_lift(f, loop, oracle)
 
 
 @pytest.mark.parametrize("step", [0.0, -0.01, np.nan, np.inf])
