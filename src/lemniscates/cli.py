@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -21,9 +20,7 @@ from pathlib import Path
 from . import io as lio
 from .counterexample import (
     PolarGrid,
-    build_boundary,
-    chain_from_table,
-    d4_table,
+    build_d4_chain,
     design_counterexample,
     f4_polynomial,
     noninjectivity_degree,
@@ -43,38 +40,31 @@ from .polynomials import critical_values, normalize_leading, poly_roots
 ENV_OUTDIR = "LEMNISCATES_OUTDIR"
 # largest accepted value of each count field of RunConfig; larger values would
 # ask for arrays too large to allocate (nodes is a power of two in [64, 4096])
-MAX_COUNTS = {
-    "samples": 1 << 16,
-    "samples_per_lap": 1 << 16,
-    "grid_args": 3600,
-    "grid_moduli": 1000,
-    "svg_width": 1 << 16,
-}
-MIN_TRACE_STEP = 1e-5  # finer steps would ask for more than 600,000 samples per lap
-MAX_TRACE_STEP = 2 * math.pi / 64  # a lap keeps >= 64 steps; coarser laps drop levels
+MAX_COUNTS = {"grid_args": 3600, "grid_moduli": 1000}
 
 
 @dataclass
 class RunConfig:
-    """Knobs shared by all commands; overridable via --config JSON."""
+    """Knobs shared by all commands; overridable via --config JSON.
+
+    `nodes` is the Riemann-map node count of `fingerprint`; the grid_* fields
+    are the polar target grid of `counterexample noninj`; `outdir` is where
+    files are written. Sample counts, trace steps and the SVG width are the
+    library's own defaults, so the CLI computes what the library computes.
+    """
 
     nodes: int = 1024
-    samples: int = 512
-    samples_per_lap: int = 1024
-    trace_step: float = 0.01
     grid_args: int = 360
     grid_moduli: int = 100
     grid_mod_min: float = 0.16
     grid_mod_max: float = 7.9
     outdir: str = "."
-    svg_width: int = 800
 
     def validate(self):
         if self.nodes < 64 or self.nodes > 4096 or self.nodes & (self.nodes - 1):
             raise PreconditionError("nodes must be a power of two in [64, 4096]")
-        if not MIN_TRACE_STEP <= self.trace_step <= MAX_TRACE_STEP:
-            raise PreconditionError(
-                f"trace_step must be in [{MIN_TRACE_STEP:g}, {MAX_TRACE_STEP:.6g}]")
+        if not 0 < self.grid_mod_min < self.grid_mod_max:  # also refuses NaN
+            raise PreconditionError("grid moduli must satisfy 0 < grid_mod_min < grid_mod_max")
         for name, most in MAX_COUNTS.items():
             if not 0 < getattr(self, name) <= most:
                 raise PreconditionError(f"{name} must be in [1, {most}]")
@@ -148,13 +138,13 @@ def cmd_roots(args, cfg: RunConfig) -> dict:
     }
 
 
-def _level_family(p, moduli, step):
+def _level_family(p, moduli):
     """The closed components of |p| = eps, per eps; a level that fails to
     trace or to keep the level invariant is left out."""
     out = []
     for eps in moduli:
         try:
-            loops = level_components(p, eps, step)
+            loops = level_components(p, eps)
         except NumericalError:
             continue
         out.extend((eps, loop) for loop in loops)
@@ -177,11 +167,9 @@ def cmd_lemniscate(args, cfg: RunConfig) -> dict:
             raise PreconditionError(f"output {out} would overwrite an input file")
     payload = {"leading_rotation": [rot.real, rot.imag]}
     if proper:
-        curve = pseudo_lemniscate(p, gamma, cfg.samples_per_lap)
+        curve = pseudo_lemniscate(p, gamma)
         lio.save_curve(curve, json_path)
-        lio.curves_to_svg(
-            [curve, gamma], svg_path, width=cfg.svg_width, title="pseudo-lemniscate"
-        )
+        lio.curves_to_svg([curve, gamma], svg_path, title="pseudo-lemniscate")
         payload.update(
             {"proper": True, "svg": str(svg_path), "curve_json": str(json_path),
              "points": len(curve)}
@@ -189,12 +177,10 @@ def cmd_lemniscate(args, cfg: RunConfig) -> dict:
     else:
         cvs = critical_values(p)  # degree >= 2: lower degrees are proper or rejected
         moduli = sorted({abs(cv) * s for cv in cvs if abs(cv) > 0 for s in (0.98, 1.02)})
-        family = _level_family(p, moduli, cfg.trace_step)
+        family = _level_family(p, moduli)
         curves = [loop for _, loop in family]
         if curves:
-            lio.curves_to_svg(
-                curves, svg_path, width=cfg.svg_width, title="critical level sets"
-            )
+            lio.curves_to_svg(curves, svg_path, title="critical level sets")
             lio.save_curve(curves[0], json_path)
         payload.update(
             {
@@ -212,10 +198,7 @@ def cmd_fingerprint(args, cfg: RunConfig) -> dict:
     p = lio.load_polynomial(args.poly)
     p, rot = normalize_leading(p)
     gamma = _load_curve_arg(args.curve)
-    rep = identity_report(
-        p, gamma, samples=cfg.samples, nodes=cfg.nodes,
-        samples_per_lap=cfg.samples_per_lap,
-    )
+    rep = identity_report(p, gamma, nodes=cfg.nodes)
     out = _outpath(cfg, Path(args.out).name)
     lio.save_circle_map_csv(rep.k_p, out)
     kg_path = out.with_name(out.stem + "_kgamma.csv")
@@ -254,13 +237,13 @@ def _require_degree4(args):
 
 def cmd_counterexample(args, cfg: RunConfig) -> dict:
     if args.action == "family":
-        design = design_counterexample(args.n, step=cfg.trace_step)
+        design = design_counterexample(args.n)
         path = _outpath(cfg, f"f{args.n}.json")
         lio.save_polynomial(design.poly, path)
         return {"polynomial_json": str(path), **design.metadata()}
     _require_degree4(args)
     f4 = f4_polynomial()
-    chain = build_boundary(f4, chain_from_table(d4_table()), step=cfg.trace_step)
+    chain = build_d4_chain()
     if args.action == "table":
         report = reproduce_table(f4, chain)
         path = _outpath(cfg, "table_report.json")
@@ -297,12 +280,12 @@ def cmd_counterexample(args, cfg: RunConfig) -> dict:
     lio.save_curve(chain.curve, curve_path)
     svg_path = _outpath(cfg, "d4_boundary.svg")
     moduli = sorted({s.value for s in chain.specs if s.kind == "level"})
-    family = _level_family(f4, moduli, cfg.trace_step)
+    family = _level_family(f4, moduli)
     curves = [chain.curve] + [loop for _, loop in family]
     widths = [2.5] + [0.8] * len(family)
     labels = ["boundary"] + [f"level {eps:g}" for eps, _ in family]
-    lio.curves_to_svg(curves, svg_path, width=cfg.svg_width,
-                      labels=labels, stroke_widths=widths, title="region boundary")
+    lio.curves_to_svg(curves, svg_path, labels=labels, stroke_widths=widths,
+                      title="region boundary")
     return {
         "curve_json": str(curve_path),
         "svg": str(svg_path),

@@ -41,6 +41,11 @@ MAX_WITNESSES = 100     # witnesses and skipped targets kept in a Noninjectivity
 PREFIX_GROWTH = 2.0
 
 
+def _circ_dist(a: float, b: float) -> float:
+    d = (a - b) % (2 * np.pi)
+    return min(d, 2 * np.pi - d)
+
+
 @dataclass(frozen=True)
 class Table1Row:
     label: str
@@ -50,8 +55,7 @@ class Table1Row:
     final_arg: float
 
     def consistent(self, tol=1e-12) -> bool:
-        gap = (self.initial_arg + self.total_change - self.final_arg) % (2 * np.pi)
-        return min(gap, 2 * np.pi - gap) <= tol
+        return _circ_dist(self.initial_arg + self.total_change, self.final_arg) <= tol
 
 
 @dataclass(frozen=True)
@@ -112,8 +116,7 @@ def chain_from_table(rows: list[Table1Row]) -> list[ArcSpec]:
         if not row.consistent():
             raise PreconditionError(f"row {row.label}: final != initial + change (mod 2pi)")
         nxt = rows[(i + 1) % n]
-        gap = (row.final_arg - nxt.initial_arg) % (2 * np.pi)
-        if min(gap, 2 * np.pi - gap) > 1e-9:
+        if _circ_dist(row.final_arg, nxt.initial_arg) > 1e-9:
             raise PreconditionError(
                 f"rows {row.label} and {nxt.label} are incompatible: "
                 f"final arg {row.final_arg:.6g} != initial arg {nxt.initial_arg:.6g}"
@@ -229,15 +232,13 @@ def build_boundary(
                     f"level arc at eps={spec.value:.6g} reached with |f|={modulus:.6g}")
             lift += spec.stop
         else:
-            misfit = (lift - spec.value) % (2 * np.pi)
-            if min(misfit, 2 * np.pi - misfit) > 1e-6:
+            if _circ_dist(lift, spec.value) > 1e-6:
                 raise PreconditionError(
                     f"gradient arc at alpha={spec.value:.6g} reached with arg={lift:.6g}")
             modulus = spec.stop
 
     w_start = specs[0].value * np.exp(1j * start_arg)
     candidates = [complex(r) for r in roots_flat(f - w_start, tol=1e-8)]
-    candidates.sort(key=lambda z: (z.real, z.imag))
 
     results = []
     distinct = []
@@ -402,11 +403,6 @@ class TableReport:
             "all_ok": self.all_ok,
             "rows": [r.to_dict() for r in self.rows],
         }
-
-
-def _circ_dist(a: float, b: float) -> float:
-    d = (a - b) % (2 * np.pi)
-    return min(d, 2 * np.pi - d)
 
 
 def reproduce_table(f, chain: BoundaryChain) -> TableReport:

@@ -264,12 +264,13 @@ def identity_report(
     gamma: SampledCurve,
     samples: int = 512,
     nodes: int = 1024,
-    samples_per_lap: int | None = None,
 ) -> IdentityReport:
     """Measure max over sample angles of the circle distance between
     n*lift(k_p) and lift(k_Gamma)(lift(B)), after aligning the constant
     2*pi*k branch offset.
 
+    The pseudo-lemniscate is traced at m = max(512, 2*nodes // n) samples
+    per lap of Gamma, so its n*m samples resolve the `nodes`-point solve.
     The polynomial must have positive leading coefficient and be proper for
     the curve; the origin must lie inside both the curve and its preimage.
     """
@@ -277,7 +278,7 @@ def identity_report(
     if abs(lead.imag) > 1e-12 * abs(lead) or lead.real <= 0:
         raise PreconditionError("polynomial must have a positive leading coefficient")
     n = p.degree
-    m = samples_per_lap or max(512, (2 * nodes) // max(n, 1))  # is_proper refuses n = 0
+    m = max(512, (2 * nodes) // max(n, 1))  # is_proper refuses n = 0
     lem = pseudo_lemniscate(p, gamma, m)
     dm_lem, em_lem = riemann_maps(lem, nodes)
     dm_gam, em_gam = riemann_maps(gamma, nodes)

@@ -136,13 +136,13 @@ def save_circle_map_csv(m: CircleMap, path):
 
 # -- SVG -------------------------------------------------------------------------
 
+SVG_WIDTH = 800  # pixels; the height follows the drawing's aspect ratio
 _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
 def curves_to_svg(
     curves,
     path,
-    width: int = 800,
     labels=None,
     stroke_widths=None,
     title: str | None = None,
@@ -157,15 +157,15 @@ def curves_to_svg(
     y0, y1 = float(allpts.imag.min()), float(allpts.imag.max())
     pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
-    scale = width / (x1 - x0)
+    scale = SVG_WIDTH / (x1 - x0)
     height = int(np.ceil((y1 - y0) * scale))
 
     def xy(z):
         return (z.real - x0) * scale, (y1 - z.imag) * scale
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
+        f'height="{height}" viewBox="0 0 {SVG_WIDTH} {height}">'
     ]
     if title:
         parts.append(f"<title>{title}</title>")

@@ -316,7 +316,8 @@ def trace_gradient(
 def preimage_loops(p, gamma: SampledCurve, m: int) -> list:
     """The components of p^{-1}(Gamma) for the polynomial p: one array of
     k*m samples per cycle of k laps, in the order of each cycle's smallest
-    root, the roots of p - Gamma(0) sorted by (re, im).
+    root, the roots of p - Gamma(0) in `roots_flat`'s (re, im) order. The
+    lap count m must be an integer >= 1.
 
     Gamma must be a closed, positively oriented Jordan polygon; the callers
     that take a user's Gamma check `is_jordan` (its absolute default tol
@@ -334,6 +335,8 @@ def preimage_loops(p, gamma: SampledCurve, m: int) -> list:
         raise PreconditionError("the base curve must be closed")
     if gamma.orientation != 1:
         raise PreconditionError("the base curve must be positively oriented")
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise PreconditionError(f"samples per lap must be an integer >= 1, got {m!r}")
     gc = fourier_coeffs(gamma.points)
     taus = (2 * np.pi / m) * np.arange(m + 1)
     w_taus = trig_grid(gc, m)
@@ -348,8 +351,7 @@ def preimage_loops(p, gamma: SampledCurve, m: int) -> list:
         return dw_taus if np.array_equal(t, taus) else trig_eval_deriv(gc, t)
 
     w0 = complex(w_taus[0])
-    roots = sorted(roots_flat(p - w0, tol=1e-8), key=lambda z: (z.real, z.imag))
-    arcs, _ = lift_path(p, path, dpath, np.array(roots), taus)
+    arcs, _ = lift_path(p, path, dpath, np.array(roots_flat(p - w0, tol=1e-8)), taus)
     tol = 1e-8 * (1.0 + np.max(np.abs(arcs)))
     hits = np.abs(arcs[:, -1, None] - arcs[None, :, 0]) <= tol
     for i, count in enumerate(hits.sum(axis=1)):

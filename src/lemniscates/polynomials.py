@@ -278,7 +278,7 @@ def poly_roots(p: Polynomial, tol: float = 1e-8):
 
 
 def roots_flat(p: Polynomial, tol: float = 1e-8):
-    """Roots repeated by multiplicity, deterministic order."""
+    """Roots repeated by multiplicity, in `poly_roots`' (re, im) order."""
     flat = []
     for z, m in poly_roots(p, tol=tol):
         flat.extend([z] * m)

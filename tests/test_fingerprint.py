@@ -91,7 +91,7 @@ def test_blaschke_lift_of_z_power_on_circle(circle_T):
     """For p = z^n on the unit circle, B = z^n and its lift is n theta."""
     t = np.linspace(0.0, 2 * np.pi, 257)
     for n in (1, 2, 3, 4):
-        b = identity_report(zpow(n), circle_T, nodes=256, samples_per_lap=256).blaschke
+        b = identity_report(zpow(n), circle_T, nodes=256).blaschke
         assert np.max(np.abs(b.lift(t) - n * t)) <= 1e-12
 
 
@@ -348,14 +348,14 @@ def test_lap_end_at_two_roots_raises(circle_T, monkeypatch):
 
 def test_blaschke_model_zn(circle_T):
     for n in (1, 2, 3):
-        b = identity_report(zpow(n), circle_T, nodes=256, samples_per_lap=256).blaschke
+        b = identity_report(zpow(n), circle_T, nodes=256).blaschke
         assert b.degree == n
         assert np.max(np.abs(b.zeros)) < 1e-9
         assert b.rotation == pytest.approx(1.0, abs=1e-9)
 
 
 def test_blaschke_model_scaled_identity(circle_T):
-    b = identity_report(Polynomial([0, 2.0]), circle_T, nodes=256, samples_per_lap=256).blaschke
+    b = identity_report(Polynomial([0, 2.0]), circle_T, nodes=256).blaschke
     assert b.degree == 1
     assert abs(b.zeros[0]) < 1e-9
     assert b.rotation == pytest.approx(1.0, abs=1e-9)
@@ -365,7 +365,7 @@ def test_blaschke_model_closed_form(circle_T):
     """For z^2 - 0.1 over the unit circle the interior map of the preimage
     region is w*sqrt(0.99)/sqrt(1-0.1 w^2), so the Blaschke zeros are exactly
     +-sqrt(0.1) with rotation 1."""
-    b = identity_report(Polynomial([-0.1, 0, 1]), circle_T, nodes=512, samples_per_lap=1024).blaschke
+    b = identity_report(Polynomial([-0.1, 0, 1]), circle_T, nodes=512).blaschke
     zs = sorted(b.zeros, key=lambda z: z.real)
     assert zs[0] == pytest.approx(-SQRT01, abs=1e-9)
     assert zs[1] == pytest.approx(SQRT01, abs=1e-9)

@@ -11,7 +11,7 @@ from lemniscates import io as lio
 from lemniscates.cli import RunConfig, main
 from lemniscates.curves import ellipse, unit_circle
 from lemniscates.errors import ChainClosureError, PreconditionError, TraceError
-from lemniscates.fingerprint import BlaschkeProduct
+from lemniscates.fingerprint import BlaschkeProduct, identity_report
 from lemniscates.levelcurves import trace_level
 from lemniscates.polynomials import Polynomial
 
@@ -176,9 +176,9 @@ _BAD_CURVES = {
     "open.json": json.dumps({"closed": False, "points": _CIRCLE16}),
 }
 _BAD_CONFIGS = [
-    {"nodes": "1024"}, {"nodes": 100}, {"samples": 2.5}, {"samples_per_lap": 0},
-    {"samples_per_lap": -4}, {"svg_width": 10**30}, {"trace_step": -0.01},
-    {"trace_step": 1e-300}, {"trace_step": 3.0}, {"outdir": 3}, {"grid_mod_min": None},
+    {"nodes": "1024"}, {"nodes": 100}, {"grid_args": 2.5}, {"grid_moduli": 0},
+    {"grid_args": -4}, {"grid_moduli": 10**30}, {"grid_mod_min": -0.01},
+    {"grid_mod_max": 0.1}, {"trace_step": 0.01}, {"outdir": 3}, {"grid_mod_min": None},
 ]
 
 
@@ -236,19 +236,13 @@ def test_cli_malformed_inputs_exit_2_or_3(files, capsys, command):
 
 
 @pytest.mark.parametrize("key, argv", [
-    ("samples", ["fingerprint", "p2.json", "unit-circle", "fp.csv"]),
-    ("samples_per_lap", ["fingerprint", "p2.json", "unit-circle", "fp.csv"]),
-    ("samples_per_lap", ["lemniscate", "p2.json", "unit-circle", "lem.svg"]),
-    ("svg_width", ["lemniscate", "p2.json", "unit-circle", "lem.svg"]),
     ("grid_args", ["counterexample", "noninj"]),
     ("grid_moduli", ["counterexample", "noninj"]),
-    ("trace_step", ["lemniscate", "f4.json", "unit-circle", "lev.svg"]),
-    ("trace_step", ["counterexample", "noninj"]),
 ])
 def test_cli_rejects_oversized_counts(files, capsys, key, argv):
-    # 10**30 samples (or a 1e-300 step) would fail to allocate: the config is refused first
+    # a 10**30-point grid would fail to allocate: the config is refused first
     cfg = files / "cfg.json"
-    cfg.write_text(json.dumps({key: 1e-300 if key == "trace_step" else 10**30}))
+    cfg.write_text(json.dumps({key: 10**30}))
     argv = [str(files / a) if a.endswith(".json") else a for a in argv]
     assert main(["--config", str(cfg), "--outdir", str(files), *argv]) == 2
     err = json.loads(capsys.readouterr().err)
@@ -342,6 +336,19 @@ def test_cli_fingerprint(files, capsys):
     assert (files / "fp_blaschke.csv").exists()
     bj = json.loads((files / "fp_blaschke.json").read_text())
     assert len(bj["zeros"]) == 2
+
+
+def test_cli_fingerprint_is_identity_report(files, capsys):
+    # the CLI traces at identity_report's own lap count: for a cubic the
+    # lap rule max(512, 2 * nodes // n) differs from any fixed count
+    p3 = Polynomial([0, -0.3, 0, 1])
+    lio.save_polynomial(p3, files / "p3.json")
+    assert run_cli("fingerprint", str(files / "p3.json"), "unit-circle", "fp3.csv",
+                   outdir=files) == 0
+    capsys.readouterr()
+    k_p = identity_report(p3, unit_circle(512), nodes=1024).k_p
+    t, lift = np.loadtxt(files / "fp3.csv", delimiter=",", skiprows=1).T
+    assert np.array_equal(t, k_p.t_nodes) and np.array_equal(lift, k_p.lift_nodes)
 
 
 def test_cli_fingerprint_saved_maps_reproducible(files, capsys):
@@ -488,16 +495,16 @@ def test_runconfig_validation(tmp_path):
     with pytest.raises(PreconditionError):
         RunConfig(nodes=8192).validate()
     with pytest.raises(PreconditionError):
-        RunConfig(trace_step=-1.0).validate()
+        RunConfig(grid_mod_min=-1.0).validate()
     cfg = tmp_path / "bad.json"
     for text in [
         json.dumps({"not_a_key": 1}),
-        json.dumps({"trace_step": "nan"}),
-        json.dumps({"trace_step": True}),
-        json.dumps({"trace_step": None}),
-        '{"trace_step": NaN}',
-        '{"trace_step": Infinity}',
-        json.dumps({"trace_step": 3.0}),  # a lap of fewer than 64 steps drops levels
+        json.dumps({"grid_mod_min": "nan"}),
+        json.dumps({"grid_mod_min": True}),
+        json.dumps({"grid_mod_min": None}),
+        '{"grid_mod_min": NaN}',
+        '{"grid_mod_min": Infinity}',
+        json.dumps({"grid_mod_min": 9.0}),  # above grid_mod_max
         json.dumps({"nodes": 1024.5}),
         json.dumps({"grid_args": "360"}),
         json.dumps({"outdir": 3}),
@@ -508,7 +515,12 @@ def test_runconfig_validation(tmp_path):
         json.dumps({"close_tol_factor": 1e-6}),
         json.dumps({"table_tol": 1e-3}),
         json.dumps({"modulus_rtol": 1e-6}),
-        json.dumps({"trace_step": 0.01})[:-1],
+        # sample counts, the trace step and the SVG width are the library's
+        json.dumps({"samples": 512}),
+        json.dumps({"samples_per_lap": 1024}),
+        json.dumps({"trace_step": 0.01}),
+        json.dumps({"svg_width": 800}),
+        json.dumps({"grid_mod_min": 0.16})[:-1],
         json.dumps([1, 2]),
     ]:
         cfg.write_text(text)
@@ -517,7 +529,7 @@ def test_runconfig_validation(tmp_path):
     with pytest.raises(PreconditionError):
         RunConfig.load(tmp_path / "missing.json")
     with pytest.raises(PreconditionError):
-        RunConfig(trace_step=float("nan")).validate()
+        RunConfig(grid_mod_min=float("nan")).validate()
     cfg.write_text(json.dumps({"nodes": 512.0, "grid_mod_max": 8, "outdir": "out"}))
     loaded = RunConfig.load(cfg)
     assert loaded.nodes == 512 and isinstance(loaded.nodes, int)

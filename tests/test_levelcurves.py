@@ -461,6 +461,13 @@ def test_trace_rejects_bad_step(step):
         trace_gradient(Z, 0.0, 1.0, 2.0, step=step)
 
 
+@pytest.mark.parametrize("m", [0, -3, 2.5, 4.0, "4", None, True])
+@pytest.mark.parametrize("trace", [preimage_loops, pseudo_lemniscate])
+def test_preimage_trace_rejects_bad_lap_count(trace, m):
+    with pytest.raises(PreconditionError, match="samples per lap"):
+        trace(Polynomial([-0.1, 0, 1]), unit_circle(64), m)
+
+
 @pytest.mark.parametrize("delta", [0.0, np.nan, np.inf])
 def test_trace_level_rejects_bad_arg_change(delta):
     with pytest.raises(PreconditionError):
