@@ -15,12 +15,23 @@ Exterior maps are reduced to interior ones by the reflection z -> conj(1/z).
 1/z reverses the orientation and conj reverses it back, so the reflected
 curve keeps the curve's node order and its interior correspondence is the
 exterior one. Its Cauchy matrix is the conjugate of a diagonal rescaling of
-the curve's, so `riemann_maps` builds one pair of kernels per curve, solves
-the interior system on it, turns it in place into the reflected curve's pair
-and solves the exterior system in the same buffers: 2 * 8n^2 bytes for both
-maps, plus GMRES' own workspace. Both maps share one solve path: the curve
-is checked (closed, positively oriented, origin inside), resampled at the
-caller's node count (default 1024), checked Jordan there and solved once.
+the curve's, so `riemann_maps` builds one pair of kernels per curve and
+resolution, solves the interior system on it, turns it in place into the
+reflected curve's pair and solves the exterior system in the same buffers:
+2 * 8k^2 bytes for both maps at k nodes, plus GMRES' own workspace.
+
+All three entry points share one adaptive-resolution loop. The curve is
+checked (closed, positively oriented, origin inside), resampled at the
+caller's node count n (default 1024) and checked Jordan there. The maps are
+solved at k = min(512, n) nodes, then at 2k, ... up to n, and each is taken
+from the first k at which it is resolved: the curve's Fourier coefficients
+that resampling to k drops or folds (|j| >= k/2) are at most
+1e-13 * max|curve|, and those of the map's density at |j| >= k/4 are at
+most 1e-13 * max(|h| + |mu|, 1), h = -log|curve| the right-hand side. A
+SolverError below n counts as unresolved. theta - t and mu are resampled to
+n by FFT and g0 is kept, so a map has n nodes and is checked monotone there;
+at k = n it is the direct solve. n is both the maps' node count and the cap
+of the solve's resolution.
 """
 from __future__ import annotations
 
@@ -44,6 +55,8 @@ INTERIOR_MARGIN = 0.02  # reject |w| > 1 - margin in disk-side evaluation
 _TWO_PI = 2.0 * np.pi
 _START_EPS = 1e-9  # theta starts in [-eps, 2*pi - eps)
 _BLOCK_ROWS = 16  # rows of C built or rescaled per pass: 0.5 MB of complex at 2048 nodes
+_START_NODES = 512  # first resolution of the solve loop
+_TAIL = 1e-13  # bound on the dropped Fourier coefficients (see the module docstring)
 
 
 def _resampled_points(gamma: SampledCurve, nodes: int) -> np.ndarray:
@@ -64,11 +77,13 @@ def _resampled_points(gamma: SampledCurve, nodes: int) -> np.ndarray:
 
 class DiskMap:
     """Boundary correspondence and evaluators for phi: D -> Omega, phi(0)=0;
-    mu and g0 = g(0) are the solve's density and constant (see _solve_on)."""
+    mu and g0 = g(0) are the solve's density and constant (see _solve_on).
+    solve_nodes is the node count the solve ran at, None for a loaded map."""
 
     def __init__(self, points, theta, mu, g0):
         self.points = np.asarray(points, dtype=complex)
         self.nodes = self.points.size
+        self.solve_nodes = None
         self.theta = np.asarray(theta, dtype=float)
         self._mu = np.asarray(mu, dtype=float)
         self._g0 = complex(g0)
@@ -255,8 +270,8 @@ def _rescale(im: np.ndarray, re: np.ndarray, a: np.ndarray, b: np.ndarray):
 def _solve_on(im, re, points, dg) -> DiskMap:
     """Solve the boundary correspondence of `points` (derivative dg) on the
     kernels (im, re) of its Cauchy matrix (see _kernels). The diagonal of im
-    holds that of I + wK during the solve and is 0 again on return, so
-    (im, re) are still the kernels."""
+    holds that of I + wK during the solve and is 0 again on return, also when
+    GMRES fails, so (im, re) are still the kernels."""
     n = points.size
     w = _TWO_PI / n
     diag = 1.0 + np.imag(trig_diff(dg) / (2.0 * dg)) * (2.0 / n)
@@ -268,9 +283,9 @@ def _solve_on(im, re, points, dg) -> DiskMap:
     mu, info = gmres(im, h, rtol=1e-14, restart=n, maxiter=2,
                      callback=its.append, callback_type="pr_norm")
     resid = np.linalg.norm(h - im @ mu) / max(np.linalg.norm(h), 1e-300)
+    np.fill_diagonal(im, 0.0)
     if info != 0 or not resid <= 1e-12:
         raise SolverError(f"GMRES failed: {len(its)} iterations, residual {resid:.3g}")
-    np.fill_diagonal(im, 0.0)
 
     # Im g on the boundary is -Re(i_s)/pi, with i_s the Cauchy integral of mu
     # over the boundary, singularity subtracted; one pass over re gives both
@@ -279,21 +294,57 @@ def _solve_on(im, re, points, dg) -> DiskMap:
     i_s = (sums[:, 0] - mu * sums[:, 1] + np.real(trig_diff(mu))) * w
     g0 = (mu * dg / points).sum() * w / (1j * np.pi)
     theta = np.unwrap(np.angle(points)) - i_s / np.pi - g0.imag
-    # a lift that starts at 0 up to rounding stays at 0, not at 2*pi
-    theta -= _TWO_PI * np.floor((theta[0] + _START_EPS) / _TWO_PI)
-    return DiskMap(points, theta, mu, g0)
+    dm = DiskMap(points, _lift_start(theta), mu, g0)
+    dm.solve_nodes = n
+    return dm
 
 
-def _solve_interior(points: np.ndarray) -> DiskMap:
-    """Solve the boundary correspondence on the given uniform samples."""
-    dg = trig_diff(points)
-    return _solve_on(*_kernels(points, dg), points, dg)
+def _lift_start(theta: np.ndarray) -> np.ndarray:
+    """theta shifted by whole turns to start in [-eps, 2*pi - eps): a lift
+    that starts at 0 up to rounding stays at 0, not at 2*pi."""
+    return theta - _TWO_PI * np.floor((theta[0] + _START_EPS) / _TWO_PI)
 
 
-def interior_map(gamma: SampledCurve, nodes: int = DEFAULT_NODES) -> DiskMap:
-    """Interior Riemann map of the bounded face of gamma, normalized by
-    phi(0)=0 and phi'(0)>0, solved on gamma resampled at `nodes` points."""
-    return _solve_interior(_resampled_points(gamma, nodes))
+def _tail(vals: np.ndarray, j: int) -> float:
+    """Largest |c_l| of the Fourier coefficients of vals with |l| >= j."""
+    c = np.abs(np.fft.fft(vals))
+    return float(c[j:vals.size - j + 1].max()) / vals.size
+
+
+def _first_resolution(points: np.ndarray) -> int:
+    """The first k of min(512, n), doubled and capped at n = points.size,
+    at which the coefficients that trig_resample(points, k) drops or folds
+    (|l| >= k/2) are at most _TAIL * max|points|."""
+    n = points.size
+    k = min(_START_NODES, n)
+    bound = _TAIL * np.max(np.abs(points))
+    while k < n and _tail(points, k // 2) > bound:
+        k = min(2 * k, n)
+    return k
+
+
+def _accepted(im, re, pts, dg, points: np.ndarray):
+    """The map _solve_on gives on the k samples pts of a curve, taken to its
+    n = points.size samples; at k = n it is _solve_on's own. Below n it is
+    None when the solve raises SolverError or its density's coefficients at
+    |l| >= k/4 exceed _TAIL * max(|h| + |mu|, 1): the floor of 1 passes
+    mu ~ 1e-16 on a circle. Otherwise theta - t and mu are resampled to n
+    by FFT, g0 is kept, and the new DiskMap checks theta's monotonicity at n."""
+    k, n = pts.size, points.size
+    try:
+        dm = _solve_on(im, re, pts, dg)
+        if k < n:
+            scale = np.max(np.abs(np.log(np.abs(dm.points)))) + np.max(np.abs(dm._mu))
+            if _tail(dm._mu, k // 4) > _TAIL * max(scale, 1.0):
+                return None
+            mu = np.real(trig_resample(dm._mu, n))
+            dm = DiskMap(points, _lift_start(dm._theta_on_grid(n)), mu, dm._g0)
+            dm.solve_nodes = k
+        return dm
+    except SolverError:
+        if k == n:
+            raise
+        return None
 
 
 class ExteriorMap:
@@ -351,9 +402,11 @@ class ExteriorMap:
         return f"ExteriorMap(nodes={self.nodes}, a={self.a:.6g})"
 
 
-def _solve_pair(points: np.ndarray):
-    """Interior and exterior maps on the given uniform samples, from one
-    pair of kernels.
+def _solve_pair(points: np.ndarray, k: int | None = None, wanted=(True, True)) -> list:
+    """[interior map, exterior map] of the curve with uniform samples
+    `points`, solved at k of its nodes (default all) from one pair of
+    kernels and taken to all of them by _accepted. A map not wanted is
+    None, and so is one that _accepted refuses.
 
     The exterior map is the interior map of the reflected curve
     rho_k = conj(1/gamma_k), which is positively oriented in the curve's node
@@ -361,25 +414,55 @@ def _solve_pair(points: np.ndarray):
     curve's, C_rho[s, t] = conj(a_s C[s, t] b_t) with a_s = -gamma_s and
     b_t = conj(rho'_t) gamma_t / gamma'_t, so the curve's kernels are turned
     into the reflected curve's in place (_rescale)."""
-    dg = trig_diff(points)
-    im, re = _kernels(points, dg)
-    dm = _solve_on(im, re, points, dg)
-    reflected = np.conj(1.0 / points)
-    dr = trig_diff(reflected)
-    _rescale(im, re, -points, np.conj(dr) * points / dg)
-    return dm, ExteriorMap(_solve_on(im, re, reflected, dr))
+    k = points.size if k is None else k
+    pts = points if k == points.size else trig_resample(points, k)
+    dg = trig_diff(pts)
+    im, re = _kernels(pts, dg)
+    maps = [None, None]
+    if wanted[0]:
+        maps[0] = _accepted(im, re, pts, dg, points)
+    if wanted[1]:
+        reflected = np.conj(1.0 / pts)
+        dr = trig_diff(reflected)
+        _rescale(im, re, -pts, np.conj(dr) * pts / dg)
+        inner = _accepted(im, re, reflected, dr, np.conj(1.0 / points))
+        maps[1] = None if inner is None else ExteriorMap(inner)
+    return maps
+
+
+def _solve_maps(points: np.ndarray, wanted) -> list:
+    """The wanted maps of _solve_pair, each taken from the first resolution
+    of the loop (see the module docstring) that gives it."""
+    n = points.size
+    maps = [None, None]
+    k = _first_resolution(points)
+    while True:
+        todo = [w and m is None for w, m in zip(wanted, maps)]
+        if not any(todo):
+            return maps
+        maps = [m if s is None else s for m, s in zip(maps, _solve_pair(points, k, todo))]
+        k = min(2 * k, n)
+
+
+def interior_map(gamma: SampledCurve, nodes: int = DEFAULT_NODES) -> DiskMap:
+    """Interior Riemann map of the bounded face of gamma, normalized by
+    phi(0)=0 and phi'(0)>0, on gamma resampled at `nodes` points: the
+    map's node count and the cap of the solve's resolution."""
+    return _solve_maps(_resampled_points(gamma, nodes), (True, False))[0]
 
 
 def riemann_maps(gamma: SampledCurve, nodes: int = DEFAULT_NODES):
     """(interior map, exterior map) of gamma resampled at `nodes` points,
-    from one pair of kernels."""
-    return _solve_pair(_resampled_points(gamma, nodes))
+    from one pair of kernels per resolution; `nodes` is the maps' node
+    count and the cap of the solve's resolution."""
+    return tuple(_solve_maps(_resampled_points(gamma, nodes), (True, True)))
 
 
 def exterior_map(gamma: SampledCurve, nodes: int = DEFAULT_NODES) -> ExteriorMap:
-    """Exterior Riemann map of gamma via the reflection z -> conj(1/z),
-    solved together with the interior map (see riemann_maps).
+    """Exterior Riemann map of gamma via the reflection z -> conj(1/z), on
+    gamma resampled at `nodes` points as in riemann_maps, which gives the
+    same map.
 
     Requires the origin inside gamma so the reflected curve is bounded.
     """
-    return riemann_maps(gamma, nodes)[1]
+    return _solve_maps(_resampled_points(gamma, nodes), (False, True))[1]

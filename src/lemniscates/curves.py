@@ -8,8 +8,10 @@ y-range holds them.
 
 The Jordan test pairs segments the same way: boxes widened by tol, sorted
 by left edge, meet only the later boxes that start before they end, and the
-pairs whose y-ranges also overlap are scored. Both kernels pair by one sort
-and a searchsorted.
+pairs whose y-ranges also overlap are scored. When that meets more than 64
+pairs per segment, the boxes are also swept by lower edge, and the axis
+with fewer overlapping pairs is used. Both kernels pair by one sort and a
+searchsorted per axis.
 """
 from __future__ import annotations
 
@@ -25,6 +27,8 @@ _REL_CHORD = 0.02  # image_curve's largest chord, relative to the image extent
 # index pairs scored at once by either kernel; small blocks keep their
 # temporaries in cache and in the allocator's heap
 _PAIR_BLOCK = 8192
+# overlapping pairs per segment along x past which is_jordan also counts y
+_SWEEP_PAIRS = 64
 
 
 class SampledCurve:
@@ -302,13 +306,24 @@ def is_jordan(c: SampledCurve, tol: float = 1e-9) -> bool:
     pad = min(tol, np.ptp(p.real) + np.ptp(p.imag))
     xlo, xhi = np.minimum(a.real, b.real) - pad, np.maximum(a.real, b.real) + pad
     ylo, yhi = np.minimum(a.imag, b.imag) - pad, np.maximum(a.imag, b.imag) + pad
-    # in order of left edge, each box pairs with the later boxes that start
-    # before it ends: every x-overlapping pair is met once
-    order = np.argsort(xlo, kind="stable")
-    xlo, xhi, ylo, yhi = xlo[order], xhi[order], ylo[order], yhi[order]
-    stop = np.searchsorted(xlo, xhi, side="right")
-    for e, t in _edge_target_pairs(np.arange(1, n + 1), stop):
-        meet = (ylo[e] <= yhi[t]) & (ylo[t] <= yhi[e])
+
+    def sweep(lo, hi):
+        """In order of lo, each box pairs with the later boxes that start
+        before it ends: every pair overlapping along this axis is met once."""
+        order = np.argsort(lo, kind="stable")
+        return order, np.searchsorted(lo[order], hi[order], side="right")
+
+    first = np.arange(1, n + 1)
+    order, stop = sweep(xlo, xhi)
+    other = ylo, yhi
+    # past _SWEEP_PAIRS pairs per segment in x, sweep along y if it meets fewer
+    if (stop - first).sum() > _SWEEP_PAIRS * n:
+        y_order, y_stop = sweep(ylo, yhi)
+        if y_stop.sum() < stop.sum():
+            order, stop, other = y_order, y_stop, (xlo, xhi)
+    lo, hi = other[0][order], other[1][order]
+    for e, t in _edge_target_pairs(first, stop):
+        meet = (lo[e] <= hi[t]) & (lo[t] <= hi[e])
         e, t = order[e[meet]], order[t[meet]]
         i, j = np.minimum(e, t), np.maximum(e, t)
         apart = (j - i > 1) & ((i > 0) | (j < last))  # drop adjacent pairs

@@ -269,8 +269,10 @@ def identity_report(
     n*lift(k_p) and lift(k_Gamma)(lift(B)), after aligning the constant
     2*pi*k branch offset.
 
-    The pseudo-lemniscate is traced at m = max(512, 2*nodes // n) samples
-    per lap of Gamma, so its n*m samples resolve the `nodes`-point solve.
+    `nodes` is the node count of the four Riemann maps and the cap of the
+    resolution they are solved at (see `conformal.riemann_maps`). The
+    pseudo-lemniscate is traced at m = max(512, 2*nodes // n) samples per
+    lap of Gamma, so its n*m samples resolve the `nodes`-point maps.
     The polynomial must have positive leading coefficient and be proper for
     the curve; the origin must lie inside both the curve and its preimage.
     """

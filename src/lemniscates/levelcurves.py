@@ -316,8 +316,8 @@ def trace_gradient(
 def preimage_loops(p, gamma: SampledCurve, m: int) -> list:
     """The components of p^{-1}(Gamma) for the polynomial p: one array of
     k*m samples per cycle of k laps, in the order of each cycle's smallest
-    root, the roots of p - Gamma(0) in `roots_flat`'s (re, im) order. The
-    lap count m must be an integer >= 1.
+    root, the roots of p - Gamma(0), Gamma(0) = gamma.points[0], in
+    `roots_flat`'s (re, im) order. The lap count m must be an integer >= 1.
 
     Gamma must be a closed, positively oriented Jordan polygon; the callers
     that take a user's Gamma check `is_jordan` (its absolute default tol
@@ -340,6 +340,9 @@ def preimage_loops(p, gamma: SampledCurve, m: int) -> list:
     gc = fourier_coeffs(gamma.points)
     taus = (2 * np.pi / m) * np.arange(m + 1)
     w_taus = trig_grid(gc, m)
+    # the sample, not the FFT value: its rounding varies with m and could
+    # reorder roots tied in (re, im)
+    w_taus[0] = gamma.points[0]
     w_taus = np.append(w_taus, w_taus[0])
     dw_taus = trig_grid(deriv_coeffs(gc), m)
     dw_taus = np.append(dw_taus, dw_taus[0])

@@ -223,6 +223,8 @@ def test_solved_map_roundtrip_serialization(tmp_path):
     # the file carries the density, so the reloaded map inverts bit for bit
     z = dm.interior_eval(0.9 * np.exp(1j * TH64))
     assert np.array_equal(dm2.interior_inverse(z), dm.interior_inverse(z))
+    # the solve's resolution is not written
+    assert dm.solve_nodes == 256 and "solve_nodes" not in d and dm2.solve_nodes is None
 
 
 def test_exterior_map_roundtrip_serialization():
@@ -269,7 +271,7 @@ _ORACLE_CURVES = {
 @pytest.mark.parametrize("name", list(_ORACLE_CURVES))
 def test_gmres_solve_matches_dense_lu(name, nodes):
     points = conformal._resampled_points(_ORACLE_CURVES[name](), nodes)
-    dm = conformal._solve_interior(points)
+    dm = conformal._solve_pair(points, wanted=(True, False))[0]
     mu, theta = _dense_solve(points)
     assert np.max(np.abs(dm._mu - mu)) <= 1e-12
     # theta is normalized to start in [-1e-9, 2 pi - 1e-9): compare modulo 2 pi
@@ -283,7 +285,7 @@ def _solve_exterior(points):
     order. Returns (theta, a)."""
     n = points.size
     order = (-np.arange(n)) % n
-    inner = conformal._solve_interior(1.0 / points[order])
+    inner = conformal._solve_pair(1.0 / points[order], wanted=(True, False))[0]
     raw = -inner.theta[order]
     start = raw[0] - 2 * np.pi * np.floor((raw[0] + 1e-9) / (2 * np.pi))
     theta = start + np.concatenate([[0.0], np.cumsum(np.mod(np.diff(raw), 2 * np.pi))])
@@ -326,6 +328,53 @@ def test_riemann_maps_match_reflection_solve(name, nodes):
     assert np.array_equal(dm.theta, alone.theta)
     assert np.array_equal(dm._mu, alone._mu)
     assert dm.center_derivative == alone.center_derivative
+
+
+@pytest.mark.parametrize("nodes", [512, 1024, 2048])
+@pytest.mark.parametrize("name", ["off-centre circle", "ellipse", "gmres edge quartic", "warped"])
+def test_riemann_maps_match_full_solve(name, nodes):
+    """The maps from the resolution loop against the direct solve at `nodes`."""
+    curve = _REFLECTION_CURVES[name]()
+    dm, em = riemann_maps(curve, nodes)
+    full_dm, full_em = conformal._solve_pair(conformal._resampled_points(curve, nodes))
+    for loop, direct in ((dm, full_dm), (em.inner, full_em.inner)):
+        assert loop.nodes == nodes
+        assert np.max(np.abs(loop.theta - direct.theta)) <= 1e-12
+        assert loop.center_derivative == pytest.approx(direct.center_derivative, abs=1e-12)
+    assert np.array_equal(exterior_map(curve, nodes).theta, em.theta)
+
+
+def test_resolved_curve_is_solved_at_512_nodes():
+    dm, em = riemann_maps(unit_circle(512), 2048)
+    assert dm.solve_nodes == em.inner.solve_nodes == 512
+    assert dm.nodes == em.nodes == 2048
+
+
+def test_high_mode_is_not_solved_at_512_nodes():
+    """A 1e-6 mode at frequency 400 is dropped by resampling to 512 nodes."""
+    t = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
+    curve = SampledCurve(np.exp(1j * t) + 1e-6 * np.exp(400j * t), closed=True)
+    dm, em = riemann_maps(curve, 2048)
+    assert dm.solve_nodes > 512 and em.inner.solve_nodes > 512
+    full = conformal._solve_pair(conformal._resampled_points(curve, 2048))
+    assert np.max(np.abs(dm.theta - full[0].theta)) <= 1e-12
+    assert np.max(np.abs(em.theta - full[1].theta)) <= 1e-12
+
+
+def test_solver_error_below_nodes_doubles(monkeypatch):
+    """A GMRES failure at the first resolution is read as unresolved: the
+    loop doubles to the cap and solves there, as the direct solve does."""
+    real = conformal.gmres
+
+    def failing_at_512(a, b, **kwargs):
+        return (0.5 * b, 0) if b.size == 512 else real(a, b, **kwargs)
+
+    curve = ellipse(1.0, 0.6, 512)
+    full = conformal._solve_pair(conformal._resampled_points(curve, 1024))
+    monkeypatch.setattr(conformal, "gmres", failing_at_512)
+    dm, em = riemann_maps(curve, 1024)
+    assert dm.solve_nodes == em.inner.solve_nodes == 1024
+    assert np.array_equal(dm.theta, full[0].theta) and np.array_equal(em.theta, full[1].theta)
 
 
 def test_riemann_maps_check_jordan_once_per_resolution(monkeypatch):
@@ -403,10 +452,12 @@ def test_kernels_and_rescale_match_dense_cauchy_matrix():
 def test_riemann_maps_peak_memory():
     """One Riemann-map pair holds two real n x n kernels. scipy's gmres adds
     about 2 * 8n^2 bytes of workspace for restart=n, so the peak is about
-    4 * 8n^2; a complex n x n Cauchy matrix would add 2 * 8n^2 more."""
+    4 * 8n^2; a complex n x n Cauchy matrix would add 2 * 8n^2 more. The
+    curve's mode at frequency 400 keeps the solve at all n nodes."""
     n = 1024
-    curve = ellipse(1.0, 0.6, 512)
-    riemann_maps(curve, n)  # imports and caches outside the traced call
+    t = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    curve = SampledCurve(np.exp(1j * t) + 1e-6 * np.exp(400j * t), closed=True)
+    assert riemann_maps(curve, n)[0].solve_nodes == n  # imports and caches outside the traced call
     tracemalloc.start()
     try:
         riemann_maps(curve, n)

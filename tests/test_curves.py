@@ -458,6 +458,9 @@ def test_is_jordan_matches_dense_on_solver_curves(d4_chain):
 
 
 def test_is_jordan_independent_of_pair_blocks(monkeypatch):
+    """Also independent of the sweep axis: with the y sweep weighed at any
+    pair count, each case and its quarter turn (which swaps the axes, so one
+    of the two is swept along y) give the same verdicts."""
     from lemniscates import curves
 
     spike = [0, 2, 2 + 2j, 1.2 + 2j, 1.002 + 0.01j, 1 + 1e-3j, 0.998 + 0.01j, 0.8 + 2j, 2j]
@@ -467,6 +470,9 @@ def test_is_jordan_independent_of_pair_blocks(monkeypatch):
     monkeypatch.setattr(curves, "_PAIR_BLOCK", 7)
     blocked = [is_jordan(c, tol) for c in cases for tol in tols]
     assert blocked == whole == [_dense_is_jordan(c, tol) for c in cases for tol in tols]
+    monkeypatch.setattr(curves, "_SWEEP_PAIRS", 0)
+    for turn in (1, 1j):
+        assert [is_jordan(SampledCurve(turn * c.points), tol) for c in cases for tol in tols] == whole
     assert whole[:4] == [True, True, True, False] and not any(whole[4:8])
     assert whole[8:] == [True, True, False, False]
 
@@ -496,6 +502,28 @@ def test_is_jordan_long_edge_adversary():
             assert is_jordan(c, tol) is jordan
             assert time.perf_counter() - t0 < 1.0
             assert _dense_is_jordan(c, tol) is jordan
+
+
+def test_is_jordan_sweeps_the_axis_with_fewer_pairs(monkeypatch):
+    """The 2,000-tooth comb overlaps in y nearly everywhere upright and in x
+    on its side; either way the sweep meets a few pairs per segment, not the
+    8 million of the crowded axis."""
+    from lemniscates import curves
+
+    met = []
+    real = curves._edge_target_pairs
+
+    def counting(start, stop):
+        for e, t in real(start, stop):
+            met.append(e.size)
+            yield e, t
+
+    monkeypatch.setattr(curves, "_edge_target_pairs", counting)
+    comb = _comb(2000, 0.005)
+    for pts in (comb, 1j * comb):
+        met.clear()
+        assert is_jordan(SampledCurve(pts, closed=True), 1e-9)
+        assert sum(met) <= 4 * pts.size
 
 
 @pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf"), -float("inf")])

@@ -251,7 +251,8 @@ def test_oracle_pinned_improper_pairs(criterion6_poly, seed, index, curve):
 
 
 # Reference: the n-lap tracer the lap-monodromy routine replaced, kept
-# verbatim (renamed, the curve checks inlined) as an independent oracle.
+# verbatim (renamed, the curve checks inlined, and w0 the sample Gamma(0),
+# as preimage_loops takes it) as an independent oracle.
 def _n_lap_trace(p: Polynomial, gamma: SampledCurve, samples_per_lap: int):
     n = p.degree
     if n < 1:
@@ -268,7 +269,7 @@ def _n_lap_trace(p: Polynomial, gamma: SampledCurve, samples_per_lap: int):
     def dpath(t):
         return trig_eval_deriv(gc, np.mod(t, 2 * np.pi))
 
-    w0 = complex(path(taus[:1])[0])
+    w0 = complex(gamma.points[0])
     z0 = min(roots_flat(p - w0, tol=1e-8), key=lambda z: (z.real, z.imag))
     pts, _ = lift_path(p, path, dpath, z0, taus)
     tol = 1e-8 * (1.0 + np.max(np.abs(pts)))
@@ -314,6 +315,15 @@ def test_lap_arcs_match_n_lap_trace_on_proper_draws(roots, log_lead, curve):
         proper = False
     assume(proper)
     _assert_matches_n_lap_trace(p, gamma, 128)
+
+
+def test_preimage_loops_start_root_independent_of_m(circle_T):
+    """z^3 - 0.3z - 1 has a conjugate pair of roots with equal real parts;
+    the loop starts at the same one of them for every lap count."""
+    p = Polynomial([0, -0.3, 0, 1])
+    starts = {complex(levelcurves.preimage_loops(p, circle_T, m)[0][0])
+              for m in (512, 682, 700, 1024, 2048)}
+    assert len(starts) == 1
 
 
 def test_pseudo_lemniscate_rejects_two_loops(circle_T, monkeypatch):
