@@ -23,8 +23,8 @@ from lemniscates import (
     d4_table,
     f4_polynomial,
     noninjectivity_degree,
-    region_contains,
     reproduce_table,
+    winding_number,
 )
 from lemniscates.io import curves_to_svg, save_curve
 
@@ -48,7 +48,7 @@ print("re-measured arcs all within tolerance:", report.all_ok)
 worst = max(r.change_deviation for r in report.rows)
 print(f"worst arg-change deviation: {worst:.2e} rad")
 
-print("\ncentroid inside region:", region_contains(chain, chain.vertices.mean()))
+print("\nwinding of the boundary about its centroid:", winding_number(chain.curve, chain.vertices.mean()))
 
 res = noninjectivity_degree(f4, chain, PolarGrid(180, 50, 0.16, 7.9))
 print(f"max preimage count over {res.n_evaluated} targets: {res.degree} "

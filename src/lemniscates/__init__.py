@@ -21,16 +21,13 @@ from .counterexample import (
     design_counterexample,
     f4_polynomial,
     noninjectivity_degree,
-    region_contains,
     reproduce_table,
 )
 from .curves import (
     SampledCurve,
     count_preimages,
     ellipse,
-    image_curve,
     is_jordan,
-    resample,
     unit_circle,
     winding_number,
 )
@@ -56,8 +53,6 @@ from .fingerprint import (
 )
 from .levelcurves import (
     TracedArc,
-    arg_change_along,
-    level_component_enclosing,
     level_components,
     solve_target,
     trace_gradient,

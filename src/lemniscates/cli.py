@@ -221,7 +221,7 @@ def cmd_fingerprint(args, cfg: RunConfig) -> dict:
         saved = {}
         for name, m in rep.maps.items():
             mp = out.with_name(f"{out.stem}_map_{name}.json")
-            mp.write_text(json.dumps(lio.solved_map_to_dict(m)) + "\n")
+            mp.write_text(json.dumps(m.to_dict()) + "\n")
             saved[name] = str(mp)
         payload["solved_maps"] = saved
     return payload

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import SampledCurve, is_jordan, winding_number, winding_numbers
+from .curves import SampledCurve, is_jordan, winding_numbers
 from .errors import ChainClosureError, NumericalError, PreconditionError, TraceError
 from .levelcurves import (DEFAULT_STEP, TracedArc, level_components, trace_gradient,
                           trace_level)
@@ -291,11 +291,6 @@ def build_boundary(
         start_arg=start_arg,
         closure_residual=resid,
     )
-
-
-def region_contains(chain: BoundaryChain, z) -> bool:
-    """Whether z lies in the bounded region of the chain (winding != 0)."""
-    return winding_number(chain.curve, z) != 0
 
 
 @dataclass(frozen=True)

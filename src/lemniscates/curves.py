@@ -23,7 +23,6 @@ from .polynomials import as_rational
 NEAR_HIT = 1e-9  # fixed near-hit rejection threshold
 _MAX_REFINE_POINTS = 1_000_000
 _MAX_REFINE_ROUNDS = 40
-_REL_CHORD = 0.02  # image_curve's largest chord, relative to the image extent
 # index pairs scored at once by either kernel; small blocks keep their
 # temporaries in cache and in the allocator's heap
 _PAIR_BLOCK = 8192
@@ -166,39 +165,22 @@ def winding_numbers(points: np.ndarray, ws: np.ndarray, min_distance: float = NE
     return counts, ~near
 
 
-def resample(c: SampledCurve, count: int) -> SampledCurve:
-    """Arc-length-uniform resampling by piecewise-linear interpolation."""
-    if count < 16:
-        raise PreconditionError("resample needs count >= 16")
-    pts = c.points
-    if c.closed:
-        ring = np.concatenate([pts, pts[:1]])
-    else:
-        ring = pts
-    seg = np.abs(np.diff(ring))
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    total = s[-1]
-    if total == 0:
-        raise PreconditionError("curve has zero length")
-    if c.closed:
-        su = np.linspace(0.0, total, count, endpoint=False)
-    else:
-        su = np.linspace(0.0, total, count)
-    re = np.interp(su, s, ring.real)
-    im = np.interp(su, s, ring.imag)
-    return SampledCurve(re + 1j * im, closed=c.closed)
+def count_preimages(f, c: SampledCurve, w, return_residual: bool = False):
+    """Zeros of f - w minus poles of f enclosed by c, by the argument principle.
 
-
-def _refine(f, c: SampledCurve, too_coarse):
-    """Images under the rational map f of the samples of c, with chord
-    midpoints inserted until too_coarse(a, b), given the images a and b at
-    the two ends of every chord, flags none of them. f is evaluated once per
-    sample, when the sample is added.
-
-    Every sample, the first ones and each refined midpoint, must keep 1e-9
-    from the poles of f; a loop that has not settled after 40 rounds or past
-    a million samples raises NumericalError.
+    The image polygon is refined by chord midpoints until each turn about w
+    is below 0.2 rad, then the winding is the rounded angle sum (pre-rounding
+    residual must be below 1e-6, and is returned on request). f is evaluated
+    once per sample, when the sample is added. Every sample, the first ones
+    and each refined midpoint, must keep 1e-9 from the poles of f; a
+    refinement that has not settled after 40 rounds or past a million
+    samples raises NumericalError.
     """
+    if not c.closed:
+        raise PreconditionError("count_preimages needs a closed curve")
+    if c.orientation != 1:
+        raise PreconditionError("count_preimages needs a positively oriented curve")
+    f, w = as_rational(f), complex(w)
 
     def images(z, where):
         if not f.is_polynomial and np.abs(f.den(z)).min() < NEAR_HIT:
@@ -208,55 +190,26 @@ def _refine(f, c: SampledCurve, too_coarse):
     zs = c.points
     ws = images(zs, "curve")
     for _ in range(_MAX_REFINE_ROUNDS):
-        bad = too_coarse(ws, np.roll(ws, -1)) if c.closed else too_coarse(ws[:-1], ws[1:])
-        if not bad.any():
-            return ws
-        if zs.size > _MAX_REFINE_POINTS:
-            raise NumericalError(f"image refinement exceeded {_MAX_REFINE_POINTS} samples")
-        idx = np.nonzero(bad)[0]
-        added = 0.5 * (zs[idx] + np.roll(zs, -1)[idx])
-        zs = np.insert(zs, idx + 1, added)
-        ws = np.insert(ws, idx + 1, images(added, "refined"))
-    raise NumericalError(f"image refinement did not settle in {_MAX_REFINE_ROUNDS} rounds")
-
-
-def image_curve(f, c: SampledCurve) -> SampledCurve:
-    """Pointwise image of c under f, refined until every chord is at most
-    0.02 times the image's extent."""
-
-    def too_coarse(a, b):
-        ends = np.concatenate([a, b])
-        extent = max(np.ptp(ends.real), np.ptp(ends.imag))
-        return np.abs(b - a) > _REL_CHORD * max(extent, 1e-300)
-
-    return SampledCurve(_refine(as_rational(f), c, too_coarse), closed=c.closed)
-
-
-def count_preimages(f, c: SampledCurve, w, return_residual: bool = False):
-    """Zeros of f - w minus poles of f enclosed by c, by the argument principle.
-
-    The image polygon is refined until each turn about w is below 0.2 rad,
-    then the winding is the rounded angle sum (pre-rounding residual must be
-    below 1e-6, and is returned on request).
-    """
-    if not c.closed:
-        raise PreconditionError("count_preimages needs a closed curve")
-    if c.orientation != 1:
-        raise PreconditionError("count_preimages needs a positively oriented curve")
-    w = complex(w)
-
-    def turns(a, b):
-        d = a - w
+        d = ws - w
         j = int(np.abs(d).argmin())
         if abs(d[j]) < NEAR_HIT:
             raise PreconditionError(
                 f"image passes within {NEAR_HIT:g} of target "
                 f"(nearest approach {abs(d[j]):.3g} at sample {j})"
             )
-        return np.angle((b - w) / d)
-
-    ws = _refine(as_rational(f), c, lambda a, b: np.abs(turns(a, b)) > 0.2)
-    total = float(turns(ws, np.roll(ws, -1)).sum())
+        turns = np.angle(np.roll(d, -1) / d)
+        bad = np.abs(turns) > 0.2
+        if not bad.any():
+            break
+        if zs.size > _MAX_REFINE_POINTS:
+            raise NumericalError(f"image refinement exceeded {_MAX_REFINE_POINTS} samples")
+        idx = np.nonzero(bad)[0]
+        added = 0.5 * (zs[idx] + np.roll(zs, -1)[idx])
+        zs = np.insert(zs, idx + 1, added)
+        ws = np.insert(ws, idx + 1, images(added, "refined"))
+    else:
+        raise NumericalError(f"image refinement did not settle in {_MAX_REFINE_ROUNDS} rounds")
+    total = float(turns.sum())
     k = int(round(total / (2 * np.pi)))
     residual = abs(total / (2 * np.pi) - k)
     if residual > 1e-6:

@@ -179,7 +179,7 @@ def is_proper(p: Polynomial, gamma: SampledCurve) -> bool:
     if require_polynomial(p).degree < 1:
         raise PreconditionError("polynomial must be nonconstant")
     if not gamma.closed:
-        raise PreconditionError("winding number needs a closed curve")
+        raise PreconditionError("the base curve must be closed")
     if gamma.orientation != 1:
         raise PreconditionError("the base curve must be positively oriented")
     if not is_jordan(gamma):

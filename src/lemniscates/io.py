@@ -1,6 +1,6 @@
 """File formats: JSON for polynomials/curves/Blaschke products/solved maps,
-CSV for traced arcs and circle-map lifts, and a small deterministic SVG
-writer. All emission is byte-stable across runs."""
+CSV for circle-map lifts, and a small deterministic SVG writer. All emission
+is byte-stable across runs."""
 from __future__ import annotations
 
 import csv
@@ -13,7 +13,6 @@ from .conformal import DiskMap, ExteriorMap
 from .curves import SampledCurve
 from .errors import PreconditionError
 from .fingerprint import BlaschkeProduct, CircleMap
-from .levelcurves import TracedArc
 from .polynomials import Polynomial
 
 
@@ -102,10 +101,6 @@ def blaschke_from_dict(d: dict) -> BlaschkeProduct:
     return BlaschkeProduct(_unpairs(d["zeros"]), _unpairs([d["rotation"]])[0])
 
 
-def solved_map_to_dict(m) -> dict:
-    return m.to_dict()
-
-
 def solved_map_from_dict(d: dict):
     """Refuses a malformed map, or one saved without its density, with
     PreconditionError."""
@@ -115,14 +110,6 @@ def solved_map_from_dict(d: dict):
 
 
 # -- CSV -------------------------------------------------------------------------
-
-
-def save_arc_csv(arc: TracedArc, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s_index", "re", "im", "abs_f", "arg_lift"])
-        for i, (z, fv, lift) in enumerate(zip(arc.samples, arc.f_values, arc.arg_lift)):
-            w.writerow([i, repr(z.real), repr(z.imag), repr(abs(fv)), repr(lift)])
 
 
 def save_circle_map_csv(m: CircleMap, path):

@@ -33,7 +33,6 @@ from .curves import SampledCurve, unit_circle, winding_numbers
 from .errors import PreconditionError, TraceError
 from .polynomials import (
     Polynomial,
-    critical_values,
     poly_roots,
     require_polynomial,
     roots_flat,
@@ -63,13 +62,6 @@ class TracedArc:
 
     def __len__(self):
         return self.samples.size
-
-
-def arg_change_along(arc: TracedArc) -> float:
-    """Total change of the continuous argument lift along the arc."""
-    if len(arc) == 0:
-        raise PreconditionError("empty arc")
-    return float(arc.arg_lift[-1] - arc.arg_lift[0])
 
 
 # -- the path-lifting kernel -----------------------------------------------------
@@ -413,60 +405,3 @@ def level_components(p: Polynomial, eps: float, step: float = DEFAULT_STEP) -> l
     found.sort(key=lambda item: item[0])
     return [loop for _, loop in found]
 
-
-def level_component_enclosing(
-    f, eps, zeros_subset, step: float = DEFAULT_STEP
-) -> SampledCurve:
-    """The closed component of {|f| = eps} that winds about every listed zero
-    of the polynomial f and about no other zero.
-
-    The component is the `level_components` loop that winds about the first
-    listed zero. Fails naming the critical value that blocks the requested
-    grouping.
-    """
-    p = require_polynomial(f)
-    if p.degree < 1:
-        raise PreconditionError("f needs at least one zero")
-    cvals = critical_values(p) if p.degree >= 2 else []
-    for cv in cvals:
-        if abs(abs(cv) - eps) < 1e-9 * max(eps, abs(cv)):
-            raise PreconditionError(
-                f"eps {eps:.6g} coincides with critical modulus |{cv:.6g}|"
-            )
-    zero_pts = [z for z, _ in poly_roots(p, tol=1e-9)]
-    subset = []
-    for z in zeros_subset:
-        z = complex(z)
-        match = min(zero_pts, key=lambda r: abs(r - z))
-        if abs(match - z) > 1e-6 * (1.0 + abs(match)):
-            raise PreconditionError(f"{z:.6g} is not a zero of f")
-        if match not in subset:
-            subset.append(match)
-    if not subset:
-        raise PreconditionError("list at least one zero of f")
-    first = zero_pts.index(subset[0])
-    for loop in level_components(p, eps, step):
-        counts = winding_numbers(loop.points, zero_pts, min_distance=0.0)[0]
-        if counts[first] >= 1:
-            break
-    else:
-        raise TraceError(f"no level loop winds about the zero {subset[0]:.6g}")
-    enclosed = [z for z, c in zip(zero_pts, counts) if c != 0]
-    if set(enclosed) == set(subset):
-        return loop
-    raise TraceError(
-        "no component separates the requested zeros: component through "
-        f"{subset[0]:.6g} encloses {enclosed}; blocking critical value "
-        f"{_blocking_value(cvals, eps, len(enclosed) > len(subset)):.6g}"
-    )
-
-
-def _blocking_value(cvals, eps, too_many):
-    mods = [cv for cv in cvals if abs(cv) > 0]
-    if not mods:
-        return 0j
-    if too_many:
-        below = [cv for cv in mods if abs(cv) < eps]
-        return max(below, key=abs) if below else min(mods, key=lambda c: abs(abs(c) - eps))
-    above = [cv for cv in mods if abs(cv) > eps]
-    return min(above, key=abs) if above else min(mods, key=lambda c: abs(abs(c) - eps))

@@ -1,8 +1,8 @@
 """Complex polynomials and rational maps: evaluation, roots, critical data.
 
 Every layer above takes a Polynomial (`require_polynomial`); a RationalMap
-serves only the argument-principle count of `curves.count_preimages` and the
-image refinement of `curves.image_curve`. Coefficients are stored in ascending degree order as complex128 arrays.
+serves only the argument-principle count of `curves.count_preimages`.
+Coefficients are stored in ascending degree order as complex128 arrays.
 Root finding is a simultaneous (Aberth-Ehrlich) iteration started from a
 perturbed circle, with multiple roots recovered by cluster merging.
 """

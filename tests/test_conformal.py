@@ -214,10 +214,10 @@ def test_mobius_composition_invariance(rng):
 def test_solved_map_roundtrip_serialization(tmp_path):
     import json
 
-    from lemniscates.io import solved_map_from_dict, solved_map_to_dict
+    from lemniscates.io import solved_map_from_dict
 
     dm = interior_map(unit_circle(256, center=0.3), nodes=256)
-    d = json.loads(json.dumps(solved_map_to_dict(dm)))
+    d = json.loads(json.dumps(dm.to_dict()))
     dm2 = solved_map_from_dict(d)
     assert np.max(np.abs(dm2.boundary_forward(TH64) - dm.boundary_forward(TH64))) < 1e-12
     # the file carries the density, so the reloaded map inverts bit for bit
@@ -230,10 +230,10 @@ def test_solved_map_roundtrip_serialization(tmp_path):
 def test_exterior_map_roundtrip_serialization():
     import json
 
-    from lemniscates.io import solved_map_from_dict, solved_map_to_dict
+    from lemniscates.io import solved_map_from_dict
 
     em = exterior_map(ellipse(1.0, 0.6, 512), nodes=512)
-    em2 = solved_map_from_dict(json.loads(json.dumps(solved_map_to_dict(em))))
+    em2 = solved_map_from_dict(json.loads(json.dumps(em.to_dict())))
     assert isinstance(em2, ExteriorMap)
     assert np.max(np.abs(em2.boundary_forward(TH64) - em.boundary_forward(TH64))) <= 1e-12
     zeta = 1.5 * np.exp(1j * TH64)

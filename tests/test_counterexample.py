@@ -14,7 +14,6 @@ from lemniscates.counterexample import (
     design_counterexample,
     f4_polynomial,
     noninjectivity_degree,
-    region_contains,
     reproduce_table,
 )
 from lemniscates.curves import SampledCurve, is_jordan, winding_number, winding_numbers
@@ -148,13 +147,6 @@ def test_prefix_drop_keeps_the_full_trace_choice(offset):
         assert crossed is None or not jordan
         dropped += crossed is not None
     assert dropped >= 2
-
-
-def test_region_contains(d4_chain):
-    assert region_contains(d4_chain, d4_chain.vertices.mean())
-    assert not region_contains(d4_chain, 10.0)
-    with pytest.raises(PreconditionError):
-        region_contains(d4_chain, complex(d4_chain.curve.points[7]))
 
 
 def test_reproduce_table(f4, d4_chain):

@@ -8,9 +8,7 @@ from lemniscates.curves import (
     _segment_pair_too_close,
     count_preimages,
     ellipse,
-    image_curve,
     is_jordan,
-    resample,
     unit_circle,
     winding_number,
     winding_numbers,
@@ -189,7 +187,9 @@ def test_crossing_winding_independent_of_pair_blocks(monkeypatch):
 def test_crossing_winding_counts_roots_inside_circle(roots, seed):
     """Winding of p(circle) about w = roots of p - w inside the circle."""
     p = RationalMap(Polynomial.from_roots(roots))
-    img = image_curve(p, unit_circle(512))
+    # |p''| <= 20 * 2.8**3 on the circle: the polygon keeps within 2e-4 of
+    # the image, far inside the margin (the diameter is at least 1)
+    img = SampledCurve(p(unit_circle(4096).points))
     rng = np.random.default_rng(seed)
     zs = rng.uniform(0, 1.6, 30) * np.exp(2j * np.pi * rng.uniform(0, 1, 30))
     ws = p(zs)
@@ -214,13 +214,11 @@ def test_count_preimages_examples(circle_T):
 
 
 def test_count_preimages_resampling_invariance(circle_T):
-    from lemniscates.polynomials import roots_flat
-
     f4 = RationalMap(Polynomial([0, 0, 3, 4, 1]))
     w = 0.05 + 0.02j
     expected = sum(1 for r in roots_flat(f4.num - w) if abs(r) < 1.0)
     k1 = count_preimages(f4, circle_T, w)
-    k2 = count_preimages(f4, resample(circle_T, 1024), w)
+    k2 = count_preimages(f4, unit_circle(1024), w)
     assert k1 == k2 == expected
 
 
@@ -239,53 +237,29 @@ def test_count_preimages_requires_positive_orientation(circle_T):
         count_preimages(f, circle_T.reversed(), 0.0)
 
 
-def test_image_curve_examples():
-    sq = RationalMap(Polynomial([0, 0, 1]))
-    img = image_curve(sq, unit_circle(256))
-    # refinement bisects polygon chords, so images stay within the sagitta
-    assert np.max(np.abs(np.abs(img.points) - 1.0)) < 1e-3
-    assert winding_number(img, 0.0) == 2
-
-    shift = RationalMap(Polynomial([5.0, 1.0]))
-    img2 = image_curve(shift, unit_circle(256))
-    assert np.max(np.abs(np.abs(img2.points - 5.0) - 1.0)) < 1e-3
-
-    # odd sample count keeps the boundary zero at -1 out of the sampling
-    f4 = RationalMap(Polynomial([0, 0, 3, 4, 1]))
-    img3 = image_curve(f4, unit_circle(257))
-    assert winding_number(img3, 0.0) == 2
-
-
-def test_image_curve_pole_rejected():
+def test_count_preimages_pole_on_curve_rejected():
     inv = RationalMap(Polynomial([1.0]), Polynomial([-1.0, 1.0]))  # 1/(z-1)
-    with pytest.raises(PreconditionError):
-        image_curve(inv, unit_circle(64))  # the sample at angle 0 is the pole
+    with pytest.raises(PreconditionError, match="curve sample"):
+        count_preimages(inv, unit_circle(64), 0.0)  # the sample at angle 0 is the pole
 
 
-def test_image_curve_resolves_a_pole_near_the_curve():
-    """1/(z - (1 + 1e-6)) sweeps most of its image within 1e-6 of z = 1: the
-    refinement keeps going there until every chord is within 2% of the
-    image extent."""
-    f = RationalMap(Polynomial([1.0]), Polynomial([-(1.0 + 1e-6), 1.0]))
-    img = image_curve(f, unit_circle(64)).points
-    extent = max(np.ptp(img.real), np.ptp(img.imag))
-    assert np.max(np.abs(np.roll(img, -1) - img)) <= 0.02 * extent
-
-
-def test_image_curve_evaluates_each_sample_once(monkeypatch):
-    """The refinement keeps the images it has: f sees each output sample
-    once, though 1/(z - (1 + 1e-6)) on unit_circle(64) takes 24 rounds."""
-    evaluated = []
+def test_count_preimages_evaluates_each_sample_once(monkeypatch):
+    """The refinement keeps the images it has: f sees no point twice, though
+    arg 1/(z - (1 + 1e-6)) turns by pi within 1e-6 of z = 1 and takes many
+    rounds to resolve."""
+    seen = []
     call = RationalMap.__call__
 
-    def counting(self, z):
-        evaluated.append(np.size(z))
+    def recording(self, z):
+        seen.append(np.atleast_1d(z))
         return call(self, z)
 
-    monkeypatch.setattr(RationalMap, "__call__", counting)
+    monkeypatch.setattr(RationalMap, "__call__", recording)
     f = RationalMap(Polynomial([1.0]), Polynomial([-(1.0 + 1e-6), 1.0]))
-    img = image_curve(f, unit_circle(64))
-    assert sum(evaluated) == len(img) == 310
+    assert count_preimages(f, unit_circle(64), 0.0) == 0
+    zs = np.concatenate(seen)
+    assert len(seen) > 10 and zs.size > 64
+    assert np.unique(zs).size == zs.size
 
 
 def test_count_preimages_pole_at_refined_midpoint_rejected():
@@ -530,39 +504,6 @@ def test_is_jordan_sweeps_the_axis_with_fewer_pairs(monkeypatch):
 def test_is_jordan_rejects_bad_tol(tol):
     with pytest.raises(PreconditionError):
         is_jordan(unit_circle(64), tol)
-
-
-def test_resample_circle():
-    c = unit_circle(256)
-    r = resample(c, 512)
-    assert len(r) == 512
-    assert np.max(np.abs(np.abs(r.points) - 1.0)) < 1e-3  # chord-vs-arc bound
-
-
-def test_resample_square_perimeter():
-    sq = SampledCurve([0, 1, 1 + 1j, 1j], closed=True)
-    r = resample(sq, 16)
-    assert len(r) == 16
-    # all samples on the unit square's perimeter
-    on_edge = (
-        (np.abs(r.points.imag) < 1e-12)
-        | (np.abs(r.points.imag - 1) < 1e-12)
-        | (np.abs(r.points.real) < 1e-12)
-        | (np.abs(r.points.real - 1) < 1e-12)
-    )
-    assert on_edge.all()
-
-
-def test_resample_self_is_close():
-    c = unit_circle(64)
-    r = resample(c, 64)
-    seg = np.abs(np.diff(np.concatenate([c.points, c.points[:1]])))
-    assert np.max(np.abs(r.points - c.points)) <= seg.max() / 2 + 1e-12
-
-
-def test_resample_count_minimum():
-    with pytest.raises(PreconditionError):
-        resample(unit_circle(64), 8)
 
 
 def test_curve_validation():

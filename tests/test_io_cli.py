@@ -12,7 +12,6 @@ from lemniscates.cli import RunConfig, main
 from lemniscates.curves import ellipse, unit_circle
 from lemniscates.errors import ChainClosureError, PreconditionError, TraceError
 from lemniscates.fingerprint import BlaschkeProduct, identity_report
-from lemniscates.levelcurves import trace_level
 from lemniscates.polynomials import Polynomial
 
 
@@ -71,7 +70,7 @@ def test_blaschke_malformed_json_refused(d):
 def solved_maps():
     from lemniscates.conformal import riemann_maps
 
-    dicts = [lio.solved_map_to_dict(m) for m in riemann_maps(unit_circle(64, center=0.2), 64)]
+    dicts = [m.to_dict() for m in riemann_maps(unit_circle(64, center=0.2), 64)]
     for d in dicts:
         lio.solved_map_from_dict(d)  # the unaltered files load
     return dicts
@@ -106,14 +105,6 @@ def test_solved_map_malformed_json_refused(solved_maps, case):
     }[case]
     with pytest.raises(PreconditionError):
         lio.solved_map_from_dict(d)
-
-
-def test_arc_csv_columns(tmp_path):
-    arc = trace_level(Polynomial([0, 1]), 1.0, 1.0, 2 * np.pi, 0.05)
-    path = tmp_path / "arc.csv"
-    lio.save_arc_csv(arc, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "s_index,re,im,abs_f,arg_lift"
 
 
 def test_cli_roots(files, capsys):
@@ -384,6 +375,15 @@ def test_cli_properness(files, capsys):
     assert run_cli("properness", str(files / "improper.json"), "unit-circle", outdir=files) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["proper"] is False and out["methods_agree"] is True
+
+
+def test_cli_properness_open_curve_exits_2(files, capsys):
+    (files / "open.json").write_text(json.dumps(
+        {"closed": False, "points": [[1, 0], [0, 1], [-1, 0], [0, -1]]}))
+    assert run_cli("properness", str(files / "p2.json"), str(files / "open.json"),
+                   outdir=files) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "PreconditionError", "message": "the base curve must be closed"}
 
 
 def test_cli_properness_pinned_improper_pair(files, capsys, criterion6_poly):

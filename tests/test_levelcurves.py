@@ -1,4 +1,3 @@
-import itertools
 from unittest import mock
 
 import numpy as np
@@ -15,7 +14,13 @@ from lemniscates.counterexample import (
     noninjectivity_degree,
     reproduce_table,
 )
-from lemniscates.curves import SampledCurve, count_preimages, unit_circle, winding_number
+from lemniscates.curves import (
+    SampledCurve,
+    count_preimages,
+    unit_circle,
+    winding_number,
+    winding_numbers,
+)
 from lemniscates.errors import PreconditionError, TraceError
 from lemniscates.fingerprint import identity_report, is_proper, is_proper_oracle, pseudo_lemniscate
 from lemniscates.levelcurves import (
@@ -27,8 +32,6 @@ from lemniscates.levelcurves import (
     _grid,
     _newton,
     _scalar_kernels,
-    arg_change_along,
-    level_component_enclosing,
     level_components,
     lift_path,
     preimage_loops,
@@ -39,8 +42,19 @@ from lemniscates.levelcurves import (
 from lemniscates.polynomials import Polynomial, RationalMap, critical_values
 
 F4 = Polynomial([0, 0, 3, 4, 1])
+F4_ZEROS = (0.0, -1.0, -3.0)
 Z = Polynomial([0, 1])
 PI6 = np.pi / 6
+
+
+def _components(eps, step=0.01):
+    """The closed components of {|f4| = eps}, keyed by the zeros each winds
+    about, as design_counterexample groups them."""
+    found = {}
+    for loop in level_components(F4, eps, step):
+        counts = winding_numbers(loop.points, F4_ZEROS, min_distance=0.0)[0]
+        found[tuple(z for z, c in zip(F4_ZEROS, counts) if c)] = loop
+    return found
 
 
 def _laps(loop, step):
@@ -80,7 +94,7 @@ def test_solve_target_critical_point_failure():
 
 def test_trace_level_identity_circle():
     arc = trace_level(Z, 1.0, 1.0, 2 * np.pi, step=0.02)
-    assert arg_change_along(arc) == pytest.approx(2 * np.pi, abs=1e-9)
+    assert arc.arg_lift[-1] - arc.arg_lift[0] == pytest.approx(2 * np.pi, abs=1e-9)
     assert np.max(np.abs(np.abs(arc.samples) - 1.0)) < 1e-8
     assert abs(arc.samples[-1] - arc.samples[0]) < 1e-12
 
@@ -88,7 +102,7 @@ def test_trace_level_identity_circle():
 def test_trace_level_v5v6_change():
     # from arg f = pi/2 to the first crossing of arg f = 5*pi/3 going positively
     arc = trace_level(F4, 8.0, _v5(), 7 * np.pi / 6, step=0.01)
-    assert arg_change_along(arc) == pytest.approx(7 * np.pi / 6, abs=1e-12)
+    assert arc.arg_lift[-1] - arc.arg_lift[0] == pytest.approx(7 * np.pi / 6, abs=1e-12)
     # honest re-measurement from the samples themselves
     fresh = np.unwrap(np.angle(arc.f_values))
     assert fresh[-1] - fresh[0] == pytest.approx(7 * np.pi / 6, abs=1e-9)
@@ -99,7 +113,7 @@ def test_trace_level_closed_loop_lev8():
     [loop] = level_components(F4, 8.0, 0.01)
     assert _laps(loop, 0.01) == 4 and _level_dev(F4, loop, 8.0) <= LEVEL_INVARIANT_TOL
     arc = trace_level(F4, 8.0, _v5(), 8 * np.pi, step=0.01)
-    assert arg_change_along(arc) == pytest.approx(8 * np.pi, abs=1e-9)
+    assert arc.arg_lift[-1] - arc.arg_lift[0] == pytest.approx(8 * np.pi, abs=1e-9)
     assert abs(arc.samples[-1] - arc.samples[0]) < 1e-9
 
 
@@ -127,7 +141,7 @@ def test_trace_gradient_real_segment():
 
 def test_trace_gradient_v2v3():
     # the arc joining Lev(f4, 0.15) to Lev(f4, 0.6) along arg f4 = 3*pi/2
-    comp = level_component_enclosing(F4, 0.15, [0.0], step=0.01)
+    comp = _components(0.15)[(0.0,)]
     vals = F4(comp.points)
     j = int(np.argmin(np.abs(np.angle(vals) - (-np.pi / 2))))
     start = solve_target(F4, 0.15 * np.exp(-1j * np.pi / 2), complex(comp.points[j]))
@@ -142,9 +156,9 @@ def test_trace_gradient_rejects_same_modulus():
         trace_gradient(Z, 0.0, 1.0, 1.0)
 
 
-def test_arg_change_along_closed_component():
+def test_arg_change_around_closed_component():
     # component of Lev(f4, 0.6) around {0, -1} encloses 3 zeros with multiplicity
-    comp = level_component_enclosing(F4, 0.6, [0.0, -1.0], step=0.01)
+    comp = _components(0.6)[(0.0, -1.0)]
     k = count_preimages(F4, comp, 0.0)
     assert k == 3
     # its cycle has k laps, and arg f turns 2*pi per lap around it
@@ -153,34 +167,26 @@ def test_arg_change_along_closed_component():
     assert args[-1] - args[0] == pytest.approx(2 * np.pi * k, abs=1e-9)
 
 
-def test_level_component_enclosing_examples():
-    small = level_component_enclosing(F4, 0.15, [0.0], step=0.01)
+def test_level_components_examples():
+    small = _components(0.15)[(0.0,)]
     assert winding_number(small, 0.0) == 1
     assert winding_number(small, -1.0) == 0
     assert winding_number(small, -3.0) == 0
 
-    big = level_component_enclosing(F4, 8.0, [0.0, -1.0, -3.0], step=0.01)
-    for z in (0.0, -1.0, -3.0):
+    big = _components(8.0)[F4_ZEROS]
+    for z in F4_ZEROS:
         assert winding_number(big, z) == 1
 
-    circ = level_component_enclosing(Z, 1.0, [0.0], step=0.02)
+    [circ] = level_components(Z, 1.0, step=0.02)
     assert np.max(np.abs(np.abs(circ.points) - 1.0)) < 1e-8
 
 
-def test_level_component_failure_names_blocking_value():
-    with pytest.raises(TraceError, match="blocking critical value"):
-        level_component_enclosing(F4, 0.6, [0.0], step=0.01)
-
-
 def test_level_component_rejects_critical_modulus():
-    cv = (3 * np.sqrt(3.0) - 4.5) / 2
-    with pytest.raises(PreconditionError):
-        level_component_enclosing(F4, cv, [0.0], step=0.01)
-
-
-def test_level_component_needs_a_listed_zero():
-    with pytest.raises(PreconditionError):
-        level_component_enclosing(F4, 0.15, [], step=0.01)
+    """The level set through a critical point is not a union of Jordan loops:
+    tracing it raises instead of returning loops."""
+    for cv in filter(None, critical_values(F4)):
+        with pytest.raises(TraceError):
+            level_components(F4, abs(cv), step=0.01)
 
 
 def test_level_component_needs_constant_denominator():
@@ -188,12 +194,12 @@ def test_level_component_needs_constant_denominator():
     denominator, f4 itself, is refused."""
     for f in (RationalMap(F4 * 0.5, Polynomial([0.5])), RationalMap(F4, Polynomial([2.0, 1.0]))):
         with pytest.raises(PreconditionError, match="expected a Polynomial"):
-            level_component_enclosing(f, 0.15, [0.0], step=0.01)
+            level_components(f, 0.15, step=0.01)
 
 
 def test_cross_module_lift_vs_count(circle_T):
     # a closed level loop lifts 2*pi per lap: its laps equal the preimages of 0 inside
-    comp = level_component_enclosing(F4, 0.15, [0.0], step=0.01)
+    comp = _components(0.15)[(0.0,)]
     inside = count_preimages(F4, comp, 0.0)
     assert inside == 2
     assert _laps(comp, 0.01) == inside
@@ -219,7 +225,6 @@ _F4_RATIONAL = RationalMap(F4)
     lambda f: solve_target(f, 8j, 1.0),
     lambda f: trace_level(f, 8.0, 1.0, 0.1),
     lambda f: trace_gradient(f, 0.0, 1.0, 9.0),
-    lambda f: level_component_enclosing(f, 0.15, [0.0]),
     lambda f: level_components(f, 0.15),
     lambda f: preimage_loops(f, unit_circle(64), 64),
     lambda f: build_boundary(f, chain_from_table(d4_table())),
@@ -230,7 +235,7 @@ _F4_RATIONAL = RationalMap(F4)
     lambda f: pseudo_lemniscate(f, unit_circle(64)),
     lambda f: identity_report(f, unit_circle(64)),
 ], ids=["lift_path", "solve_target", "trace_level", "trace_gradient",
-        "level_component_enclosing", "level_components", "preimage_loops", "build_boundary",
+        "level_components", "preimage_loops", "build_boundary",
         "reproduce_table", "noninjectivity_degree", "is_proper", "is_proper_oracle",
         "pseudo_lemniscate", "identity_report"])
 def test_continuation_refuses_rational_map(call):
@@ -515,19 +520,6 @@ def test_level_components_when_gamma0_is_p0_up_to_rounding():
         assert _level_dev(p, loop, eps) <= LEVEL_INVARIANT_TOL and _laps(loop, 0.01) == 2
 
 
-def _groupings(eps, step):
-    zeros = [0.0, -1.0, -3.0]
-    found = set()
-    for k in range(1, 4):
-        for subset in itertools.combinations(zeros, k):
-            try:
-                level_component_enclosing(F4, eps, list(subset), step=step)
-            except TraceError:
-                continue
-            found.add(subset)
-    return found
-
-
 def test_near_pinch_groupings_step_independent():
     """Just below and above each nonzero critical modulus of z^2(z+1)(z+3) the
     level set is about to pinch or has just merged; a coarse step must find
@@ -544,5 +536,5 @@ def test_near_pinch_groupings_step_independent():
         1.001 * cv_big: {(0.0, -1.0, -3.0)},
     }
     for eps, groups in expected.items():
-        assert _groupings(eps, 0.01) == groups
-        assert _groupings(eps, 0.1) == groups
+        assert set(_components(eps, 0.01)) == groups
+        assert set(_components(eps, 0.1)) == groups
