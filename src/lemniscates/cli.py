@@ -49,8 +49,10 @@ class RunConfig:
 
     `nodes` is the Riemann-map node count of `fingerprint`; the grid_* fields
     are the polar target grid of `counterexample noninj`; `outdir` is where
-    files are written. Sample counts, trace steps and the SVG width are the
-    library's own defaults, so the CLI computes what the library computes.
+    files are written: --outdir, else $LEMNISCATES_OUTDIR, else the config's
+    `outdir`, else the working directory. Sample counts, trace steps and the
+    SVG width are the library's own defaults, so the CLI computes what the
+    library computes.
     """
 
     nodes: int = 1024
@@ -81,12 +83,12 @@ class RunConfig:
                 raise PreconditionError(f"unknown config keys: {sorted(unknown)}")
             for k, v in data.items():
                 setattr(cfg, k, _config_value(k, v, getattr(cfg, k)))
-        for k, v in (overrides or {}).items():
-            if v is not None:
-                setattr(cfg, k, v)
         env_out = os.environ.get(ENV_OUTDIR)
         if env_out:
             cfg.outdir = env_out
+        for k, v in (overrides or {}).items():
+            if v is not None:
+                setattr(cfg, k, v)
         return cfg.validate()
 
 
@@ -116,13 +118,24 @@ def _emit(payload: dict):
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _outpath(cfg: RunConfig, name: str) -> Path:
+def _outpaths(cfg: RunConfig, args, *names) -> list:
+    """The files `names` in the output directory, created if need be. Every
+    command asks for all its outputs here before it writes the first; one that
+    is a directory or an input file (poly, curve, config) raises PreconditionError."""
     out = Path(cfg.outdir)
+    given = (getattr(args, k, None) for k in ("poly", "curve", "config"))
+    inputs = {Path(a).resolve() for a in given if a not in (None, "unit-circle")}
+    paths = [out / name for name in names]
+    for path in paths:
+        if path.resolve() in inputs:
+            raise PreconditionError(f"output {path} would overwrite an input file")
+        if path.is_dir():
+            raise PreconditionError(f"output {path} is a directory")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise PreconditionError(f"cannot create output directory {out}: {err}") from None
-    return out / name
+    return paths
 
 
 def cmd_roots(args, cfg: RunConfig) -> dict:
@@ -158,13 +171,8 @@ def cmd_lemniscate(args, cfg: RunConfig) -> dict:
     p, rot = normalize_leading(p)
     gamma = _load_curve_arg(args.curve)
     proper = is_proper(p, gamma)
-    svg_path = _outpath(cfg, Path(args.out).name)
-    json_path = svg_path.with_suffix(".json")
-    inputs = {Path(a).resolve() for a in (args.poly, args.curve, args.config)
-              if a is not None and a != "unit-circle"}
-    for out in (svg_path, json_path):
-        if out.resolve() in inputs:
-            raise PreconditionError(f"output {out} would overwrite an input file")
+    out = Path(args.out)
+    svg_path, json_path = _outpaths(cfg, args, out.name, f"{out.stem}.json")
     payload = {"leading_rotation": [rot.real, rot.imag]}
     if proper:
         curve = pseudo_lemniscate(p, gamma)
@@ -199,14 +207,15 @@ def cmd_fingerprint(args, cfg: RunConfig) -> dict:
     p, rot = normalize_leading(p)
     gamma = _load_curve_arg(args.curve)
     rep = identity_report(p, gamma, nodes=cfg.nodes)
-    out = _outpath(cfg, Path(args.out).name)
+    stem = Path(args.out).stem
+    maps = rep.maps if args.save_maps else {}
+    suffixes = ["_kgamma.csv", "_blaschke.csv", "_blaschke.json", *(f"_map_{k}.json" for k in maps)]
+    out, kg_path, b_path, bj_path, *map_paths = _outpaths(
+        cfg, args, Path(args.out).name, *(stem + s for s in suffixes))
     lio.save_circle_map_csv(rep.k_p, out)
-    kg_path = out.with_name(out.stem + "_kgamma.csv")
     lio.save_circle_map_csv(rep.k_gamma, kg_path)
     blift = circle_map_of_blaschke(rep.blaschke, samples=2048)
-    b_path = out.with_name(out.stem + "_blaschke.csv")
     lio.save_circle_map_csv(blift, b_path)
-    bj_path = out.with_name(out.stem + "_blaschke.json")
     bj_path.write_text(json.dumps(lio.blaschke_to_dict(rep.blaschke)) + "\n")
     payload = {
         "degree": rep.degree,
@@ -217,13 +226,10 @@ def cmd_fingerprint(args, cfg: RunConfig) -> dict:
         "blaschke_csv": str(b_path),
         "blaschke_json": str(bj_path),
     }
-    if args.save_maps:
-        saved = {}
-        for name, m in rep.maps.items():
-            mp = out.with_name(f"{out.stem}_map_{name}.json")
-            mp.write_text(json.dumps(m.to_dict()) + "\n")
-            saved[name] = str(mp)
-        payload["solved_maps"] = saved
+    for m, mp in zip(maps.values(), map_paths):
+        mp.write_text(json.dumps(m.to_dict()) + "\n")
+    if maps:
+        payload["solved_maps"] = {key: str(mp) for key, mp in zip(maps, map_paths)}
     return payload
 
 
@@ -238,7 +244,7 @@ def _require_degree4(args):
 def cmd_counterexample(args, cfg: RunConfig) -> dict:
     if args.action == "family":
         design = design_counterexample(args.n)
-        path = _outpath(cfg, f"f{args.n}.json")
+        path, = _outpaths(cfg, args, f"f{args.n}.json")
         lio.save_polynomial(design.poly, path)
         return {"polynomial_json": str(path), **design.metadata()}
     _require_degree4(args)
@@ -246,7 +252,7 @@ def cmd_counterexample(args, cfg: RunConfig) -> dict:
     chain = build_d4_chain()
     if args.action == "table":
         report = reproduce_table(f4, chain)
-        path = _outpath(cfg, "table_report.json")
+        path, = _outpaths(cfg, args, "table_report.json")
         path.write_text(json.dumps(report.to_dict(), sort_keys=True) + "\n")
         return {
             "all_ok": report.all_ok,
@@ -257,7 +263,7 @@ def cmd_counterexample(args, cfg: RunConfig) -> dict:
     if args.action == "noninj":
         grid = PolarGrid(cfg.grid_args, cfg.grid_moduli, cfg.grid_mod_min, cfg.grid_mod_max)
         res = noninjectivity_degree(f4, chain, grid)
-        path = _outpath(cfg, "noninjectivity.json")
+        path, = _outpaths(cfg, args, "noninjectivity.json")
         path.write_text(
             json.dumps(
                 {
@@ -276,9 +282,8 @@ def cmd_counterexample(args, cfg: RunConfig) -> dict:
         return {"degree": res.degree, "evaluated": res.n_evaluated,
                 "skipped": res.n_skipped, "report_json": str(path)}
     # export
-    curve_path = _outpath(cfg, "d4_boundary.json")
+    curve_path, svg_path = _outpaths(cfg, args, "d4_boundary.json", "d4_boundary.svg")
     lio.save_curve(chain.curve, curve_path)
-    svg_path = _outpath(cfg, "d4_boundary.svg")
     moduli = sorted({s.value for s in chain.specs if s.kind == "level"})
     family = _level_family(f4, moduli)
     curves = [chain.curve] + [loop for _, loop in family]

@@ -22,16 +22,16 @@ reflected curve's pair and solves the exterior system in the same buffers:
 
 All three entry points share one adaptive-resolution loop. The curve is
 checked (closed, positively oriented, origin inside), resampled at the
-caller's node count n (default 1024) and checked Jordan there. The maps are
-solved at k = min(512, n) nodes, then at 2k, ... up to n, and each is taken
-from the first k at which it is resolved: the curve's Fourier coefficients
-that resampling to k drops or folds (|j| >= k/2) are at most
-1e-13 * max|curve|, and those of the map's density at |j| >= k/4 are at
-most 1e-13 * max(|h| + |mu|, 1), h = -log|curve| the right-hand side. A
-SolverError below n counts as unresolved. theta - t and mu are resampled to
-n by FFT and g0 is kept, so a map has n nodes and is checked monotone there;
-at k = n it is the direct solve. n is both the maps' node count and the cap
-of the solve's resolution.
+caller's node count n (default 1024) and checked Jordan there. The loop
+walks k = min(512, n), 2k, ... up to n. A k < n at which the curve's Fourier
+coefficients that resampling to k drops or folds (|j| >= k/2) exceed
+1e-13 * max|curve| is skipped without a solve; at n the maps are always
+solved. Each map is taken from the first k solved at which its density's
+coefficients at |j| >= k/4 are at most 1e-13 * max(|h| + |mu|, 1),
+h = -log|curve| the right-hand side. A SolverError below n counts as
+unresolved. theta - t and mu are resampled to n by FFT and g0 is kept, so a
+map has n nodes and is checked monotone there; at k = n it is the direct
+solve. n is both the maps' node count and the cap of the solve's resolution.
 """
 from __future__ import annotations
 
@@ -106,10 +106,6 @@ class DiskMap:
 
     # -- parameter <-> angle ------------------------------------------------
 
-    def _theta_of_t(self, t):
-        t = np.asarray(t, dtype=float)
-        return t + np.real(trig_eval(self._p_c, t))
-
     def _theta_on_grid(self, m):
         """theta at the parameters 2*pi*j/m, j = 0..m-1, by FFT."""
         t = _TWO_PI * np.arange(m) / m
@@ -143,27 +139,6 @@ class DiskMap:
         t = self._t_of_theta(theta)
         out = trig_eval(self._gamma_c, t)
         return out if np.ndim(theta) else complex(out[0])
-
-    def boundary_inverse(self, point):
-        """Angle theta in [0, 2pi) with phi(e^{i theta}) = point, which must
-        lie within 1e-8 * max|gamma| of the curve."""
-        z = complex(point)
-        tol = 1e-8 * max(np.max(np.abs(self.points)), 1e-300)
-        j = int(np.argmin(np.abs(self.points - z)))
-        t = _TWO_PI * j / self.nodes
-        for _ in range(60):
-            gz = trig_eval(self._gamma_c, t)[0] - z
-            dg = trig_eval_deriv(self._gamma_c, t)[0]
-            step = (gz * np.conj(dg)).real / max(abs(dg) ** 2, 1e-300)
-            t = t - step
-            if abs(step) < 1e-15:
-                break
-        resid = abs(trig_eval(self._gamma_c, t)[0] - z)
-        if resid > tol:
-            raise PreconditionError(
-                f"point {z:.6g} is off the curve (residual {resid:.3g})"
-            )
-        return float(np.mod(self._theta_of_t(np.array([t]))[0], _TWO_PI))
 
     # -- interior -----------------------------------------------------------
 
@@ -311,18 +286,6 @@ def _tail(vals: np.ndarray, j: int) -> float:
     return float(c[j:vals.size - j + 1].max()) / vals.size
 
 
-def _first_resolution(points: np.ndarray) -> int:
-    """The first k of min(512, n), doubled and capped at n = points.size,
-    at which the coefficients that trig_resample(points, k) drops or folds
-    (|l| >= k/2) are at most _TAIL * max|points|."""
-    n = points.size
-    k = min(_START_NODES, n)
-    bound = _TAIL * np.max(np.abs(points))
-    while k < n and _tail(points, k // 2) > bound:
-        k = min(2 * k, n)
-    return k
-
-
 def _accepted(im, re, pts, dg, points: np.ndarray):
     """The map _solve_on gives on the k samples pts of a curve, taken to its
     n = points.size samples; at k = n it is _solve_on's own. Below n it is
@@ -368,12 +331,6 @@ class ExteriorMap:
 
     def boundary_forward(self, theta):
         return 1.0 / np.conj(self.inner.boundary_forward(theta))
-
-    def boundary_inverse(self, point):
-        z = complex(point)
-        if z == 0:
-            raise PreconditionError("the origin lies inside the curve, not on it")
-        return self.inner.boundary_inverse(1.0 / z.conjugate())
 
     def exterior_eval(self, zeta):
         """phi_plus(zeta) for |zeta| >= 1/(1 - margin)."""
@@ -432,15 +389,18 @@ def _solve_pair(points: np.ndarray, k: int | None = None, wanted=(True, True)) -
 
 def _solve_maps(points: np.ndarray, wanted) -> list:
     """The wanted maps of _solve_pair, each taken from the first resolution
-    of the loop (see the module docstring) that gives it."""
+    of the loop (see the module docstring) that gives it. The curve's tail
+    only shrinks as k grows, so the k skipped unsolved are the first ones."""
     n = points.size
+    bound = _TAIL * np.max(np.abs(points))
     maps = [None, None]
-    k = _first_resolution(points)
+    k = min(_START_NODES, n)
     while True:
         todo = [w and m is None for w, m in zip(wanted, maps)]
         if not any(todo):
             return maps
-        maps = [m if s is None else s for m, s in zip(maps, _solve_pair(points, k, todo))]
+        if k == n or _tail(points, k // 2) <= bound:
+            maps = [m if s is None else s for m, s in zip(maps, _solve_pair(points, k, todo))]
         k = min(2 * k, n)
 
 

@@ -33,6 +33,7 @@ from .curves import SampledCurve, unit_circle, winding_numbers
 from .errors import PreconditionError, TraceError
 from .polynomials import (
     Polynomial,
+    critical_values,
     poly_roots,
     require_polynomial,
     roots_flat,
@@ -380,28 +381,37 @@ def level_components(p: Polynomial, eps: float, step: float = DEFAULT_STEP) -> l
     Returns the loops ordered by each loop's smallest enclosed zero in
     (re, im) order. A loop whose max | |p| - eps | / eps exceeds
     LEVEL_INVARIANT_TOL, beyond the rounding of its samples, raises
-    TraceError, as trace_level does for arcs.
+    TraceError, as trace_level does for arcs. A TraceError is raised again
+    with its samples and the nonzero critical value of modulus nearest eps.
     """
     if not eps > 0:
         raise PreconditionError("eps must be positive")
     m = _grid(0.0, 2 * np.pi, step).size - 1
-    loops = preimage_loops(p, unit_circle(8, radius=eps), m)
-    zero_pts = [z for z, _ in poly_roots(p, tol=1e-9)]  # distinct, (re, im) order
-    found = []
-    for loop in map(SampledCurve, loops):
-        inside = np.flatnonzero(winding_numbers(loop.points, zero_pts, min_distance=0.0)[0])
-        if inside.size == 0:
-            raise TraceError(f"level loop of {len(loop) // m} laps encloses no zero",
-                             samples=loop.points)
-        err = np.abs(np.abs(p(loop.points)) - eps)
-        # a sample is only known to rounding, which moves p by up to about
-        # deg * u * eval_scale: more than LEVEL_INVARIANT_TOL * eps on a tiny
-        # level about a zero away from the origin
-        rounding = p.degree * np.finfo(float).eps * p.eval_scale(loop.points)
-        if np.any(err > LEVEL_INVARIANT_TOL * eps + rounding):
-            raise TraceError(f"level invariant violated: relative deviation "
-                             f"{np.max(err) / eps:.3g}", samples=loop.points)
-        found.append((inside[0], loop))
+    try:
+        loops = preimage_loops(p, unit_circle(8, radius=eps), m)
+        zero_pts = [z for z, _ in poly_roots(p, tol=1e-9)]  # distinct, (re, im) order
+        found = []
+        for loop in map(SampledCurve, loops):
+            inside = np.flatnonzero(winding_numbers(loop.points, zero_pts, min_distance=0.0)[0])
+            if inside.size == 0:
+                raise TraceError(f"level loop of {len(loop) // m} laps encloses no zero",
+                                 samples=loop.points)
+            err = np.abs(np.abs(p(loop.points)) - eps)
+            # a sample is only known to rounding, which moves p by up to about
+            # deg * u * eval_scale: more than LEVEL_INVARIANT_TOL * eps on a tiny
+            # level about a zero away from the origin
+            rounding = p.degree * np.finfo(float).eps * p.eval_scale(loop.points)
+            if np.any(err > LEVEL_INVARIANT_TOL * eps + rounding):
+                raise TraceError(f"level invariant violated: relative deviation "
+                                 f"{np.max(err) / eps:.3g}", samples=loop.points)
+            found.append((inside[0], loop))
+    except TraceError as err:
+        cvs = [cv for cv in critical_values(p) if cv != 0] if p.degree > 1 else []
+        if not cvs:
+            raise
+        cv = min(cvs, key=lambda c: abs(abs(c) - eps))
+        raise type(err)(f"{err}; eps = {eps:.6g}, nearest nonzero critical value "
+                        f"{cv:.6g} of modulus {abs(cv):.6g}", samples=err.samples) from err
     found.sort(key=lambda item: item[0])
     return [loop for _, loop in found]
 

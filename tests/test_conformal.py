@@ -55,15 +55,6 @@ def test_mobius_oracle_interior(rng):
     assert np.max(np.abs(dm.interior_inverse(z) - w)) < 1e-6
 
 
-def test_boundary_inverse_roundtrip():
-    dm = interior_map(unit_circle(512, center=0.3), nodes=512)
-    for th in TH64[::8]:
-        pt = dm.boundary_forward(float(th))
-        back = dm.boundary_inverse(pt)
-        gap = abs((back - th + np.pi) % (2 * np.pi) - np.pi)
-        assert gap <= 1e-8
-
-
 def test_interior_roundtrip(rng):
     dm = interior_map(ellipse(1.0, 0.6, 512), nodes=512)
     w = 0.8 * np.sqrt(rng.uniform(0, 1, 100)) * np.exp(2j * np.pi * rng.uniform(0, 1, 100))
@@ -86,12 +77,6 @@ def test_interior_eval_margin():
     dm = interior_map(unit_circle(128), nodes=128)
     with pytest.raises(PreconditionError):
         dm.interior_eval(0.999)
-
-
-def test_off_curve_point_rejected():
-    dm = interior_map(unit_circle(256), nodes=256)
-    with pytest.raises(PreconditionError):
-        dm.boundary_inverse(1.5 + 0.5j)
 
 
 def test_origin_must_be_inside():
@@ -147,8 +132,6 @@ def test_exterior_warped_closed_form(nodes):
 
 def test_exterior_map_refuses_the_origin():
     em = exterior_map(ellipse(1.0, 0.6, 256), nodes=256)
-    with pytest.raises(PreconditionError):
-        em.boundary_inverse(0)
     for zeta in (0, np.array([2.0, 0.0]), 1.01):
         with pytest.raises(PreconditionError):
             em.exterior_eval(zeta)
@@ -350,12 +333,22 @@ def test_resolved_curve_is_solved_at_512_nodes():
     assert dm.nodes == em.nodes == 2048
 
 
-def test_high_mode_is_not_solved_at_512_nodes():
-    """A 1e-6 mode at frequency 400 is dropped by resampling to 512 nodes."""
+def test_high_mode_is_not_solved_at_512_nodes(monkeypatch):
+    """A 1e-6 mode at frequency 400 is dropped by resampling to 512 nodes,
+    so the loop builds no kernels there."""
     t = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
     curve = SampledCurve(np.exp(1j * t) + 1e-6 * np.exp(400j * t), closed=True)
+    sizes = []
+    real = conformal._kernels
+
+    def counting(points, dg):
+        sizes.append(points.size)
+        return real(points, dg)
+
+    monkeypatch.setattr(conformal, "_kernels", counting)
     dm, em = riemann_maps(curve, 2048)
     assert dm.solve_nodes > 512 and em.inner.solve_nodes > 512
+    assert sizes and 512 not in sizes
     full = conformal._solve_pair(conformal._resampled_points(curve, 2048))
     assert np.max(np.abs(dm.theta - full[0].theta)) <= 1e-12
     assert np.max(np.abs(em.theta - full[1].theta)) <= 1e-12

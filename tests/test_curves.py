@@ -286,7 +286,8 @@ def test_is_jordan_traced_lemniscate():
 
 
 # Reference: the dense midpoint-distance screen the bucketed Jordan test
-# replaced, kept verbatim (renamed) as an independent oracle.
+# replaced, kept (renamed) as an independent oracle. Each row block screens
+# only the columns that can hold a pair j > i + 1, with the same predicate.
 def _dense_is_jordan(c: SampledCurve, tol: float = 1e-9) -> bool:
     """True iff no two non-adjacent segments of the closed polygon intersect
     or pass within tol of each other."""
@@ -301,11 +302,13 @@ def _dense_is_jordan(c: SampledCurve, tol: float = 1e-9) -> bool:
     block = max(1, int(2_000_000 // n))
     for i0 in range(0, n, block):
         i = np.arange(i0, min(i0 + block, n))
-        # candidate pairs (i, j) with j > i + 1, excluding the wrap-adjacent pair
-        sep = np.abs(mid[i][:, None] - mid[None, :])
-        reach = rad[i][:, None] + rad[None, :] + tol
+        # candidate pairs (i, j) with j > i + 1, excluding the wrap-adjacent
+        # pair; no row of the block pairs with a column j <= i0 + 1
+        j = np.arange(i0 + 2, n)
+        sep = np.abs(mid[i][:, None] - mid[j][None, :])
+        reach = rad[i][:, None] + rad[j][None, :] + tol
         cand = sep <= reach
-        j_idx = np.arange(n)[None, :]
+        j_idx = j[None, :]
         i_idx = i[:, None]
         adjacent = (
             (j_idx <= i_idx + 1)
@@ -315,8 +318,8 @@ def _dense_is_jordan(c: SampledCurve, tol: float = 1e-9) -> bool:
         ii, jj = np.nonzero(cand)
         if ii.size == 0:
             continue
-        gi = i[ii]
-        hit = _segment_pair_too_close(a[gi], b[gi], a[jj], b[jj], tol)
+        gi, gj = i[ii], j[jj]
+        hit = _segment_pair_too_close(a[gi], b[gi], a[gj], b[gj], tol)
         if hit.any():
             return False
     return True

@@ -318,6 +318,25 @@ def test_cli_lemniscate_refuses_to_overwrite_inputs(files, capsys, poly, curve, 
     assert not list(files.glob("*.svg"))
 
 
+@pytest.mark.parametrize("out, curve, save_maps", [
+    ("p2.json", "unit-circle", False),                    # k_p CSV onto the polynomial
+    ("fp.csv", "fp_blaschke.json", False),                # Blaschke JSON onto the curve
+    ("fp.csv", "fp_map_curve_exterior.json", True),      # a saved map onto the curve
+])
+def test_cli_fingerprint_refuses_to_overwrite_inputs(files, capsys, out, curve, save_maps):
+    if curve != "unit-circle":
+        lio.save_curve(unit_circle(512), files / curve)
+    inputs = ["p2.json"] + ([curve] if curve != "unit-circle" else [])
+    before = {name: (files / name).read_bytes() for name in inputs}
+    argv = ["fingerprint", str(files / "p2.json"),
+            curve if curve == "unit-circle" else str(files / curve), out]
+    assert run_cli(*argv, *(["--save-maps"] if save_maps else []), outdir=files) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "PreconditionError" and "overwrite an input" in record["message"]
+    assert {name: (files / name).read_bytes() for name in inputs} == before
+    assert not list(files.glob("*.csv"))  # no output was written before the refusal
+
+
 def test_cli_fingerprint(files, capsys):
     assert run_cli("fingerprint", str(files / "p2.json"), "unit-circle", "fp.csv", outdir=files) == 0
     out = json.loads(capsys.readouterr().out)
@@ -467,6 +486,14 @@ def test_cli_outdir_that_is_a_file(files, capsys):
     assert sorted(files.iterdir()) == before and blocker.read_text() == ""
 
 
+def test_cli_output_that_is_a_directory(files, capsys):
+    (files / "sub").mkdir()
+    assert run_cli("fingerprint", str(files / "p2.json"), "unit-circle", "sub", outdir=files) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "PreconditionError" and "is a directory" in record["message"]
+    assert not list(files.glob("sub*.csv"))
+
+
 def test_cli_counterexample_rejects_higher_degree_region(files, capsys):
     assert run_cli("counterexample", "noninj", "--n", "5", outdir=files) == 2
 
@@ -481,12 +508,19 @@ def test_cli_deterministic_outputs(files, capsys):
     assert (files / "a.json").read_bytes() == first_json
 
 
-def test_cli_outdir_env_override(files, capsys, tmp_path, monkeypatch):
-    target = tmp_path / "envout"
-    monkeypatch.setenv("LEMNISCATES_OUTDIR", str(target))
-    assert main(["roots", str(files / "f4.json")]) == 0
+def test_cli_outdir_env_override(files, capsys, monkeypatch):
+    """--outdir beats $LEMNISCATES_OUTDIR, which beats the config's outdir."""
+    cfg = files / "cfg.json"
+    cfg.write_text(json.dumps({"outdir": str(files / "cfgout")}))
+    monkeypatch.setenv("LEMNISCATES_OUTDIR", str(files / "envout"))
+    argv = ["counterexample", "family", "--n", "5"]
+    assert main(["--config", str(cfg), *argv]) == 0
+    assert (files / "envout" / "f5.json").exists()
+    (files / "envout" / "f5.json").unlink()
+    assert main(["--config", str(cfg), "--outdir", str(files / "cliout"), *argv]) == 0
+    assert (files / "cliout" / "f5.json").exists()
+    assert not list(files.glob("envout/*")) and not (files / "cfgout").exists()
     capsys.readouterr()
-    monkeypatch.delenv("LEMNISCATES_OUTDIR")
 
 
 def test_runconfig_validation(tmp_path):

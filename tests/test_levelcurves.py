@@ -183,10 +183,12 @@ def test_level_components_examples():
 
 def test_level_component_rejects_critical_modulus():
     """The level set through a critical point is not a union of Jordan loops:
-    tracing it raises instead of returning loops."""
+    tracing it raises instead of returning loops, naming the critical value."""
     for cv in filter(None, critical_values(F4)):
-        with pytest.raises(TraceError):
+        match = f"nearest nonzero critical value .* of modulus {abs(cv):.6g}$"
+        with pytest.raises(TraceError, match=match) as info:
             level_components(F4, abs(cv), step=0.01)
+        assert info.value.samples is not None
 
 
 def test_level_component_needs_constant_denominator():
