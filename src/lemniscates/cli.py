@@ -29,6 +29,7 @@ from .counterexample import (
 from .curves import SampledCurve, unit_circle
 from .errors import ChainClosureError, NumericalError, PreconditionError, TraceError
 from .fingerprint import (
+    _traced_lemniscate,
     circle_map_of_blaschke,
     identity_report,
     is_proper,
@@ -165,8 +166,6 @@ def _level_family(p, moduli):
 
 
 def cmd_lemniscate(args, cfg: RunConfig) -> dict:
-    from .fingerprint import pseudo_lemniscate
-
     p = lio.load_polynomial(args.poly)
     p, rot = normalize_leading(p)
     gamma = _load_curve_arg(args.curve)
@@ -175,7 +174,7 @@ def cmd_lemniscate(args, cfg: RunConfig) -> dict:
     svg_path, json_path = _outpaths(cfg, args, out.name, f"{out.stem}.json")
     payload = {"leading_rotation": [rot.real, rot.imag]}
     if proper:
-        curve = pseudo_lemniscate(p, gamma)
+        curve = _traced_lemniscate(p, gamma)  # pseudo_lemniscate, properness known
         lio.save_curve(curve, json_path)
         lio.curves_to_svg([curve, gamma], svg_path, title="pseudo-lemniscate")
         payload.update(

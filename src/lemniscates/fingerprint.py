@@ -28,6 +28,7 @@ from .polynomials import Polynomial, critical_values, require_polynomial, roots_
 _TWO_PI = 2.0 * np.pi
 LIFT_TOL = 1e-8  # allowed defect in the 2*pi*degree total increase
 ORACLE_STEPS_PER_LAP = 64  # lap resolution of is_proper_oracle
+_SAMPLES_PER_LAP = 1024  # lap resolution of pseudo_lemniscate
 
 
 class CircleMap:
@@ -155,7 +156,7 @@ def nth_root_lift(m: CircleMap, n: int, branch: int = 0) -> CircleMap:
 
 
 def pseudo_lemniscate(p: Polynomial, gamma: SampledCurve,
-                      samples_per_lap: int = 1024) -> SampledCurve:
+                      samples_per_lap: int = _SAMPLES_PER_LAP) -> SampledCurve:
     """The preimage curve p^{-1}(Gamma), the one `preimage_loops` component
     covering Gamma degree-n times. Requires a proper input; a trace that
     still splits into several loops raises TraceError."""
@@ -163,6 +164,13 @@ def pseudo_lemniscate(p: Polynomial, gamma: SampledCurve,
         raise PreconditionError(
             "pseudo-lemniscate is not Jordan: some critical value lies outside"
         )
+    return _traced_lemniscate(p, gamma, samples_per_lap)
+
+
+def _traced_lemniscate(p: Polynomial, gamma: SampledCurve,
+                       samples_per_lap: int = _SAMPLES_PER_LAP) -> SampledCurve:
+    """`pseudo_lemniscate` for a caller that has already found p proper for
+    Gamma with `is_proper`."""
     first, *rest = preimage_loops(p, gamma, samples_per_lap)
     if rest:
         raise TraceError(f"curve closed after {first.size // samples_per_lap} of "

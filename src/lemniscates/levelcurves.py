@@ -2,16 +2,27 @@
 polynomial f by lifting w-plane paths through f^{-1}. Every entry point takes
 a `Polynomial` and refuses anything else with PreconditionError.
 
-`lift_path` is the one continuation kernel: a two-step (Adams-Bashforth)
-predictor from the slopes z' = w'(s) / f'(z) of the last two samples and a
-Newton corrector onto the exact target w(s_j) (Allgower & Georg,
-Introduction to Numerical Continuation Methods, ch. 2), with the step
-halved into Euler substeps when the corrector does not contract or the step
-jumps branches. Its O(h^3) prediction error leaves one Newton update and
-one confirming evaluation per grid step. Level arcs lift eps*exp(i s) on a
-uniform grid in s = arg f, gradient arcs exp(s + i alpha) on a uniform grid
-in s = log|f|. Every sample lands on its exact target to a relative residual
-of NEWTON_TOL = 1e-12, so a level arc's argument lift is its grid and
+`lift_path` is the one continuation kernel, predictor-corrector
+continuation (Allgower & Georg, Introduction to Numerical Continuation
+Methods, ch. 2) on two levels. Its scalar stepper predicts each step by the
+two-step (Adams-Bashforth) rule from the slopes z' = w'(s) / f'(z) of the
+last two samples and corrects it by Newton onto the exact target w(s_j),
+halving the step into Euler substeps when the corrector does not contract or
+the step jumps branches. It crosses only every _COARSE-th grid node, where
+its O(h^3) prediction error leaves one Newton update and one confirming
+evaluation per step at the coarse goal. Cubic Hermite interpolation of those
+samples and slopes predicts every grid sample, and one vectorized Newton pass
+corrects all of them to rounding level. Each corrected step is certified:
+the two-step prediction from the sample before it passes Smale's alpha test
+(Blum, Cucker, Shub & Smale, Complexity and Real Computation, ch. 8) and lies
+within 2 beta of the sample, which is therefore the root Newton reaches from
+the scalar stepper's own prediction; the step also keeps the branch bound and
+the critical floor. From the first step that fails, the scalar stepper lifts
+the rest of the path on the grid, so a TraceError keeps its message and the
+samples before it. Level arcs lift eps*exp(i s) on a uniform grid in
+s = arg f, gradient arcs exp(s + i alpha) on a uniform grid in s = log|f|.
+Every sample lands on its exact target to a relative residual of
+NEWTON_TOL = 1e-12 or better, so a level arc's argument lift is its grid and
 |f| = eps holds to that residual.
 
 `preimage_loops` is the one closed-curve tracer: it lifts one lap of a closed
@@ -46,6 +57,10 @@ CRITICAL_FIELD_TOL = 1e-10   # |f'| below this scale aborts a trace
 BRANCH_JUMP_FACTOR = 2.0     # kappa: a step may move at most kappa*|dw|/|f'|
 _CORRECTOR_ITERS = 8         # Newton iterations per substep before halving
 _MAX_HALVINGS = 12           # smallest substep is 2^-12 of a grid step
+_COARSE = 8                  # C: grid steps per step of the coarse pass
+_COARSE_TOL = 1e-7           # coarse corrector goal; the fine pass polishes every sample
+_ALPHA_BOUND = 0.1           # Smale's alpha test that certifies each fine step
+_ROUNDING = 1e-14            # an update below _ROUNDING * (1 + |z|) is rounding
 
 
 @dataclass
@@ -111,7 +126,7 @@ def _newton(fd, z, w, tol, iters):
         r = fv - w
         dz = r / dv
         size = abs(dz)
-        if abs(r) <= goal or (k and size <= 1e-14 * (1.0 + abs(z))):
+        if abs(r) <= goal or (k and size <= _ROUNDING * (1.0 + abs(z))):
             return z, fv, dv
         if not size < last:
             raise TraceError(f"Newton iteration not contracting near {z:.6g}", samples=trail)
@@ -122,80 +137,225 @@ def _newton(fd, z, w, tol, iters):
                      samples=trail)
 
 
+def _taylor(nc, z, order):
+    """The Taylor coefficients f^(k)(z)/k!, k < order, of the polynomial with
+    coefficients nc (leading first) at every point of the array z, by
+    repeated synthetic division by (x - z)."""
+    out = []
+    for _ in range(order):
+        acc, quotient = nc[0], []
+        for c in nc[1:]:
+            quotient.append(acc)
+            acc = acc * z + c
+        out.append(acc if isinstance(acc, np.ndarray) else np.full(np.shape(z), acc))
+        nc = quotient
+    return out
+
+
+def _polish(nc, z, w):
+    """Vectorized Newton onto f(z) = w from every point of z: at least one
+    update, then on until every next update is at rounding level or
+    _CORRECTOR_ITERS updates are spent. Returns (z, f(z), f'(z), done), done
+    marking the points whose next update is at rounding level."""
+    fv, dv = _taylor(nc, z, 2)
+    dz = (fv - w) / dv
+    for _ in range(_CORRECTOR_ITERS):
+        z = z - dz
+        fv, dv = _taylor(nc, z, 2)
+        dz = (fv - w) / dv
+        done = np.abs(dz) <= _ROUNDING * (1.0 + np.abs(z))
+        if done.all():
+            break
+    return z, fv, dv, done
+
+
+def _bend(s):
+    """(h_j/h_{j-1})/2 per step h_j of the grid s: the weight of the slope
+    change in the two-step predictor; 0 on the first step makes it Euler."""
+    hs = np.diff(s)
+    return np.append(0.0, 0.5 * hs[1:] / np.where(hs[:-1] == 0, np.inf, hs[:-1]))
+
+
+def _alpha_certified(nc, z, dv, s, w, dw):
+    """Whether each step j -> j+1 of the corrected samples z (f' = dv) at the
+    nodes s lands on the root that Newton onto w[j+1] reaches from the
+    two-step prediction zh made at z[j]: Smale's alpha = beta*gamma <
+    _ALPHA_BOUND at zh, with beta = |f(zh) - w[j+1]| / |f'(zh)| and gamma =
+    max_k |f^(k)(zh) / (k! f'(zh))|^(1/(k-1)), and |z[j+1] - zh| <= 2 beta
+    (Blum, Cucker, Shub and Smale, Complexity and Real Computation, ch. 8)."""
+    slope = dw / dv
+    back = np.concatenate((slope[:1], slope[:-2]))  # slope[j-1]; bend[0] = 0
+    zh = z[:-1] + np.diff(s) * (slope[:-1] + _bend(s) * (slope[:-1] - back))
+    taylor = _taylor(nc, zh, len(nc))
+    beta = np.abs(taylor[0] - w[1:]) / np.abs(taylor[1])
+    gamma = np.zeros(beta.shape)
+    for k, a in enumerate(taylor[2:], start=2):
+        gamma = np.maximum(gamma, np.abs(a / taylor[1]) ** (1.0 / (k - 1)))
+    near = np.abs(z[1:] - zh) <= 2.0 * beta + _ROUNDING * (1.0 + np.abs(zh))
+    return (beta * gamma < _ALPHA_BOUND) & near
+
+
+def _fine_pass(nc, ad, guess, s, w, dw):
+    """Correct the predicted samples at the nodes s of the path w (slope dw)
+    by one vectorized Newton pass, then check each: its update ended at
+    rounding level, |f'| is above the critical floor, and the step onto it
+    keeps the branch bound and is alpha-certified. Returns the samples,
+    values and f' of the longest prefix that passes."""
+    with np.errstate(all="ignore"):  # a non-finite sample fails its checks
+        z, fv, dv, ok = _polish(nc, guess, w)
+        scale = 0.0
+        for a in ad:  # 1 + sum |k c_k| |z|^(k-1), as in _scalar_kernels
+            scale = scale * np.abs(z) + a
+        ok &= np.abs(dv) >= CRITICAL_FIELD_TOL * (scale + 1.0)
+        ok[1:] &= np.abs(np.diff(z)) <= BRANCH_JUMP_FACTOR * np.abs(np.diff(w)) / np.abs(dv[:-1])
+        ok[1:] &= _alpha_certified(nc, z, dv, s, w, dw)
+    bad = np.flatnonzero(~ok)
+    kept = bad[0] if bad.size else z.size
+    return z[:kept], fv[:kept], dv[:kept]
+
+
+def _scalar_grid(s, ws, dws):
+    """The scalar stepper's grid: its nodes, dw at the nodes, and per step
+    (h_j, bend_j, w_j, w_{j+1}, dw_{j+1}), all as plain Python scalars, which
+    keep the per-step arithmetic cheap."""
+    ws, dws = ws.tolist(), dws.tolist()
+    return s.tolist(), dws, list(zip(np.diff(s).tolist(), _bend(s).tolist(),
+                                     ws[:-1], ws[1:], dws[1:]))
+
+
 def lift_path(f, w, dw, z0, s):
     """Lift the w-plane path w(s) through f^{-1} from z0, one sample per node of s.
 
     f is a Polynomial; w and dw are vectorized callables for the path and its
     derivative, evaluated once on s and shared when z0 is an array of starts.
-    Each start is first Newton-projected onto w(s[0]). Each grid step
-    h_j = s_{j+1} - s_j is predicted from the slopes z'_j = dw(s_j)/f'(z_j) of the accepted
-    samples by the two-step (Adams-Bashforth) rule
-    z_j + h_j*(z'_j + (h_j/h_{j-1})*(z'_j - z'_{j-1})/2), an Euler step
-    z_j + h_j*z'_j on the first grid step, and corrected by Newton onto
-    w(s_{j+1}); the f' of the accepted corrector is the next slope's.
+    Each start is first Newton-projected onto w(s[0]).
+
+    The scalar stepper predicts each step h_j = s_{j+1} - s_j from the slopes
+    z'_j = dw(s_j)/f'(z_j) of the accepted samples by the two-step
+    (Adams-Bashforth) rule z_j + h_j*(z'_j + (h_j/h_{j-1})*(z'_j - z'_{j-1})/2),
+    an Euler step z_j + h_j*z'_j on the first step, and corrects it by Newton
+    onto w(s_{j+1}); the f' of the accepted corrector is the next slope's.
     A step whose corrector fails to contract, or that moves
     |dz| > BRANCH_JUMP_FACTOR*|dw|/|f'| (a jump to another branch), is
     halved into Euler substeps, as is one that meets a critical point, down
-    to 2^-_MAX_HALVINGS of the grid step; halved substeps stay internal.
+    to 2^-_MAX_HALVINGS of the step; halved substeps stay internal.
+
+    A path of at least 2*_COARSE grid steps is lifted in two levels. The
+    scalar stepper crosses every _COARSE-th node (and the last) to the
+    corrector goal _COARSE_TOL; cubic Hermite interpolation of these samples
+    and their slopes predicts every grid sample, and `_fine_pass` corrects
+    all of them, the coarse ones included, to rounding level and certifies
+    each step. From the first step that fails, or from where the coarse pass
+    stopped, the scalar stepper lifts the rest of the path on the grid.
+
     Returns (samples, f(samples)), of shape z0.shape + s.shape; raises
-    TraceError when a start projection fails or a substep is still rejected
-    after the last halving.
+    TraceError when a start projection fails or a substep of the scalar
+    stepper on the grid is still rejected after the last halving, carrying
+    the samples before it.
     """
     fd = _scalar_kernels(f)
+    nc = [complex(c) for c in f.coeffs][::-1]
+    ad = [abs(complex(c)) for c in f.derivative().coeffs][::-1]
     s = np.asarray(s, dtype=float)
-    tol, iters, kappa = NEWTON_TOL, _CORRECTOR_ITERS, BRANCH_JUMP_FACTOR
-    # plain Python scalars keep the per-step arithmetic cheap
-    ts = s.tolist()
-    ws = np.asarray(w(s), dtype=complex).tolist()
-    dws = np.asarray(dw(s), dtype=complex).tolist()
-    hs = np.diff(s)
-    # (h_j/h_{j-1})/2 weighs the slope change; 0 makes the first step Euler
-    bend = np.append(0.0, 0.5 * hs[1:] / np.where(hs[:-1] == 0, np.inf, hs[:-1]))
-    grid_steps = list(zip(hs.tolist(), bend.tolist(), ws[:-1], ws[1:], dws[1:]))
+    iters, kappa = _CORRECTOR_ITERS, BRANCH_JUMP_FACTOR
+    w_s = np.asarray(w(s), dtype=complex)
+    dw_s = np.asarray(dw(s), dtype=complex)
 
-    def correct(z, dv, guess, w0, w1):
+    def correct(z, dv, guess, w0, w1, tol):
         """Newton from guess onto w1; a step from z must stay on its branch."""
         z1, f1, d1 = _newton(fd, guess, w1, tol, iters)
         if abs(z1 - z) > kappa * abs(w1 - w0) / abs(dv):
             raise TraceError(f"step from {z:.6g} jumped to another branch at {z1:.6g}")
         return z1, f1, d1
 
-    def halve(z, dv, t0, w0, dw0, t1, w1, depth):
-        """Cross [t0, t1] in two Euler substeps of 2^-depth of a grid step,
+    def halve(z, dv, t0, w0, dw0, t1, w1, depth, tol):
+        """Cross [t0, t1] in two Euler substeps of 2^-depth of a step,
         halving a rejected one again."""
         tm = 0.5 * (t0 + t1)
         wm, dwm = complex(w(np.array([tm]))[0]), complex(dw(np.array([tm]))[0])
         for ta, wa, dwa, tb, wb in ((t0, w0, dw0, tm, wm), (tm, wm, dwm, t1, w1)):
             try:
-                z, fv, dv1 = correct(z, dv, z + dwa * (tb - ta) / dv, wa, wb)
+                z, fv, dv1 = correct(z, dv, z + dwa * (tb - ta) / dv, wa, wb, tol)
             except TraceError:
                 if depth == _MAX_HALVINGS:
                     raise
-                z, fv, dv1 = halve(z, dv, ta, wa, dwa, tb, wb, depth + 1)
+                z, fv, dv1 = halve(z, dv, ta, wa, dwa, tb, wb, depth + 1, tol)
             dv = dv1
         return z, fv, dv
 
-    starts = np.asarray(z0, dtype=complex)
-    samples = np.empty(starts.shape + s.shape, dtype=complex)
-    values = np.empty(starts.shape + s.shape, dtype=complex)
-    for k in np.ndindex(starts.shape):
-        z, fv, dv = _newton(fd, complex(starts[k]), ws[0], tol, iters)
+    def walk(grid, j, z, fv, dv, prev, tol):
+        """The scalar stepper over grid = (nodes, dw at the nodes, steps) from
+        the sample z at node j, prev the slope at node j - 1 (unused at
+        j = 0); returns the samples and values from node j on."""
+        ts, dws, steps = grid
         zs, fs = [z], [fv]
-        slope = prev = dws[0] / dv
-        for h, b, w0, w1, dw1 in grid_steps:
+        slope = dws[j] / dv
+        prev = slope if prev is None else prev
+        for i, (h, b, w0, w1, dw1) in enumerate(steps[j:], start=j + 1):
             try:
-                z1, fv, dv1 = correct(z, dv, z + h * (slope + b * (slope - prev)), w0, w1)
+                z1, fv, dv1 = correct(z, dv, z + h * (slope + b * (slope - prev)), w0, w1, tol)
             except TraceError:
-                j = len(zs)
                 try:
-                    z1, fv, dv1 = halve(z, dv, ts[j - 1], w0, dws[j - 1], ts[j], w1, 1)
+                    z1, fv, dv1 = halve(z, dv, ts[i - 1], w0, dws[i - 1], ts[i], w1, 1, tol)
                 except TraceError as err:
-                    raise TraceError(f"{err} (lifting s = {ts[j]:.6g})",
+                    raise TraceError(f"{err} (lifting s = {ts[i]:.6g})",
                                      samples=np.array(zs)) from None
             z, dv, prev, slope = z1, dv1, slope, dw1 / dv1
             zs.append(z)
             fs.append(fv)
-        samples[k], values[k] = zs, fs
+        return zs, fs
+
+    n = s.size - 1
+    if n >= 2 * _COARSE:
+        nodes = np.append(np.arange(0, n, _COARSE), n)
+        coarse = _scalar_grid(s[nodes], w_s[nodes], dw_s[nodes])
+        # grid node i lies on the coarse interval J[i], a coarse node on the
+        # one it ends, at the fraction u of it: the cubic Hermite weights of
+        # that interval's end samples and end slopes
+        J = np.clip((np.arange(n + 1) - 1) // _COARSE, 0, nodes.size - 2)
+        span = s[nodes[J + 1]] - s[nodes[J]]
+        u = (s - s[nodes[J]]) / span
+        hermite = ((1 + 2 * u) * (1 - u) ** 2, u * (1 - u) ** 2 * span,
+                   u ** 2 * (3 - 2 * u), u ** 2 * (u - 1) * span)
+
+    def two_level(z, fv, dv):
+        """The coarse pass from the projected start z, then `_fine_pass` on
+        the grid up to where it stopped; None when no sample is certified."""
+        try:
+            zc, _ = walk(coarse, 0, z, fv, dv, None, _COARSE_TOL)
+        except TraceError as err:
+            zc = err.samples
+        zc = np.asarray(zc)
+        if zc.size == 1:
+            return None
+        top = nodes[zc.size - 1] + 1
+        j, h00, h10, h01, h11 = J[:top], *(c[:top] for c in hermite)
+        with np.errstate(all="ignore"):  # _fine_pass refuses a non-finite guess
+            mc = dw_s[nodes[:zc.size]] / _taylor(nc, zc, 2)[1]
+            guess = h00 * zc[j] + h10 * mc[j] + h01 * zc[j + 1] + h11 * mc[j + 1]
+        head = _fine_pass(nc, ad, guess, s[:top], w_s[:top], dw_s[:top])
+        return head if head[0].size else None
+
+    fine = None
+    starts = np.asarray(z0, dtype=complex)
+    samples = np.empty(starts.shape + s.shape, dtype=complex)
+    values = np.empty(starts.shape + s.shape, dtype=complex)
+    for k in np.ndindex(starts.shape):
+        z, fv, dv = _newton(fd, complex(starts[k]), complex(w_s[0]), NEWTON_TOL, iters)
+        head = two_level(z, fv, dv) if n >= 2 * _COARSE else None
+        zh, fh, dh = head or ([z], [fv], [dv])
+        j = len(zh) - 1
+        samples[k][:j + 1], values[k][:j + 1] = zh, fh
+        if j < n:  # the scalar stepper on the grid from the last certified sample
+            fine = fine or _scalar_grid(s, w_s, dw_s)
+            prev = complex(dw_s[j - 1] / dh[j - 1]) if j else None
+            try:
+                zs, fs = walk(fine, j, complex(zh[j]), complex(fh[j]), complex(dh[j]),
+                              prev, NEWTON_TOL)
+            except TraceError as err:
+                raise TraceError(str(err), samples=np.concatenate(
+                    (samples[k][:j], err.samples))) from None
+            samples[k][j:], values[k][j:] = zs, fs
     return samples, values
 
 

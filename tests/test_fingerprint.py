@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lemniscates import fingerprint, levelcurves
 from lemniscates._fourier import fourier_coeffs, trig_eval, trig_eval_deriv
+from lemniscates.conformal import riemann_maps
 from lemniscates.curves import (
     SampledCurve,
     count_preimages,
@@ -248,6 +249,42 @@ def test_oracle_pinned_improper_pairs(criterion6_poly, seed, index, curve):
     gamma = [unit_circle(512), ellipse(1.0, 0.6, 512)][curve]
     assert is_proper(p, gamma) is False
     assert is_proper_oracle(p, gamma) is False
+
+
+# (seed, polynomial index, curve, answer) of the criterion-6 generator, curve
+# 0 the circle and 1 the ellipse: lap lifts whose fine steps, corrected from
+# the coarse pass without the alpha certificate, landed on another branch,
+# so that the lap ends were no permutation of the roots
+ORACLE_BRANCH_PINNED = [
+    (9, 33, 1, True), (10, 2, 1, True), (10, 41, 1, False),
+    (12, 49, 0, False), (16, 26, 1, False), (20, 6, 0, False),
+]
+
+
+@pytest.mark.parametrize("seed, index, curve, answer", ORACLE_BRANCH_PINNED)
+def test_oracle_pinned_branch_draws(criterion6_poly, seed, index, curve, answer):
+    p = criterion6_poly(seed, index)
+    assert is_proper_oracle(p, [unit_circle(512), ellipse(1.0, 0.6, 512)][curve]) is answer
+
+
+def test_pseudo_lemniscate_samples_resolve_at_1024():
+    """A quadratic over the ellipse whose pseudo-lemniscate (traced at the
+    m = 2048 that identity_report takes at 2048 nodes) both maps resolve at
+    1024 nodes. Samples corrected to two different goals, the coarse nodes
+    to NEWTON_TOL and their neighbours to rounding, carry a comb of period
+    _COARSE: it shows in the curve's Fourier coefficients beyond the first
+    N/32 (5e-15 of max|z| against 2e-17), and it can lift the exterior
+    density's tail past its bound at 1024, so that the map is solved at
+    2048."""
+    p = Polynomial.from_roots([0.41096216833021765 + 0.20085354572048494j,
+                               0.31368823941776763 + 0.4778347822243175j],
+                              leading=1.0918592102484836)
+    lem = pseudo_lemniscate(p, ellipse(1.0, 0.6, 512), 2048).points
+    n = lem.size
+    coeffs = np.abs(np.fft.fft(lem)) / n
+    assert coeffs[n // 32:n - n // 32 + 1].max() <= 1e-15 * np.abs(lem).max()
+    dm, em = riemann_maps(SampledCurve(lem, closed=True), 2048)
+    assert dm.solve_nodes == em.inner.solve_nodes == 1024
 
 
 # Reference: the n-lap tracer the lap-monodromy routine replaced, kept

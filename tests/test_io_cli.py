@@ -6,13 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from lemniscates import cli
+from lemniscates import cli, fingerprint
 from lemniscates import io as lio
 from lemniscates.cli import RunConfig, main
 from lemniscates.curves import ellipse, unit_circle
 from lemniscates.errors import ChainClosureError, PreconditionError, TraceError
-from lemniscates.fingerprint import BlaschkeProduct, identity_report
-from lemniscates.polynomials import Polynomial
+from lemniscates.fingerprint import BlaschkeProduct, identity_report, pseudo_lemniscate
+from lemniscates.polynomials import Polynomial, normalize_leading
 
 
 @pytest.fixture()
@@ -280,6 +280,26 @@ def test_cli_lemniscate_proper(files, capsys):
     assert svg.startswith("<svg") and "polygon" in svg
     curve = lio.load_curve(files / "lem.json")
     assert len(curve) == 2048
+
+
+def test_cli_lemniscate_tests_properness_once(files, capsys, monkeypatch):
+    """A proper input gets one `is_proper` call, so one Jordan test of Gamma
+    and one critical-value winding, and lem.json is pseudo_lemniscate's curve."""
+    calls = []
+    real = fingerprint.is_proper
+
+    def counting(p, gamma):
+        calls.append(p)
+        return real(p, gamma)
+
+    monkeypatch.setattr(fingerprint, "is_proper", counting)
+    monkeypatch.setattr(cli, "is_proper", counting)
+    assert run_cli("lemniscate", str(files / "p2.json"), "unit-circle", "lem.svg", outdir=files) == 0
+    assert json.loads(capsys.readouterr().out)["proper"] is True
+    assert len(calls) == 1
+    p, _ = normalize_leading(lio.load_polynomial(files / "p2.json"))
+    lio.save_curve(pseudo_lemniscate(p, unit_circle(512)), files / "library.json")
+    assert (files / "lem.json").read_bytes() == (files / "library.json").read_bytes()
 
 
 def test_cli_lemniscate_improper_warns(files, capsys):

@@ -24,6 +24,7 @@ from lemniscates.curves import (
 from lemniscates.errors import PreconditionError, TraceError
 from lemniscates.fingerprint import identity_report, is_proper, is_proper_oracle, pseudo_lemniscate
 from lemniscates.levelcurves import (
+    _COARSE,
     _CORRECTOR_ITERS,
     _MAX_HALVINGS,
     BRANCH_JUMP_FACTOR,
@@ -327,8 +328,11 @@ def test_lift_path_array_of_starts_matches_single_lifts():
 
 
 def test_lift_path_two_evaluations_per_grid_step(monkeypatch):
-    """The two-step predictor lands close enough for one Newton update and
-    one confirming evaluation per grid step (the Euler predictor needs 3)."""
+    """The scalar stepper runs on the coarse grid of every _COARSE-th node,
+    and its two-step predictor lands close enough there for one Newton update
+    and one confirming evaluation per coarse step at the coarse goal (at
+    NEWTON_TOL it needs 3); the fine samples are corrected in one vectorized
+    pass, which makes no scalar evaluation."""
     v5 = _v5()
     calls = []
 
@@ -343,7 +347,7 @@ def test_lift_path_two_evaluations_per_grid_step(monkeypatch):
 
     monkeypatch.setattr(levelcurves, "_scalar_kernels", counted)
     arc = trace_level(F4, 8.0, v5, 8 * np.pi, step=0.01)
-    assert len(calls) <= 2.1 * (len(arc) - 1)
+    assert len(calls) <= 2.1 * np.ceil((len(arc) - 1) / _COARSE)
 
 
 # -- the Euler-predictor kernel that lift_path replaced: a test oracle -----------
@@ -458,6 +462,59 @@ def test_lift_path_matches_euler_oracle(f, start, delta, log_ratio, grow, log_ra
     assert [loop.size for loop in loops] == [loop.size for loop in oracle_loops]
     for loop, oracle in zip(loops, oracle_loops):
         _assert_same_lift(f, loop, oracle)
+
+
+def _fine_pass_log(monkeypatch):
+    """Records (samples predicted, samples certified) per vectorized pass."""
+    log = []
+    fine_pass = levelcurves._fine_pass
+
+    def logged(nc, ad, guess, *grid):
+        out = fine_pass(nc, ad, guess, *grid)
+        log.append((guess.size, out[0].size))
+        return out
+
+    monkeypatch.setattr(levelcurves, "_fine_pass", logged)
+    return log
+
+
+def _line(offset):
+    """The path w(s) = s + offset, its derivative, and a grid from 1 to -1."""
+    return (lambda t: t + offset, lambda t: np.ones_like(t, dtype=complex),
+            np.linspace(1.0, -1.0, 100))
+
+
+def test_lift_path_falls_back_where_the_certificate_fails(monkeypatch):
+    """Lifting s + 0.01i through z^2 passes 0.1 from the critical point 0,
+    where the two-step prediction fails the alpha test: the vectorized pass
+    certifies the samples before it, and the scalar stepper lifts the rest
+    on the grid, as the Euler oracle does."""
+    log = _fine_pass_log(monkeypatch)
+    sq = Polynomial([0, 0, 1])
+    w, dw, s = _line(0.01j)
+    got = lift_path(sq, w, dw, 1.0, s)[0]
+    assert len(log) == 1 and 1 < log[0][1] < log[0][0] == s.size
+    _assert_same_lift(sq, got, _euler_lift_path(sq, w, dw, 1.0, s)[0])
+
+
+def test_lift_path_fallback_error_carries_the_samples_before_it(monkeypatch):
+    """Lifting s through z^2 meets the critical value 0: the coarse pass
+    stops there, the vectorized pass certifies the samples up to it, and the
+    scalar stepper's TraceError names the grid node and carries every sample
+    before it, as the Euler oracle's does."""
+    log = _fine_pass_log(monkeypatch)
+    sq = Polynomial([0, 0, 1])
+    w, dw, s = _line(0j)
+    errors = []
+    for lift in (lift_path, _euler_lift_path):
+        with pytest.raises(TraceError, match=r"\(lifting s = ") as err:
+            lift(sq, w, dw, 1.0, s)
+        errors.append(err.value)
+    got, oracle = errors
+    assert log and log[0][1] == log[0][0] > 1
+    assert len(got.samples) == len(oracle.samples) == s.size // 2
+    assert str(got).split("(lifting")[1] == str(oracle).split("(lifting")[1]
+    _assert_same_lift(sq, np.asarray(got.samples), np.asarray(oracle.samples))
 
 
 @pytest.mark.parametrize("step", [0.0, -0.01, np.nan, np.inf])
