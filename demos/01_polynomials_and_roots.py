@@ -3,8 +3,8 @@ Polynomials, roots, and critical data
 =====================================
 
 The package stores complex polynomials as ascending coefficient arrays and
-finds all roots simultaneously (Aberth-Ehrlich iteration), merging clusters
-into multiple roots. Critical points and values drive everything else:
+finds all roots at once as the eigenvalues of the companion matrix, merging
+clusters into multiple roots. Critical points and values drive everything else:
 level-set topology, properness of lemniscates, and the region construction.
 """
 import numpy as np

@@ -426,13 +426,16 @@ def reproduce_table(f, chain: BoundaryChain) -> TableReport:
         measured_change = float(fresh[-1] - fresh[0])
         expected_initial = lift % (2 * np.pi)
         expected_final = (lift + spec.stop) % (2 * np.pi)
-        measured_initial = float(np.angle(fvals[0])) % (2 * np.pi)
-        measured_final = float(np.angle(fvals[-1])) % (2 * np.pi)
+        # each measured angle is reported on the branch nearest its expected one
+        measured_initial, measured_final = (
+            e + float(np.angle(v * np.exp(-1j * e)))
+            for v, e in ((fvals[0], expected_initial), (fvals[-1], expected_final))
+        )
         ok = (
             abs(measured_change - spec.stop) <= TABLE_TOL
             and mod_dev <= MODULUS_RTOL
-            and _circ_dist(measured_initial, expected_initial) <= TABLE_TOL
-            and _circ_dist(measured_final, expected_final) <= TABLE_TOL
+            and abs(measured_initial - expected_initial) <= TABLE_TOL
+            and abs(measured_final - expected_final) <= TABLE_TOL
         )
         rows.append(
             RowReport(

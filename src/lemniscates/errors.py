@@ -18,7 +18,8 @@ class NumericalError(LemniscateError):
 
 
 class RootFindingError(NumericalError):
-    """Root iteration did not converge; carries the best iterate found."""
+    """Root finding failed: the companion eigenvalue solve, or a root that is
+    non-finite or fails its residual test; carries the raw roots, if any."""
 
     def __init__(self, message, best=None):
         super().__init__(message)

@@ -61,6 +61,7 @@ _COARSE = 8                  # C: grid steps per step of the coarse pass
 _COARSE_TOL = 1e-7           # coarse corrector goal; the fine pass polishes every sample
 _ALPHA_BOUND = 0.1           # Smale's alpha test that certifies each fine step
 _ROUNDING = 1e-14            # an update below _ROUNDING * (1 + |z|) is rounding
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -106,15 +107,19 @@ def _scalar_kernels(p):
     return fd
 
 
-def _newton(fd, z, w, tol, iters):
-    """Newton iteration onto f(z) = w; returns (z, f(z), f'(z)).
+def _newton(fd, z, w, tol, iters, p):
+    """Newton iteration onto p(z) = w, fd = _scalar_kernels(p); returns
+    (z, p(z), p'(z)).
 
-    Stops once |f(z) - w| <= tol*|w| (tol when w == 0) or, from the second
+    Stops once |p(z) - w| <= tol*|w| (tol when w == 0) or, from the second
     iterate on, the update is at rounding level: a small first update says
     the guess is good, not that the residual is at its rounding floor, so it
     is always applied. Each update must be shorter than the one before; a
     critical point, a growing or non-finite update, or running out of
-    iterations raises TraceError carrying the iterates.
+    iterations raises TraceError carrying the iterates. An iterate whose
+    update does not shrink is still accepted when |p(z) - w| is at Horner
+    rounding level, 4 n u sum |c_k| |z|^k: near a small p' the update of
+    such a residual can stay above _ROUNDING.
     """
     goal = tol * (abs(w) if w != 0 else 1.0)
     trail = [z]
@@ -129,6 +134,8 @@ def _newton(fd, z, w, tol, iters):
         if abs(r) <= goal or (k and size <= _ROUNDING * (1.0 + abs(z))):
             return z, fv, dv
         if not size < last:
+            if abs(r) <= 4 * p.degree * _EPS * p.eval_scale(z):
+                return z, fv, dv
             raise TraceError(f"Newton iteration not contracting near {z:.6g}", samples=trail)
         last = size
         z = z - dz
@@ -263,7 +270,7 @@ def lift_path(f, w, dw, z0, s):
 
     def correct(z, dv, guess, w0, w1, tol):
         """Newton from guess onto w1; a step from z must stay on its branch."""
-        z1, f1, d1 = _newton(fd, guess, w1, tol, iters)
+        z1, f1, d1 = _newton(fd, guess, w1, tol, iters, f)
         if abs(z1 - z) > kappa * abs(w1 - w0) / abs(dv):
             raise TraceError(f"step from {z:.6g} jumped to another branch at {z1:.6g}")
         return z1, f1, d1
@@ -341,7 +348,7 @@ def lift_path(f, w, dw, z0, s):
     samples = np.empty(starts.shape + s.shape, dtype=complex)
     values = np.empty(starts.shape + s.shape, dtype=complex)
     for k in np.ndindex(starts.shape):
-        z, fv, dv = _newton(fd, complex(starts[k]), complex(w_s[0]), NEWTON_TOL, iters)
+        z, fv, dv = _newton(fd, complex(starts[k]), complex(w_s[0]), NEWTON_TOL, iters, f)
         head = two_level(z, fv, dv) if n >= 2 * _COARSE else None
         zh, fh, dh = head or ([z], [fv], [dv])
         j = len(zh) - 1
@@ -368,7 +375,7 @@ def solve_target(f, w, seed, tol: float = 1e-12) -> complex:
     iterates.
     """
     fd = _scalar_kernels(f)
-    z, _, dv = _newton(fd, complex(seed), complex(w), tol, 80)
+    z, _, dv = _newton(fd, complex(seed), complex(w), tol, 80, f)
     # a solution this close to a target with |f'|^2 ~ goal*|f''| is a
     # numerically multiple preimage, i.e. a critical point landing
     goal = tol * (abs(w) if w != 0 else 1.0)
@@ -560,7 +567,7 @@ def level_components(p: Polynomial, eps: float, step: float = DEFAULT_STEP) -> l
             # a sample is only known to rounding, which moves p by up to about
             # deg * u * eval_scale: more than LEVEL_INVARIANT_TOL * eps on a tiny
             # level about a zero away from the origin
-            rounding = p.degree * np.finfo(float).eps * p.eval_scale(loop.points)
+            rounding = p.degree * _EPS * p.eval_scale(loop.points)
             if np.any(err > LEVEL_INVARIANT_TOL * eps + rounding):
                 raise TraceError(f"level invariant violated: relative deviation "
                                  f"{np.max(err) / eps:.3g}", samples=loop.points)

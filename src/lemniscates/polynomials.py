@@ -3,8 +3,10 @@
 Every layer above takes a Polynomial (`require_polynomial`); a RationalMap
 serves only the argument-principle count of `curves.count_preimages`.
 Coefficients are stored in ascending degree order as complex128 arrays.
-Root finding is a simultaneous (Aberth-Ehrlich) iteration started from a
-perturbed circle, with multiple roots recovered by cluster merging.
+Roots are the eigenvalues of the companion matrix, with multiple roots
+recovered by cluster merging; the eigenvalue solve and the residual test
+need p finite on the disk that holds its roots, so a coefficient range too
+wide for that is refused.
 """
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ import numpy as np
 from .errors import PreconditionError, RootFindingError
 
 MAX_DEGREE = 64
-_ABERTH_MAX_ITER = 200
 
 
 class Polynomial:
@@ -150,46 +151,27 @@ def require_polynomial(f) -> Polynomial:
     return f
 
 
-def _aberth(coeffs: np.ndarray) -> np.ndarray:
-    """All roots of the polynomial with the given ascending coefficients.
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """All roots of the polynomial with the given ascending coefficients, as
+    the eigenvalues of its companion matrix, which are backward stable
+    (Edelman & Murakami, Math. Comp. 64, 1995).
 
-    Simultaneous Newton (Aberth-Ehrlich) iteration from a perturbed circle.
-    The leading and trailing coefficients must be nonzero, and p must be
-    finite in floating point on the disk |z| <= r0 that holds its roots.
+    The leading and trailing coefficients must be nonzero. The companion
+    matrix and the residual test of `poly_roots` need p finite in floating
+    point on the disk |z| <= 1 + max|c_k|/|c_n| that holds its roots; a
+    coefficient range too wide for that is refused.
     """
-    n = coeffs.size - 1
-    p = Polynomial(coeffs)
-    dp = p.derivative()
     with np.errstate(over="ignore"):
         bound = 1.0 + np.max(np.abs(coeffs[:-1])) / np.abs(coeffs[-1])
-        reach = p.eval_scale(bound)
+        reach = Polynomial(coeffs).eval_scale(bound)
     if not np.isfinite(reach):
         raise PreconditionError(
             f"coefficient range too wide: p overflows on its root bound |z| <= {bound:.3g}"
         )
-    r0 = 1.0 + np.max(np.abs(coeffs[:-1] / coeffs[-1]))
-    k = np.arange(n)
-    z = 0.7 * r0 * np.exp(2j * np.pi * (k + 0.25) / n + 0.43j)
-    frozen = np.zeros(n, dtype=bool)
-    for _ in range(_ABERTH_MAX_ITER):
-        pv = p(z)
-        scale = p.eval_scale(z)
-        frozen |= np.abs(pv) <= 1e-15 * np.maximum(scale, 1e-300)
-        if np.all(frozen):
-            break
-        dv = dp(z)
-        dv = np.where(dv == 0, 1e-300, dv)
-        w = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        s = np.sum(1.0 / diff, axis=1) - 1.0 / np.diag(diff)
-        denom = 1.0 - w * s
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        step = np.where(frozen, 0.0, w / denom)
-        z = z - step
-        if np.max(np.abs(step)) < 1e-15 * (1.0 + np.max(np.abs(z))):
-            break
-    return z
+    try:
+        return np.roots(coeffs[::-1])
+    except np.linalg.LinAlgError as err:
+        raise RootFindingError(f"companion eigenvalue solve failed: {err}") from None
 
 
 def _cluster(roots: np.ndarray, radius_tol: float):
@@ -244,8 +226,9 @@ def poly_roots(p: Polynomial, tol: float = 1e-8):
     the origin first.
 
     Raises PreconditionError unless 0 < tol < 1 or when p overflows on the
-    disk that holds its roots, and RootFindingError (carrying the best
-    iterates) on non-convergence or a non-finite root.
+    disk that holds its roots, and RootFindingError when the companion
+    eigenvalue solve fails or (carrying the raw eigenvalues) a root is
+    non-finite or fails its residual test.
     """
     if not 0.0 < tol < 1.0:  # also refuses NaN
         raise PreconditionError(f"root tolerance must lie in (0, 1), got {tol}")
@@ -258,7 +241,7 @@ def poly_roots(p: Polynomial, tol: float = 1e-8):
     out = [(0j, k0)] if k0 else []
     c = c[k0:]
     if c.size > 1:
-        raw = _aberth(c)
+        raw = _companion_roots(c)
         clustered = _cluster(raw, tol)
         q = Polynomial(c)
         rounding = np.finfo(float).eps * float(np.abs(c).max())

@@ -156,8 +156,9 @@ def test_reproduce_table(f4, d4_chain):
     by_label = {r.label: r for r in report.rows}
     assert by_label["v11v12"].measured_change == pytest.approx(14 * PI6, abs=1e-3)
     assert by_label["v1v2"].measured_change == pytest.approx(-15 * PI6, abs=1e-3)
-    init = by_label["v1v2"].measured_initial_arg
-    assert min(init, 2 * np.pi - init) <= 1e-9  # arg 0 up to the 2*pi wrap
+    for r in report.rows:  # each angle is reported next to its expected value
+        assert abs(r.measured_initial_arg - r.expected_initial_arg) <= 1e-9
+        assert abs(r.measured_final_arg - r.expected_final_arg) <= 1e-9
     assert abs(sum(r.measured_change for r in report.rows)) <= 1e-3
 
 

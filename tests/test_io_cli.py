@@ -152,7 +152,8 @@ _BAD_POLYS = {
     "constant.json": json.dumps({"coeffs": [[2, 0]]}),
     "zero.json": json.dumps({"coeffs": [[0, 0], [0, 0]]}),
 }
-# p overflows on the disk that holds its roots (Aberth used to return NaN roots)
+# p overflows on the disk that holds its roots, where the companion matrix and
+# the residual test need it finite
 _OVERFLOW_POLYS = {
     "wide_range.json": json.dumps({"coeffs": [[1e308, 0], [0, 0], [1e-308, 0]]}),
     "subnormal_lead.json": json.dumps({"coeffs": [[1, 0], [0, 0], [1e-320, 0]]}),

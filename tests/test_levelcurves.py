@@ -385,7 +385,7 @@ def _euler_lift_path(f, w, dw, z0, s):
 
     def advance(z, dv, t0, w0, dw0, t1, w1, depth):
         try:
-            z1, f1, d1 = _newton(fd, z + dw0 * (t1 - t0) / dv, w1, NEWTON_TOL, _CORRECTOR_ITERS)
+            z1, f1, d1 = _newton(fd, z + dw0 * (t1 - t0) / dv, w1, NEWTON_TOL, _CORRECTOR_ITERS, f)
             if abs(z1 - z) > BRANCH_JUMP_FACTOR * abs(w1 - w0) / abs(dv):
                 raise TraceError(f"step from {z:.6g} jumped to another branch at {z1:.6g}")
             return z1, f1, d1
@@ -402,7 +402,7 @@ def _euler_lift_path(f, w, dw, z0, s):
     values = np.empty(starts.shape + s.shape, dtype=complex)
     for k in np.ndindex(starts.shape):
         row, vals = samples[k], values[k]
-        z, fv, dv = _newton(fd, complex(starts[k]), ws[0], NEWTON_TOL, _CORRECTOR_ITERS)
+        z, fv, dv = _newton(fd, complex(starts[k]), ws[0], NEWTON_TOL, _CORRECTOR_ITERS, f)
         row[0], vals[0] = z, fv
         for j in range(1, s.size):
             try:
@@ -568,6 +568,25 @@ def test_level_components_of_a_tiny_level():
         assert [_laps(loop, 0.02) for loop in loops] == [1, 1]
         assert np.max(np.abs(origin.points)) < 1e3 * eps
         assert _level_dev(p, origin, eps) <= LEVEL_INVARIANT_TOL
+
+
+@pytest.mark.parametrize("roots, eps", [
+    ([-2 - 2j, -2 - 2j, 0.2391 + 0.087j, -1.9999 - 2j, -1.5 + 0.0001j], 0.10639254140360185),
+    ([0.22443350746948296 + 5.229760513976301j, 0.22443350746948296 + 5.229760513976301j,
+      0.22439288201555055 + 5.229569180255634j, 1.5075320766527778 + 2.748978301872578j,
+      -0.4549660740304664 - 0.31520434285192306j], 0.06451716853589426),
+    ([-3.164211908917782 - 1.2505856229281676j, -3.164211908917782 - 1.2505856229281676j,
+      -3.1641892589131637 - 1.250811647942721j, -0.7723732992536106 - 3.3329203362202087j,
+      -0.6873505632973168 - 0.6927690489513799j], 0.25750588526179014),
+])
+def test_level_components_accept_a_start_at_rounding_level(roots, eps):
+    """Near a double root |p'| is small at the roots of p - eps: the Newton
+    projection of such a start has |p(z) - eps| at Horner rounding level
+    while its update stays above rounding and stops shrinking. That residual
+    is accepted, not raised as "not contracting"."""
+    p = Polynomial.from_roots(roots)
+    loops = level_components(p, eps, 0.02)
+    assert sum(_laps(loop, 0.02) for loop in loops) == 5
 
 
 def test_level_components_when_gamma0_is_p0_up_to_rounding():

@@ -160,7 +160,8 @@ def test_poly_roots_root_within_rounding_of_zero():
 @pytest.mark.parametrize("coeffs", [[1e308, 0, 1e-308], [1, 0, 1e-320], [1e300, 0, 1]])
 def test_poly_roots_rejects_overflowing_coefficient_range(coeffs):
     """p overflows on the disk |z| <= 1 + max|c_k|/|c_n| that holds its roots,
-    where Aberth starts: refused up front, with no numpy warning."""
+    where the companion matrix and the residual test need it finite: refused
+    up front, with no numpy warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PreconditionError, match="coefficient range too wide"):
@@ -177,9 +178,42 @@ def test_poly_roots_rejects_tol_outside_unit_interval(tol):
 
 def test_poly_roots_never_returns_non_finite_roots(monkeypatch):
     # a NaN residual compares False against any goal: it must still fail
-    monkeypatch.setattr(polynomials, "_aberth", lambda c: np.full(c.size - 1, np.nan + 0j))
+    monkeypatch.setattr(polynomials, "_companion_roots",
+                        lambda c: np.full(c.size - 1, np.nan + 0j))
     with pytest.raises(RootFindingError):
         poly_roots(Polynomial([1, 0, 1]))
+
+
+def test_poly_roots_eigenvalue_failure_is_a_root_finding_error(monkeypatch):
+    def no_convergence(c):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(polynomials.np, "roots", no_convergence)
+    with pytest.raises(RootFindingError, match="did not converge"):
+        poly_roots(Polynomial([1, 0, 1]))
+
+
+def _decades_roots():
+    rng = np.random.default_rng(35)
+    return 10.0 ** rng.uniform(-3, 2, 16) * np.exp(2j * np.pi * rng.uniform(size=16))
+
+
+def _golden_spiral_roots():
+    g = (np.sqrt(5.0) - 1.0) / 2.0
+    return 10.0 ** np.linspace(-2, 2, 20) * np.exp(2j * np.pi * g * np.arange(20))
+
+
+@pytest.mark.parametrize("roots", [_decades_roots(), _golden_spiral_roots()],
+                         ids=["16_over_5_decades", "20_on_a_golden_spiral"])
+def test_poly_roots_spanning_several_decades(roots):
+    """Simple roots whose moduli span four or five decades: each true root is
+    found to 1e-10 relative. A simultaneous iteration from one start circle
+    misses one of the 16 by 2.7e-4 and gives up on the 20."""
+    found = poly_roots(Polynomial.from_roots(roots))
+    assert [m for _, m in found] == [1] * roots.size
+    points = np.array([z for z, _ in found])
+    for t in roots:
+        assert np.min(np.abs(points - t)) <= 1e-10 * max(1.0, abs(t))
 
 
 def test_polynomials_is_a_bottom_layer():
