@@ -20,8 +20,7 @@ import numpy as np
 
 from .curves import SampledCurve, is_jordan, winding_numbers
 from .errors import ChainClosureError, NumericalError, PreconditionError, TraceError
-from .levelcurves import (DEFAULT_STEP, TracedArc, level_components, trace_gradient,
-                          trace_level)
+from .levelcurves import TracedArc, level_components, trace_gradient, trace_level
 from .polynomials import Polynomial, critical_values, require_polynomial, roots_flat
 
 _PI6 = np.pi / 6.0
@@ -54,8 +53,8 @@ class Table1Row:
     initial_arg: float
     final_arg: float
 
-    def consistent(self, tol=1e-12) -> bool:
-        return _circ_dist(self.initial_arg + self.total_change, self.final_arg) <= tol
+    def consistent(self) -> bool:
+        return _circ_dist(self.initial_arg + self.total_change, self.final_arg) <= 1e-12
 
 
 @dataclass(frozen=True)
@@ -483,7 +482,7 @@ class CounterexampleDesign:
         }
 
 
-def design_counterexample(n: int, step: float = DEFAULT_STEP) -> CounterexampleDesign:
+def design_counterexample(n: int) -> CounterexampleDesign:
     """Construct and numerically validate the degree-n family member: a
     double zero at 0 plus n - 2 simple zeros at -1, -3, -9, ...
     (SPACING_RATIO).
@@ -514,7 +513,7 @@ def design_counterexample(n: int, step: float = DEFAULT_STEP) -> CounterexampleD
     for k in range(1, len(mods)):
         eps = float(np.sqrt(mods[k - 1] * mods[k]))
         groups = []
-        for loop in level_components(poly, eps, step):
+        for loop in level_components(poly, eps):
             counts = winding_numbers(loop.points, points, min_distance=0.0)[0]
             groups.append(tuple(z for z, c in zip(points, counts) if c))
         expected = [tuple(points[: k + 1])] + [(far,) for far in points[k + 1 :]]

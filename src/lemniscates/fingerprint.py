@@ -27,7 +27,7 @@ from .polynomials import Polynomial, critical_values, require_polynomial, roots_
 
 _TWO_PI = 2.0 * np.pi
 LIFT_TOL = 1e-8  # allowed defect in the 2*pi*degree total increase
-ORACLE_STEPS_PER_LAP = 64  # lap resolution of is_proper_oracle
+ORACLE_STEPS_PER_LAP = 128  # lap resolution of is_proper_oracle
 _SAMPLES_PER_LAP = 1024  # lap resolution of pseudo_lemniscate
 
 
@@ -208,8 +208,11 @@ def is_proper_oracle(p: Polynomial, gamma: SampledCurve) -> bool:
     `preimage_loops` finds a single component.
 
     The answer is a loop count, exact once each lap lands on a unique root;
-    the laps are lifted at ORACLE_STEPS_PER_LAP grid steps. Gamma must be a
-    closed, positively oriented Jordan polygon."""
+    the laps are lifted at ORACLE_STEPS_PER_LAP grid steps. On a lap grid
+    too coarse for a crowded preimage a lap can still jump to another
+    branch; only the check that the lap ends permute the roots catches it,
+    and it raises TraceError. Gamma must be a closed, positively oriented
+    Jordan polygon."""
     if not is_jordan(gamma):
         raise PreconditionError("the base curve must be a Jordan curve")
     return len(preimage_loops(p, gamma, ORACLE_STEPS_PER_LAP)) == 1

@@ -17,10 +17,12 @@ the two-step prediction from the sample before it passes Smale's alpha test
 (Blum, Cucker, Shub & Smale, Complexity and Real Computation, ch. 8) and lies
 within 2 beta of the sample, which is therefore the root Newton reaches from
 the scalar stepper's own prediction; the step also keeps the branch bound and
-the critical floor. From the first step that fails, the scalar stepper lifts
-the rest of the path on the grid, so a TraceError keeps its message and the
-samples before it. Level arcs lift eps*exp(i s) on a uniform grid in
-s = arg f, gradient arcs exp(s + i alpha) on a uniform grid in s = log|f|.
+the critical floor. Each path, whatever its length, is lifted whole on one
+route: on the two levels when the coarse pass reaches the end and every fine
+step is certified, else by the scalar stepper on the whole grid from its
+projected start, so a TraceError keeps its message and the samples before
+it. Level arcs lift eps*exp(i s) on a uniform grid in s = arg f, gradient
+arcs exp(s + i alpha) on a uniform grid in s = log|f|.
 Every sample lands on its exact target to a relative residual of
 NEWTON_TOL = 1e-12 or better, so a level arc's argument lift is its grid and
 |f| = eps holds to that residual.
@@ -202,23 +204,19 @@ def _alpha_certified(nc, z, dv, s, w, dw):
     return (beta * gamma < _ALPHA_BOUND) & near
 
 
-def _fine_pass(nc, ad, guess, s, w, dw):
+def _fine_pass(f, nc, guess, s, w, dw):
     """Correct the predicted samples at the nodes s of the path w (slope dw)
     by one vectorized Newton pass, then check each: its update ended at
     rounding level, |f'| is above the critical floor, and the step onto it
-    keeps the branch bound and is alpha-certified. Returns the samples,
-    values and f' of the longest prefix that passes."""
+    keeps the branch bound and is alpha-certified. Returns the samples and
+    values when every one passes, else None."""
     with np.errstate(all="ignore"):  # a non-finite sample fails its checks
         z, fv, dv, ok = _polish(nc, guess, w)
-        scale = 0.0
-        for a in ad:  # 1 + sum |k c_k| |z|^(k-1), as in _scalar_kernels
-            scale = scale * np.abs(z) + a
-        ok &= np.abs(dv) >= CRITICAL_FIELD_TOL * (scale + 1.0)
+        # 1 + sum |k c_k| |z|^(k-1), as in _scalar_kernels
+        ok &= np.abs(dv) >= CRITICAL_FIELD_TOL * (f.derivative().eval_scale(z) + 1.0)
         ok[1:] &= np.abs(np.diff(z)) <= BRANCH_JUMP_FACTOR * np.abs(np.diff(w)) / np.abs(dv[:-1])
         ok[1:] &= _alpha_certified(nc, z, dv, s, w, dw)
-    bad = np.flatnonzero(~ok)
-    kept = bad[0] if bad.size else z.size
-    return z[:kept], fv[:kept], dv[:kept]
+    return (z, fv) if ok.all() else None
 
 
 def _scalar_grid(s, ws, dws):
@@ -247,13 +245,14 @@ def lift_path(f, w, dw, z0, s):
     halved into Euler substeps, as is one that meets a critical point, down
     to 2^-_MAX_HALVINGS of the step; halved substeps stay internal.
 
-    A path of at least 2*_COARSE grid steps is lifted in two levels. The
+    Each path is lifted whole, in one of two ways. The two-level lift: the
     scalar stepper crosses every _COARSE-th node (and the last) to the
     corrector goal _COARSE_TOL; cubic Hermite interpolation of these samples
     and their slopes predicts every grid sample, and `_fine_pass` corrects
     all of them, the coarse ones included, to rounding level and certifies
-    each step. From the first step that fails, or from where the coarse pass
-    stopped, the scalar stepper lifts the rest of the path on the grid.
+    each step. When the coarse pass stops short of the end or a step is not
+    certified, the scalar stepper lifts the whole path on the grid instead,
+    from the projected start.
 
     Returns (samples, f(samples)), of shape z0.shape + s.shape; raises
     TraceError when a start projection fails or a substep of the scalar
@@ -262,7 +261,6 @@ def lift_path(f, w, dw, z0, s):
     """
     fd = _scalar_kernels(f)
     nc = [complex(c) for c in f.coeffs][::-1]
-    ad = [abs(complex(c)) for c in f.derivative().coeffs][::-1]
     s = np.asarray(s, dtype=float)
     iters, kappa = _CORRECTOR_ITERS, BRANCH_JUMP_FACTOR
     w_s = np.asarray(w(s), dtype=complex)
@@ -290,15 +288,13 @@ def lift_path(f, w, dw, z0, s):
             dv = dv1
         return z, fv, dv
 
-    def walk(grid, j, z, fv, dv, prev, tol):
+    def walk(grid, z, fv, dv, tol):
         """The scalar stepper over grid = (nodes, dw at the nodes, steps) from
-        the sample z at node j, prev the slope at node j - 1 (unused at
-        j = 0); returns the samples and values from node j on."""
+        the sample z at the first node; returns the samples and values."""
         ts, dws, steps = grid
         zs, fs = [z], [fv]
-        slope = dws[j] / dv
-        prev = slope if prev is None else prev
-        for i, (h, b, w0, w1, dw1) in enumerate(steps[j:], start=j + 1):
+        slope = prev = dws[0] / dv
+        for i, (h, b, w0, w1, dw1) in enumerate(steps, start=1):
             try:
                 z1, fv, dv1 = correct(z, dv, z + h * (slope + b * (slope - prev)), w0, w1, tol)
             except TraceError:
@@ -313,35 +309,29 @@ def lift_path(f, w, dw, z0, s):
         return zs, fs
 
     n = s.size - 1
-    if n >= 2 * _COARSE:
-        nodes = np.append(np.arange(0, n, _COARSE), n)
-        coarse = _scalar_grid(s[nodes], w_s[nodes], dw_s[nodes])
-        # grid node i lies on the coarse interval J[i], a coarse node on the
-        # one it ends, at the fraction u of it: the cubic Hermite weights of
-        # that interval's end samples and end slopes
-        J = np.clip((np.arange(n + 1) - 1) // _COARSE, 0, nodes.size - 2)
-        span = s[nodes[J + 1]] - s[nodes[J]]
+    nodes = np.append(np.arange(0, n, _COARSE), n)
+    coarse = _scalar_grid(s[nodes], w_s[nodes], dw_s[nodes])
+    # grid node i lies on the coarse interval J[i], a coarse node on the one
+    # it ends, at the fraction u of it: the cubic Hermite weights of that
+    # interval's end samples and end slopes
+    J = np.clip((np.arange(n + 1) - 1) // _COARSE, 0, nodes.size - 2)
+    span = s[nodes[J + 1]] - s[nodes[J]]
+    with np.errstate(invalid="ignore"):  # a one-node path has no interval: NaN
         u = (s - s[nodes[J]]) / span
-        hermite = ((1 + 2 * u) * (1 - u) ** 2, u * (1 - u) ** 2 * span,
-                   u ** 2 * (3 - 2 * u), u ** 2 * (u - 1) * span)
+    h00, h10, h01, h11 = ((1 + 2 * u) * (1 - u) ** 2, u * (1 - u) ** 2 * span,
+                          u ** 2 * (3 - 2 * u), u ** 2 * (u - 1) * span)
 
     def two_level(z, fv, dv):
         """The coarse pass from the projected start z, then `_fine_pass` on
-        the grid up to where it stopped; None when no sample is certified."""
+        the grid; None when either stops short of the end."""
         try:
-            zc, _ = walk(coarse, 0, z, fv, dv, None, _COARSE_TOL)
-        except TraceError as err:
-            zc = err.samples
-        zc = np.asarray(zc)
-        if zc.size == 1:
+            zc = np.asarray(walk(coarse, z, fv, dv, _COARSE_TOL)[0])
+        except TraceError:
             return None
-        top = nodes[zc.size - 1] + 1
-        j, h00, h10, h01, h11 = J[:top], *(c[:top] for c in hermite)
         with np.errstate(all="ignore"):  # _fine_pass refuses a non-finite guess
-            mc = dw_s[nodes[:zc.size]] / _taylor(nc, zc, 2)[1]
-            guess = h00 * zc[j] + h10 * mc[j] + h01 * zc[j + 1] + h11 * mc[j + 1]
-        head = _fine_pass(nc, ad, guess, s[:top], w_s[:top], dw_s[:top])
-        return head if head[0].size else None
+            mc = dw_s[nodes] / _taylor(nc, zc, 2)[1]
+            guess = h00 * zc[J] + h10 * mc[J] + h01 * zc[J + 1] + h11 * mc[J + 1]
+        return _fine_pass(f, nc, guess, s, w_s, dw_s)
 
     fine = None
     starts = np.asarray(z0, dtype=complex)
@@ -349,36 +339,27 @@ def lift_path(f, w, dw, z0, s):
     values = np.empty(starts.shape + s.shape, dtype=complex)
     for k in np.ndindex(starts.shape):
         z, fv, dv = _newton(fd, complex(starts[k]), complex(w_s[0]), NEWTON_TOL, iters, f)
-        head = two_level(z, fv, dv) if n >= 2 * _COARSE else None
-        zh, fh, dh = head or ([z], [fv], [dv])
-        j = len(zh) - 1
-        samples[k][:j + 1], values[k][:j + 1] = zh, fh
-        if j < n:  # the scalar stepper on the grid from the last certified sample
+        lifted = two_level(z, fv, dv)
+        if lifted is None:  # the scalar stepper on the grid
             fine = fine or _scalar_grid(s, w_s, dw_s)
-            prev = complex(dw_s[j - 1] / dh[j - 1]) if j else None
-            try:
-                zs, fs = walk(fine, j, complex(zh[j]), complex(fh[j]), complex(dh[j]),
-                              prev, NEWTON_TOL)
-            except TraceError as err:
-                raise TraceError(str(err), samples=np.concatenate(
-                    (samples[k][:j], err.samples))) from None
-            samples[k][j:], values[k][j:] = zs, fs
+            lifted = walk(fine, z, fv, dv, NEWTON_TOL)
+        samples[k], values[k] = lifted
     return samples, values
 
 
-def solve_target(f, w, seed, tol: float = 1e-12) -> complex:
+def solve_target(f, w, seed) -> complex:
     """Newton-solve f(z) = w for the polynomial f from the given seed with the
     lift_path corrector.
 
-    The tolerance is relative to |w| (absolute when w == 0); landing on a
-    critical point or a stalled iteration raises TraceError carrying the
-    iterates.
+    The corrector goal NEWTON_TOL is relative to |w| (absolute when w == 0);
+    landing on a critical point or a stalled iteration raises TraceError
+    carrying the iterates.
     """
     fd = _scalar_kernels(f)
-    z, _, dv = _newton(fd, complex(seed), complex(w), tol, 80, f)
+    z, _, dv = _newton(fd, complex(seed), complex(w), NEWTON_TOL, 80, f)
     # a solution this close to a target with |f'|^2 ~ goal*|f''| is a
     # numerically multiple preimage, i.e. a critical point landing
-    goal = tol * (abs(w) if w != 0 else 1.0)
+    goal = NEWTON_TOL * (abs(w) if w != 0 else 1.0)
     h = 1e-5 * (1.0 + abs(z))
     d2 = abs(fd(z + h)[1] - fd(z - h)[1]) / (2 * h)
     if abs(dv) ** 2 <= 8.0 * goal * d2:

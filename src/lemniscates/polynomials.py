@@ -225,16 +225,14 @@ def poly_roots(p: Polynomial, tol: float = 1e-8):
     coefficient). Exact zero trailing coefficients are deflated as roots at
     the origin first.
 
-    Raises PreconditionError unless 0 < tol < 1 or when p overflows on the
-    disk that holds its roots, and RootFindingError when the companion
-    eigenvalue solve fails or (carrying the raw eigenvalues) a root is
-    non-finite or fails its residual test.
+    Raises PreconditionError when p is not a Polynomial, unless 0 < tol < 1,
+    or when p overflows on the disk that holds its roots, and
+    RootFindingError when the companion eigenvalue solve fails or (carrying
+    the raw eigenvalues) a root is non-finite or fails its residual test.
     """
     if not 0.0 < tol < 1.0:  # also refuses NaN
         raise PreconditionError(f"root tolerance must lie in (0, 1), got {tol}")
-    if not isinstance(p, Polynomial):
-        p = Polynomial(p)
-    if p.degree < 1:
+    if require_polynomial(p).degree < 1:
         raise PreconditionError("root finding needs degree >= 1")
     c = p.coeffs
     k0 = int(np.nonzero(c)[0][0])  # exact zeros at the origin deflate cleanly
@@ -268,16 +266,17 @@ def roots_flat(p: Polynomial, tol: float = 1e-8):
     return flat
 
 
-def critical_points(p: Polynomial, tol: float = 1e-8):
-    """Roots of p', repeated by multiplicity (degree(p)-1 values)."""
+def critical_points(p: Polynomial):
+    """Roots of p', repeated by multiplicity (degree(p)-1 values), found to
+    `roots_flat`'s default tolerance 1e-8."""
     if p.degree < 2:
         raise PreconditionError("critical points need degree >= 2")
-    return roots_flat(p.derivative(), tol=tol)
+    return roots_flat(p.derivative())
 
 
-def critical_values(p: Polynomial, tol: float = 1e-8):
+def critical_values(p: Polynomial):
     """p evaluated at each finite critical point, with multiplicity."""
-    return [complex(p(z)) for z in critical_points(p, tol=tol)]
+    return [complex(p(z)) for z in critical_points(p)]
 
 
 def normalize_leading(p: Polynomial):

@@ -16,6 +16,7 @@ from lemniscates.curves import (
 )
 from lemniscates.errors import NumericalError, PreconditionError, SolverError, TraceError
 from lemniscates.fingerprint import (
+    ORACLE_STEPS_PER_LAP,
     BlaschkeProduct,
     CircleMap,
     circle_map_of_blaschke,
@@ -26,7 +27,7 @@ from lemniscates.fingerprint import (
     nth_root_lift,
     pseudo_lemniscate,
 )
-from lemniscates.levelcurves import lift_path
+from lemniscates.levelcurves import lift_path, preimage_loops
 from lemniscates.polynomials import Polynomial, roots_flat
 
 SQRT01 = np.sqrt(0.1)
@@ -265,6 +266,18 @@ ORACLE_BRANCH_PINNED = [
 def test_oracle_pinned_branch_draws(criterion6_poly, seed, index, curve, answer):
     p = criterion6_poly(seed, index)
     assert is_proper_oracle(p, [unit_circle(512), ellipse(1.0, 0.6, 512)][curve]) is answer
+
+
+def test_oracle_lap_grid_resolves_two_crowded_quartics(criterion6_poly):
+    """Two criterion-6 quartics over the circle whose laps, at 64 steps per
+    lap, landed on another root's lap, so that the lap ends were no
+    permutation of the roots; at ORACLE_STEPS_PER_LAP the oracle answers and
+    agrees with the critical-value test."""
+    circle = unit_circle(512)
+    improper, proper = criterion6_poly(3, 48), criterion6_poly(11, 10)
+    assert is_proper(improper, circle) is is_proper_oracle(improper, circle) is False
+    assert len(preimage_loops(improper, circle, ORACLE_STEPS_PER_LAP)) == 3
+    assert is_proper(proper, circle) is is_proper_oracle(proper, circle) is True
 
 
 def test_pseudo_lemniscate_samples_resolve_at_1024():

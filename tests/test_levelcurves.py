@@ -465,13 +465,14 @@ def test_lift_path_matches_euler_oracle(f, start, delta, log_ratio, grow, log_ra
 
 
 def _fine_pass_log(monkeypatch):
-    """Records (samples predicted, samples certified) per vectorized pass."""
+    """Records (samples predicted, whether all were certified) per vectorized
+    pass."""
     log = []
     fine_pass = levelcurves._fine_pass
 
-    def logged(nc, ad, guess, *grid):
-        out = fine_pass(nc, ad, guess, *grid)
-        log.append((guess.size, out[0].size))
+    def logged(f, nc, guess, *grid):
+        out = fine_pass(f, nc, guess, *grid)
+        log.append((guess.size, out is not None))
         return out
 
     monkeypatch.setattr(levelcurves, "_fine_pass", logged)
@@ -487,21 +488,21 @@ def _line(offset):
 def test_lift_path_falls_back_where_the_certificate_fails(monkeypatch):
     """Lifting s + 0.01i through z^2 passes 0.1 from the critical point 0,
     where the two-step prediction fails the alpha test: the vectorized pass
-    certifies the samples before it, and the scalar stepper lifts the rest
-    on the grid, as the Euler oracle does."""
+    refuses the path, and the scalar stepper lifts all of it on the grid, as
+    the Euler oracle does."""
     log = _fine_pass_log(monkeypatch)
     sq = Polynomial([0, 0, 1])
     w, dw, s = _line(0.01j)
     got = lift_path(sq, w, dw, 1.0, s)[0]
-    assert len(log) == 1 and 1 < log[0][1] < log[0][0] == s.size
+    assert log == [(s.size, False)]
     _assert_same_lift(sq, got, _euler_lift_path(sq, w, dw, 1.0, s)[0])
 
 
 def test_lift_path_fallback_error_carries_the_samples_before_it(monkeypatch):
     """Lifting s through z^2 meets the critical value 0: the coarse pass
-    stops there, the vectorized pass certifies the samples up to it, and the
-    scalar stepper's TraceError names the grid node and carries every sample
-    before it, as the Euler oracle's does."""
+    stops there, so the vectorized pass is never reached, and the scalar
+    stepper's TraceError names the grid node and carries every sample before
+    it, as the Euler oracle's does."""
     log = _fine_pass_log(monkeypatch)
     sq = Polynomial([0, 0, 1])
     w, dw, s = _line(0j)
@@ -511,10 +512,32 @@ def test_lift_path_fallback_error_carries_the_samples_before_it(monkeypatch):
             lift(sq, w, dw, 1.0, s)
         errors.append(err.value)
     got, oracle = errors
-    assert log and log[0][1] == log[0][0] > 1
+    assert log == []
     assert len(got.samples) == len(oracle.samples) == s.size // 2
     assert str(got).split("(lifting")[1] == str(oracle).split("(lifting")[1]
     _assert_same_lift(sq, np.asarray(got.samples), np.asarray(oracle.samples))
+
+
+def test_lift_path_short_paths_take_the_two_level_route(monkeypatch):
+    """A 10-step level arc and a 5-step gradient arc, shorter than two coarse
+    steps, are lifted on two levels like any other path: the vectorized pass
+    certifies every sample, and the lift matches the Euler oracle."""
+    log = _fine_pass_log(monkeypatch)
+    v5 = _v5()
+
+    def ray(t):
+        return np.exp(t + 0.5j * np.pi)
+
+    paths = [
+        (lambda t: 8.0 * np.exp(1j * t), lambda t: 8j * np.exp(1j * t),
+         np.linspace(0.5 * np.pi, 0.5 * np.pi + 0.1, 11)),
+        (ray, ray, np.linspace(np.log(8.0), np.log(8.0) + 0.05, 6)),
+    ]
+    for w, dw, s in paths:
+        assert s.size - 1 < 2 * _COARSE
+        _assert_same_lift(F4, lift_path(F4, w, dw, v5, s)[0],
+                          _euler_lift_path(F4, w, dw, v5, s)[0])
+    assert log == [(11, True), (6, True)]
 
 
 @pytest.mark.parametrize("step", [0.0, -0.01, np.nan, np.inf])

@@ -168,6 +168,12 @@ def test_poly_roots_rejects_overflowing_coefficient_range(coeffs):
             poly_roots(Polynomial(coeffs))
 
 
+@pytest.mark.parametrize("coeffs", [[1, 0, 1], np.array([1, 0, 1]), RationalMap([1, 0, 1])])
+def test_poly_roots_takes_a_polynomial_only(coeffs):
+    with pytest.raises(PreconditionError, match="expected a Polynomial"):
+        poly_roots(coeffs)
+
+
 @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0, 1.0])
 def test_poly_roots_rejects_tol_outside_unit_interval(tol):
     """An infinite tol used to merge every root into one cluster at their
