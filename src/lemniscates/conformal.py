@@ -28,10 +28,12 @@ coefficients that resampling to k drops or folds (|j| >= k/2) exceed
 1e-13 * max|curve| is skipped without a solve; at n the maps are always
 solved. Each map is taken from the first k solved at which its density's
 coefficients at |j| >= k/4 are at most 1e-13 * max(|h| + |mu|, 1),
-h = -log|curve| the right-hand side. A SolverError below n counts as
-unresolved. theta - t and mu are resampled to n by FFT and g0 is kept, so a
-map has n nodes and is checked monotone there; at k = n it is the direct
-solve. n is both the maps' node count and the cap of the solve's resolution.
+h = -log|curve| the right-hand side. A solve returns arrays (theta, mu, g0),
+and each accepted map is built once, on the n nodes: theta - t and mu are
+resampled to n by FFT (copied at k = n) and g0 is kept, so the map is checked
+monotone at n, and its solve_nodes is the k it was solved at. A SolverError
+below n, from the solve or the build, counts as unresolved. n is both the
+maps' node count and the cap of the solve's resolution.
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ import numpy as np
 from scipy.sparse.linalg import gmres
 
 from ._fourier import (
+    deriv_coeffs,
     fourier_coeffs,
     trig_diff,
     trig_eval,
@@ -87,11 +90,10 @@ class DiskMap:
         self.theta = np.asarray(theta, dtype=float)
         self._mu = np.asarray(mu, dtype=float)
         self._g0 = complex(g0)
-        self._gamma_c = fourier_coeffs(self.points)
-        self._dgamma = trig_diff(self.points)
+        if not all(np.all(np.isfinite(a)) for a in (self.points, self.theta, self._mu)):
+            raise SolverError("map has a non-finite point, angle or density value")
         t = np.linspace(0.0, _TWO_PI, self.nodes, endpoint=False)
         self._p_c = fourier_coeffs(self.theta - t)  # periodic part of the lift
-        self._dtheta = 1.0 + np.real(trig_diff(self.theta - t))
         gaps = np.diff(np.concatenate([self.theta, [self.theta[0] + _TWO_PI]]))
         if not np.all(gaps > 0):
             raise SolverError("boundary correspondence is not strictly increasing")
@@ -114,6 +116,8 @@ class DiskMap:
     def _t_of_theta(self, theta):
         """Invert the monotone lift theta(t) = t + P(t) by Newton."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        if not np.all(np.isfinite(theta)):
+            raise PreconditionError("boundary evaluation needs finite angles")
         base = self.theta[0]
         red = np.mod(theta - base, _TWO_PI) + base
         t = np.interp(
@@ -137,7 +141,7 @@ class DiskMap:
     def boundary_forward(self, theta):
         """Boundary point phi(e^{i theta})."""
         t = self._t_of_theta(theta)
-        out = trig_eval(self._gamma_c, t)
+        out = trig_eval(fourier_coeffs(self.points), t)
         return out if np.ndim(theta) else complex(out[0])
 
     # -- interior -----------------------------------------------------------
@@ -146,12 +150,13 @@ class DiskMap:
         """phi(w) for |w| < 1 - margin, by the Cauchy integral over the
         boundary correspondence."""
         w_arr = np.atleast_1d(np.asarray(w, dtype=complex))
-        if np.any(np.abs(w_arr) > 1.0 - INTERIOR_MARGIN):
+        if not np.all(np.abs(w_arr) <= 1.0 - INTERIOR_MARGIN):  # NaN included
             raise PreconditionError(
                 f"interior evaluation needs |w| <= {1.0 - INTERIOR_MARGIN}"
             )
         zeta = np.exp(1j * self.theta)
-        weight = self.points * zeta * self._dtheta / self.nodes
+        dtheta = 1.0 + np.real(trig_grid(deriv_coeffs(self._p_c), self.nodes))
+        weight = self.points * zeta * dtheta / self.nodes
         out = (weight[None, :] / (zeta[None, :] - w_arr[:, None])).sum(axis=1)
         return out if np.ndim(w) else complex(out[0])
 
@@ -162,7 +167,7 @@ class DiskMap:
         counts, valid = winding_numbers(self.points, z_arr, min_distance=NEAR_HIT)
         if not np.all(valid & (counts == 1)):
             raise PreconditionError("point is not strictly inside the domain")
-        rho = self._mu * self._dgamma * (_TWO_PI / self.nodes)
+        rho = self._mu * trig_diff(self.points) * (_TWO_PI / self.nodes)
         g = (rho / (self.points - z_arr[:, None])).sum(axis=1) / (1j * np.pi)
         f = z_arr * np.exp(g - 1j * self._g0.imag)
         if np.any(np.abs(f) >= 1.0):
@@ -242,11 +247,11 @@ def _rescale(im: np.ndarray, re: np.ndarray, a: np.ndarray, b: np.ndarray):
         np.multiply(z[:k].imag, -2.0 / n, out=blk_im)
 
 
-def _solve_on(im, re, points, dg) -> DiskMap:
-    """Solve the boundary correspondence of `points` (derivative dg) on the
-    kernels (im, re) of its Cauchy matrix (see _kernels). The diagonal of im
-    holds that of I + wK during the solve and is 0 again on return, also when
-    GMRES fails, so (im, re) are still the kernels."""
+def _solve_on(im, re, points, dg):
+    """(theta, mu, g0) of `points` (derivative dg) on the kernels (im, re) of
+    its Cauchy matrix (see _kernels): the boundary correspondence, lifted by
+    _lift_start, the density and g(0). The diagonal of im holds that of I + wK
+    during the solve and is 0 again on return, also when GMRES fails."""
     n = points.size
     w = _TWO_PI / n
     diag = 1.0 + np.imag(trig_diff(dg) / (2.0 * dg)) * (2.0 / n)
@@ -269,9 +274,7 @@ def _solve_on(im, re, points, dg) -> DiskMap:
     i_s = (sums[:, 0] - mu * sums[:, 1] + np.real(trig_diff(mu))) * w
     g0 = (mu * dg / points).sum() * w / (1j * np.pi)
     theta = np.unwrap(np.angle(points)) - i_s / np.pi - g0.imag
-    dm = DiskMap(points, _lift_start(theta), mu, g0)
-    dm.solve_nodes = n
-    return dm
+    return _lift_start(theta), mu, g0
 
 
 def _lift_start(theta: np.ndarray) -> np.ndarray:
@@ -287,27 +290,28 @@ def _tail(vals: np.ndarray, j: int) -> float:
 
 
 def _accepted(im, re, pts, dg, points: np.ndarray):
-    """The map _solve_on gives on the k samples pts of a curve, taken to its
-    n = points.size samples; at k = n it is _solve_on's own. Below n it is
-    None when the solve raises SolverError or its density's coefficients at
+    """The map that _solve_on gives on the k samples pts of a curve, built
+    once on its n = points.size samples with solve_nodes = k: theta - t and
+    mu are resampled to n by FFT, g0 is kept. Below n it is None when the
+    solve or the build raises SolverError or the density's coefficients at
     |l| >= k/4 exceed _TAIL * max(|h| + |mu|, 1): the floor of 1 passes
-    mu ~ 1e-16 on a circle. Otherwise theta - t and mu are resampled to n
-    by FFT, g0 is kept, and the new DiskMap checks theta's monotonicity at n."""
+    mu ~ 1e-16 on a circle."""
     k, n = pts.size, points.size
     try:
-        dm = _solve_on(im, re, pts, dg)
+        theta, mu, g0 = _solve_on(im, re, pts, dg)
         if k < n:
-            scale = np.max(np.abs(np.log(np.abs(dm.points)))) + np.max(np.abs(dm._mu))
-            if _tail(dm._mu, k // 4) > _TAIL * max(scale, 1.0):
+            scale = np.max(np.abs(np.log(np.abs(pts)))) + np.max(np.abs(mu))
+            if _tail(mu, k // 4) > _TAIL * max(scale, 1.0):
                 return None
-            mu = np.real(trig_resample(dm._mu, n))
-            dm = DiskMap(points, _lift_start(dm._theta_on_grid(n)), mu, dm._g0)
-            dm.solve_nodes = k
-        return dm
+            p_c = fourier_coeffs(theta - np.linspace(0.0, _TWO_PI, k, endpoint=False))
+            theta = _lift_start(_TWO_PI * np.arange(n) / n + np.real(trig_grid(p_c, n)))
+        dm = DiskMap(points, theta, np.real(trig_resample(mu, n)), g0)
     except SolverError:
         if k == n:
             raise
         return None
+    dm.solve_nodes = k
+    return dm
 
 
 class ExteriorMap:
@@ -335,8 +339,9 @@ class ExteriorMap:
     def exterior_eval(self, zeta):
         """phi_plus(zeta) for |zeta| >= 1/(1 - margin)."""
         zeta_arr = np.atleast_1d(np.asarray(zeta, dtype=complex))
-        if np.any(np.abs(zeta_arr) * (1.0 - INTERIOR_MARGIN) < 1.0):
-            raise PreconditionError(f"exterior evaluation needs |zeta| >= 1/{1 - INTERIOR_MARGIN}")
+        if not np.all(np.isfinite(zeta_arr) & (np.abs(zeta_arr) * (1.0 - INTERIOR_MARGIN) >= 1.0)):
+            raise PreconditionError(
+                f"exterior evaluation needs finite |zeta| >= 1/{1 - INTERIOR_MARGIN}")
         out = 1.0 / np.conj(self.inner.interior_eval(1.0 / np.conj(zeta_arr)))
         return out if np.ndim(zeta) else complex(out[0])
 
@@ -362,7 +367,7 @@ class ExteriorMap:
 def _solve_pair(points: np.ndarray, k: int | None = None, wanted=(True, True)) -> list:
     """[interior map, exterior map] of the curve with uniform samples
     `points`, solved at k of its nodes (default all) from one pair of
-    kernels and taken to all of them by _accepted. A map not wanted is
+    kernels and built on all of them by _accepted. A map not wanted is
     None, and so is one that _accepted refuses.
 
     The exterior map is the interior map of the reflected curve
@@ -371,8 +376,7 @@ def _solve_pair(points: np.ndarray, k: int | None = None, wanted=(True, True)) -
     curve's, C_rho[s, t] = conj(a_s C[s, t] b_t) with a_s = -gamma_s and
     b_t = conj(rho'_t) gamma_t / gamma'_t, so the curve's kernels are turned
     into the reflected curve's in place (_rescale)."""
-    k = points.size if k is None else k
-    pts = points if k == points.size else trig_resample(points, k)
+    pts = trig_resample(points, points.size if k is None else k)
     dg = trig_diff(pts)
     im, re = _kernels(pts, dg)
     maps = [None, None]

@@ -12,17 +12,19 @@ the step jumps branches. It crosses only every _COARSE-th grid node, where
 its O(h^3) prediction error leaves one Newton update and one confirming
 evaluation per step at the coarse goal. Cubic Hermite interpolation of those
 samples and slopes predicts every grid sample, and one vectorized Newton pass
-corrects all of them to rounding level. Each corrected step is certified:
-the two-step prediction from the sample before it passes Smale's alpha test
-(Blum, Cucker, Shub & Smale, Complexity and Real Computation, ch. 8) and lies
-within 2 beta of the sample, which is therefore the root Newton reaches from
-the scalar stepper's own prediction; the step also keeps the branch bound and
-the critical floor. Each path, whatever its length, is lifted whole on one
-route: on the two levels when the coarse pass reaches the end and every fine
-step is certified, else by the scalar stepper on the whole grid from its
-projected start, so a TraceError keeps its message and the samples before
-it. Level arcs lift eps*exp(i s) on a uniform grid in s = arg f, gradient
-arcs exp(s + i alpha) on a uniform grid in s = log|f|.
+corrects all of them to rounding level: the next update is at rounding level
+or, as the scalar corrector also accepts, the residual is at Horner rounding
+level. Each corrected step is certified: the two-step prediction from the
+sample before it passes Smale's alpha test (Blum, Cucker, Shub & Smale,
+Complexity and Real Computation, ch. 8) and lies within 2 beta of the sample,
+which is therefore the root Newton reaches from the scalar stepper's own
+prediction; the step also keeps the branch bound and the critical floor.
+Each path, whatever its length, is lifted whole on one route: on the two
+levels when the coarse pass reaches the end and every fine step is
+certified, else by the scalar stepper on the whole grid from its projected
+start, so a TraceError keeps its message and the samples before it. Level
+arcs lift eps*exp(i s) on a uniform grid in s = arg f, gradient arcs
+exp(s + i alpha) on a uniform grid in s = log|f|.
 Every sample lands on its exact target to a relative residual of
 NEWTON_TOL = 1e-12 or better, so a level arc's argument lift is its grid and
 |f| = eps holds to that residual.
@@ -207,11 +209,13 @@ def _alpha_certified(nc, z, dv, s, w, dw):
 def _fine_pass(f, nc, guess, s, w, dw):
     """Correct the predicted samples at the nodes s of the path w (slope dw)
     by one vectorized Newton pass, then check each: its update ended at
-    rounding level, |f'| is above the critical floor, and the step onto it
-    keeps the branch bound and is alpha-certified. Returns the samples and
-    values when every one passes, else None."""
+    rounding level or, as _newton accepts, its residual is at Horner rounding
+    level, |f'| is above the critical floor, and the step onto it keeps the
+    branch bound and is alpha-certified. Returns the samples and values when
+    every one passes, else None."""
     with np.errstate(all="ignore"):  # a non-finite sample fails its checks
         z, fv, dv, ok = _polish(nc, guess, w)
+        ok |= np.abs(fv - w) <= 4 * f.degree * _EPS * f.eval_scale(z)
         # 1 + sum |k c_k| |z|^(k-1), as in _scalar_kernels
         ok &= np.abs(dv) >= CRITICAL_FIELD_TOL * (f.derivative().eval_scale(z) + 1.0)
         ok[1:] &= np.abs(np.diff(z)) <= BRANCH_JUMP_FACTOR * np.abs(np.diff(w)) / np.abs(dv[:-1])

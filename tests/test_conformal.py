@@ -333,6 +333,22 @@ def test_resolved_curve_is_solved_at_512_nodes():
     assert dm.nodes == em.nodes == 2048
 
 
+def test_riemann_maps_build_each_map_once(monkeypatch):
+    """The ellipse is solved at 512 of 2048 nodes, and each of its maps is
+    built once, on all 2048 nodes, from the solve's arrays."""
+    built = []
+    real = conformal.DiskMap.__init__
+
+    def counting(self, points, *args):
+        built.append(np.size(points))
+        real(self, points, *args)
+
+    monkeypatch.setattr(conformal.DiskMap, "__init__", counting)
+    dm, em = riemann_maps(ellipse(1.0, 0.6, 512), 2048)
+    assert built == [2048, 2048]
+    assert dm.solve_nodes == em.inner.solve_nodes == 512
+
+
 def test_high_mode_is_not_solved_at_512_nodes(monkeypatch):
     """A 1e-6 mode at frequency 400 is dropped by resampling to 512 nodes,
     so the loop builds no kernels there."""
@@ -381,6 +397,21 @@ def test_riemann_maps_check_jordan_once_per_resolution(monkeypatch):
     monkeypatch.setattr(conformal, "is_jordan", counting)
     riemann_maps(ellipse(1.0, 0.6, 512))
     assert calls == [1024]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_map_evaluators_refuse_non_finite_arguments(bad):
+    """Each evaluator refuses a non-finite argument, alone or next to a good
+    one, with PreconditionError, not a NaN and a RuntimeWarning."""
+    dm, em = riemann_maps(ellipse(1.0, 0.6, 256), 256)
+    for evaluate, good in ((dm.boundary_forward, 0.5), (dm.interior_eval, 0.5),
+                           (dm.interior_inverse, 0.1), (em.boundary_forward, 0.5),
+                           (em.exterior_eval, 2.0)):
+        evaluate(good)
+        for arg in (bad, np.array([good, bad])):
+            with pytest.raises(PreconditionError):
+                evaluate(arg)
 
 
 @pytest.mark.parametrize("exact, info", [(True, 1), (False, 0)])

@@ -80,7 +80,8 @@ def solved_maps():
     "empty", "no mu (older format)", "no g0", "short mu", "decreasing theta",
     "bad points", "exterior without inner", "exterior with older inner",
     "exterior with theta", "exterior with a", "exterior with points",
-    "with center_derivative", "infinite g0",
+    "with center_derivative", "infinite g0", "NaN in mu", "NaN in points",
+    "exterior with NaN in inner mu",
 ])
 def test_solved_map_malformed_json_refused(solved_maps, case):
     dm, em = solved_maps
@@ -102,6 +103,12 @@ def test_solved_map_malformed_json_refused(solved_maps, case):
         # g0 determines phi'(0) = exp(-Re g0); a stored copy could disagree
         "with center_derivative": {**dm, "center_derivative": float(np.exp(-dm["g0"][0]))},
         "infinite g0": {**dm, "g0": [float("inf"), 0.0]},
+        # json reads NaN; such a map would evaluate to NaN quietly
+        "NaN in mu": {**dm, "mu": [float("nan")] + dm["mu"][1:]},
+        "NaN in points": {**dm, "points": [[float("nan"), 0.0]] + dm["points"][1:]},
+        "exterior with NaN in inner mu": {
+            **em, "inner": {**em["inner"], "mu": [float("nan")] + em["inner"]["mu"][1:]},
+        },
     }[case]
     with pytest.raises(PreconditionError):
         lio.solved_map_from_dict(d)

@@ -602,14 +602,17 @@ def test_level_components_of_a_tiny_level():
       -3.1641892589131637 - 1.250811647942721j, -0.7723732992536106 - 3.3329203362202087j,
       -0.6873505632973168 - 0.6927690489513799j], 0.25750588526179014),
 ])
-def test_level_components_accept_a_start_at_rounding_level(roots, eps):
+def test_level_components_accept_a_start_at_rounding_level(roots, eps, monkeypatch):
     """Near a double root |p'| is small at the roots of p - eps: the Newton
     projection of such a start has |p(z) - eps| at Horner rounding level
     while its update stays above rounding and stops shrinking. That residual
-    is accepted, not raised as "not contracting"."""
+    is accepted, not raised as "not contracting", by the scalar corrector
+    and by the vectorized pass alike: every lap takes the two-level route."""
+    log = _fine_pass_log(monkeypatch)
     p = Polynomial.from_roots(roots)
     loops = level_components(p, eps, 0.02)
     assert sum(_laps(loop, 0.02) for loop in loops) == 5
+    assert len(log) == 5 and all(certified for _, certified in log)
 
 
 def test_level_components_when_gamma0_is_p0_up_to_rounding():
