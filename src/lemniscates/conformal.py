@@ -3,7 +3,7 @@
 The interior map phi: D -> Omega with phi(0)=0, phi'(0)>0 is computed from
 its inverse f(z) = z * exp(g(z)) where Re g = -log|z| on the boundary. The
 double-layer density mu of Re g solves the Neumann-kernel equation
-(I + wK) mu = h (Nystrom trapezoid) by full-length GMRES, and g is completed
+(I + wK) mu = h (Nystrom trapezoid) by GMRES (_gmres), and g is completed
 holomorphically by the singularity-subtracted Cauchy integral of mu. The
 Cauchy matrix C = gamma'_t / (gamma_t - gamma_s) gives both: K is its
 imaginary part, and the correspondence needs only the real part of the
@@ -18,27 +18,31 @@ exterior one. Its Cauchy matrix is the conjugate of a diagonal rescaling of
 the curve's, so `riemann_maps` builds one pair of kernels per curve and
 resolution, solves the interior system on it, turns it in place into the
 reflected curve's pair and solves the exterior system in the same buffers:
-2 * 8k^2 bytes for both maps at k nodes, plus GMRES' own workspace.
+2 * 8k^2 bytes for both maps at k nodes, and GMRES adds a basis of at most
+100 columns of k.
 
 All three entry points share one adaptive-resolution loop. The curve is
 checked (closed, positively oriented, origin inside), resampled at the
 caller's node count n (default 1024) and checked Jordan there. The loop
-walks k = min(512, n), 2k, ... up to n. A k < n at which the curve's Fourier
-coefficients that resampling to k drops or folds (|j| >= k/2) exceed
-1e-13 * max|curve| is skipped without a solve; at n the maps are always
-solved. Each map is taken from the first k solved at which its density's
-coefficients at |j| >= k/4 are at most 1e-13 * max(|h| + |mu|, 1),
-h = -log|curve| the right-hand side. A solve returns arrays (theta, mu, g0),
-and each accepted map is built once, on the n nodes: theta - t and mu are
-resampled to n by FFT (copied at k = n) and g0 is kept, so the map is checked
-monotone at n, and its solve_nodes is the k it was solved at. A SolverError
-below n, from the solve or the build, counts as unresolved. n is both the
-maps' node count and the cap of the solve's resolution.
+walks k = min(64, n), 2k, ... up to n. Each map is taken from the first k
+solved at which its density's Fourier coefficients at |j| >= k/4 are at
+most 1e-13 * max(|h| + |mu|, 1), h = -log|curve| the right-hand side of the
+interior and, up to sign, of the reflected system; a refused map doubles k.
+A k < n is solved only where two tails predict that this test passes: the
+curve's coefficients that resampling to k drops or folds (|j| >= k/2) are
+at most 1e-13 * max|curve|, and h's at |j| >= k/4 pass the density's test
+with h in place of mu, 1e-13 * max(2|h|, 1), since the densities' tails
+follow h's. Both spectra are taken once, at n. At n the maps are always
+solved. A solve returns arrays (theta, mu, g0), and each accepted map is
+built once, on the n nodes: theta - t and mu are resampled to n by FFT
+(copied at k = n) and g0 is kept, so the map is checked monotone at n, and
+its solve_nodes is the k it was solved at. A SolverError below n, from the
+solve or the build, counts as unresolved. n is both the maps' node count and
+the cap of the solve's resolution.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.linalg import gmres
 
 from ._fourier import (
     deriv_coeffs,
@@ -58,7 +62,10 @@ INTERIOR_MARGIN = 0.02  # reject |w| > 1 - margin in disk-side evaluation
 _TWO_PI = 2.0 * np.pi
 _START_EPS = 1e-9  # theta starts in [-eps, 2*pi - eps)
 _BLOCK_ROWS = 16  # rows of C built or rescaled per pass: 0.5 MB of complex at 2048 nodes
-_START_NODES = 512  # first resolution of the solve loop
+_START_NODES = 64  # first resolution of the solve loop
+_KRYLOV_COLUMNS = 100  # cap on the GMRES basis
+_GMRES_RTOL = 1e-14  # GMRES stops at this residual relative to |b|
+_RESIDUAL_TOL = 1e-12  # a solve whose true relative residual exceeds this fails
 _TAIL = 1e-13  # bound on the dropped Fourier coefficients (see the module docstring)
 
 
@@ -247,6 +254,46 @@ def _rescale(im: np.ndarray, re: np.ndarray, a: np.ndarray, b: np.ndarray):
         np.multiply(z[:k].imag, -2.0 / n, out=blk_im)
 
 
+def _gmres(a, b, x0=None):
+    """(x, iterations): one cycle of GMRES (Saad & Schultz, SIAM J. Sci.
+    Stat. Comput. 7, 1986) for a x = b from x0 (default 0). The Arnoldi basis
+    of at most min(n, _KRYLOV_COLUMNS) columns is orthogonalized by classical
+    Gram-Schmidt done twice, and Givens rotations keep the least-squares
+    residual |b - a x| as they go, so the cycle stops once that estimate is
+    at most _GMRES_RTOL * |b|, or at the cap with what it has."""
+    m = min(b.size, _KRYLOV_COLUMNS)
+    x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=float)
+    r = b - a @ x
+    beta, goal = np.linalg.norm(r), _GMRES_RTOL * np.linalg.norm(b)
+    if not beta > goal:
+        return x, 0
+    basis = np.empty((m, b.size))  # rows
+    hess = np.zeros((m + 1, m))
+    rot = np.empty((m, 2))  # (cos, sin) of each rotation
+    g = np.zeros(m + 1)  # the rotated right-hand side beta * e_0
+    g[0] = beta
+    basis[0] = r / beta
+    for j in range(m):
+        v = a @ basis[j]
+        col = hess[:, j]
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            c = basis[:j + 1] @ v
+            v -= c @ basis[:j + 1]
+            col[:j + 1] += c
+        col[j + 1] = norm = np.linalg.norm(v)
+        for i, (cs, sn) in enumerate(rot[:j]):
+            col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
+        rho = np.hypot(col[j], col[j + 1])
+        rot[j] = col[j] / rho, col[j + 1] / rho
+        col[j], col[j + 1] = rho, 0.0
+        g[j], g[j + 1] = rot[j, 0] * g[j], -rot[j, 1] * g[j]
+        if not abs(g[j + 1]) > goal or j + 1 == m:
+            break
+        basis[j + 1] = v / norm
+    y = np.linalg.solve(hess[:j + 1, :j + 1], g[:j + 1])
+    return x + y @ basis[:j + 1], j + 1
+
+
 def _solve_on(im, re, points, dg):
     """(theta, mu, g0) of `points` (derivative dg) on the kernels (im, re) of
     its Cauchy matrix (see _kernels): the boundary correspondence, lifted by
@@ -257,15 +304,18 @@ def _solve_on(im, re, points, dg):
     diag = 1.0 + np.imag(trig_diff(dg) / (2.0 * dg)) * (2.0 / n)
     np.fill_diagonal(im, diag)  # im is now I + wK, K the Neumann kernel
     h = -np.log(np.abs(points))
-    its = []
-    # a second cycle only runs when the Arnoldi estimate met rtol but the
-    # true residual, recomputed at the cycle's end, lands just above it
-    mu, info = gmres(im, h, rtol=1e-14, restart=n, maxiter=2,
-                     callback=its.append, callback_type="pr_norm")
-    resid = np.linalg.norm(h - im @ mu) / max(np.linalg.norm(h), 1e-300)
+    scale = max(np.linalg.norm(h), 1e-300)
+    mu, its = _gmres(im, h)
+    resid = np.linalg.norm(h - im @ mu) / scale
+    # a second cycle, from the iterate, runs when the true residual misses
+    # the goal the Arnoldi estimate met, or the basis ran out first
+    if resid > _GMRES_RTOL:
+        mu, more = _gmres(im, h, mu)
+        its += more
+        resid = np.linalg.norm(h - im @ mu) / scale
     np.fill_diagonal(im, 0.0)
-    if info != 0 or not resid <= 1e-12:
-        raise SolverError(f"GMRES failed: {len(its)} iterations, residual {resid:.3g}")
+    if not resid <= _RESIDUAL_TOL:
+        raise SolverError(f"GMRES failed: {its} iterations, residual {resid:.3g}")
 
     # Im g on the boundary is -Re(i_s)/pi, with i_s the Cauchy integral of mu
     # over the boundary, singularity subtracted; one pass over re gives both
@@ -283,10 +333,14 @@ def _lift_start(theta: np.ndarray) -> np.ndarray:
     return theta - _TWO_PI * np.floor((theta[0] + _START_EPS) / _TWO_PI)
 
 
-def _tail(vals: np.ndarray, j: int) -> float:
-    """Largest |c_l| of the Fourier coefficients of vals with |l| >= j."""
-    c = np.abs(np.fft.fft(vals))
-    return float(c[j:vals.size - j + 1].max()) / vals.size
+def _spectrum(vals: np.ndarray) -> np.ndarray:
+    """|c_l| of the Fourier coefficients of vals, in FFT order."""
+    return np.abs(np.fft.fft(vals)) / vals.size
+
+
+def _tail(spectrum: np.ndarray, j: int) -> float:
+    """Largest of the |c_l| in spectrum (see _spectrum) with |l| >= j."""
+    return float(spectrum[j:spectrum.size - j + 1].max())
 
 
 def _accepted(im, re, pts, dg, points: np.ndarray):
@@ -301,7 +355,7 @@ def _accepted(im, re, pts, dg, points: np.ndarray):
         theta, mu, g0 = _solve_on(im, re, pts, dg)
         if k < n:
             scale = np.max(np.abs(np.log(np.abs(pts)))) + np.max(np.abs(mu))
-            if _tail(mu, k // 4) > _TAIL * max(scale, 1.0):
+            if _tail(_spectrum(mu), k // 4) > _TAIL * max(scale, 1.0):
                 return None
             p_c = fourier_coeffs(theta - np.linspace(0.0, _TWO_PI, k, endpoint=False))
             theta = _lift_start(_TWO_PI * np.arange(n) / n + np.real(trig_grid(p_c, n)))
@@ -393,17 +447,23 @@ def _solve_pair(points: np.ndarray, k: int | None = None, wanted=(True, True)) -
 
 def _solve_maps(points: np.ndarray, wanted) -> list:
     """The wanted maps of _solve_pair, each taken from the first resolution
-    of the loop (see the module docstring) that gives it. The curve's tail
-    only shrinks as k grows, so the k skipped unsolved are the first ones."""
+    of the loop (see the module docstring) that gives it. Below n a k is
+    solved only where the curve's tail at |j| >= k/2 and the tail of
+    h = -log|curve| at |j| >= k/4 pass; both only shrink as k grows, so the
+    k skipped unsolved are the first ones. A k predicted too high costs a
+    solve of twice the size, one too low a refused solve of half it."""
     n = points.size
-    bound = _TAIL * np.max(np.abs(points))
+    h = -np.log(np.abs(points))
+    curve, rhs = _spectrum(points), _spectrum(h)
+    curve_bound = _TAIL * np.max(np.abs(points))
+    rhs_bound = _TAIL * max(2.0 * np.max(np.abs(h)), 1.0)  # _accepted's, mu taken as h
     maps = [None, None]
     k = min(_START_NODES, n)
     while True:
         todo = [w and m is None for w, m in zip(wanted, maps)]
         if not any(todo):
             return maps
-        if k == n or _tail(points, k // 2) <= bound:
+        if k == n or (_tail(curve, k // 2) <= curve_bound and _tail(rhs, k // 4) <= rhs_bound):
             maps = [m if s is None else s for m, s in zip(maps, _solve_pair(points, k, todo))]
         k = min(2 * k, n)
 

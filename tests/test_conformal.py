@@ -207,7 +207,7 @@ def test_solved_map_roundtrip_serialization(tmp_path):
     z = dm.interior_eval(0.9 * np.exp(1j * TH64))
     assert np.array_equal(dm2.interior_inverse(z), dm.interior_inverse(z))
     # the solve's resolution is not written
-    assert dm.solve_nodes == 256 and "solve_nodes" not in d and dm2.solve_nodes is None
+    assert dm.solve_nodes == 128 and "solve_nodes" not in d and dm2.solve_nodes is None
 
 
 def test_exterior_map_roundtrip_serialization():
@@ -223,6 +223,17 @@ def test_exterior_map_roundtrip_serialization():
     assert np.max(np.abs(em2.exterior_eval(zeta) - em.exterior_eval(zeta))) <= 1e-10
 
 
+def _dense_system(points):
+    """The Neumann-kernel system (I + wK, h) of the curve, built densely."""
+    n = points.size
+    dg = trig_diff(points)
+    diff = points[None, :] - points[:, None]
+    np.fill_diagonal(diff, 1.0)
+    kern = np.imag(dg[None, :] / diff) / np.pi
+    np.fill_diagonal(kern, np.imag(trig_diff(dg) / (2.0 * dg)) / np.pi)
+    return np.eye(n) + kern * (2 * np.pi / n), -np.log(np.abs(points))
+
+
 def _dense_solve(points):
     """Reference solve: the Neumann-kernel system I + wK by dense LU, and the
     boundary correspondence from a separately built singularity-subtracted
@@ -232,9 +243,7 @@ def _dense_solve(points):
     dg = trig_diff(points)
     diff = points[None, :] - points[:, None]
     np.fill_diagonal(diff, 1.0)
-    kern = np.imag(dg[None, :] / diff) / np.pi
-    np.fill_diagonal(kern, np.imag(trig_diff(dg) / (2.0 * dg)) / np.pi)
-    mu = np.linalg.solve(np.eye(n) + kern * w, -np.log(np.abs(points)))
+    mu = np.linalg.solve(*_dense_system(points))
     mat = (mu[None, :] - mu[:, None]) * dg[None, :] / diff
     np.fill_diagonal(mat, np.real(trig_diff(mu)))
     g_b = mat.sum(axis=1) * w / (1j * np.pi) + 2.0 * mu
@@ -327,14 +336,14 @@ def test_riemann_maps_match_full_solve(name, nodes):
     assert np.array_equal(exterior_map(curve, nodes).theta, em.theta)
 
 
-def test_resolved_curve_is_solved_at_512_nodes():
+def test_resolved_curve_is_solved_at_64_nodes():
     dm, em = riemann_maps(unit_circle(512), 2048)
-    assert dm.solve_nodes == em.inner.solve_nodes == 512
+    assert dm.solve_nodes == em.inner.solve_nodes == 64
     assert dm.nodes == em.nodes == 2048
 
 
 def test_riemann_maps_build_each_map_once(monkeypatch):
-    """The ellipse is solved at 512 of 2048 nodes, and each of its maps is
+    """The ellipse is solved at 256 of 2048 nodes, and each of its maps is
     built once, on all 2048 nodes, from the solve's arrays."""
     built = []
     real = conformal.DiskMap.__init__
@@ -346,14 +355,19 @@ def test_riemann_maps_build_each_map_once(monkeypatch):
     monkeypatch.setattr(conformal.DiskMap, "__init__", counting)
     dm, em = riemann_maps(ellipse(1.0, 0.6, 512), 2048)
     assert built == [2048, 2048]
-    assert dm.solve_nodes == em.inner.solve_nodes == 512
+    assert dm.solve_nodes == em.inner.solve_nodes == 256
+
+
+def _high_mode_curve(n):
+    """The unit circle plus a 1e-6 mode at frequency 400, at n samples."""
+    t = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    return SampledCurve(np.exp(1j * t) + 1e-6 * np.exp(400j * t), closed=True)
 
 
 def test_high_mode_is_not_solved_at_512_nodes(monkeypatch):
     """A 1e-6 mode at frequency 400 is dropped by resampling to 512 nodes,
     so the loop builds no kernels there."""
-    t = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
-    curve = SampledCurve(np.exp(1j * t) + 1e-6 * np.exp(400j * t), closed=True)
+    curve = _high_mode_curve(2048)
     sizes = []
     real = conformal._kernels
 
@@ -371,19 +385,54 @@ def test_high_mode_is_not_solved_at_512_nodes(monkeypatch):
 
 
 def test_solver_error_below_nodes_doubles(monkeypatch):
-    """A GMRES failure at the first resolution is read as unresolved: the
-    loop doubles to the cap and solves there, as the direct solve does."""
-    real = conformal.gmres
+    """A GMRES failure at the first resolution tried (256 nodes for the
+    ellipse, see test_riemann_maps_build_each_map_once) is read as
+    unresolved: the loop doubles and takes the maps that _solve_pair gives
+    at 512."""
+    real = conformal._gmres
 
-    def failing_at_512(a, b, **kwargs):
-        return (0.5 * b, 0) if b.size == 512 else real(a, b, **kwargs)
+    def failing_at_256(a, b, x0=None):
+        return (0.5 * b, 1) if b.size == 256 else real(a, b, x0)
 
     curve = ellipse(1.0, 0.6, 512)
-    full = conformal._solve_pair(conformal._resampled_points(curve, 1024))
-    monkeypatch.setattr(conformal, "gmres", failing_at_512)
+    at_512 = conformal._solve_pair(conformal._resampled_points(curve, 1024), 512)
+    monkeypatch.setattr(conformal, "_gmres", failing_at_256)
     dm, em = riemann_maps(curve, 1024)
-    assert dm.solve_nodes == em.inner.solve_nodes == 1024
-    assert np.array_equal(dm.theta, full[0].theta) and np.array_equal(em.theta, full[1].theta)
+    assert dm.solve_nodes == em.inner.solve_nodes == 512
+    assert np.array_equal(dm.theta, at_512[0].theta) and np.array_equal(em.theta, at_512[1].theta)
+
+
+_PREDICTED_CURVES = {
+    "unit circle": lambda: unit_circle(512),
+    "ellipse": _ORACLE_CURVES["ellipse"],
+    "quartic pseudo-lemniscate": _ORACLE_CURVES["quartic pseudo-lemniscate"],
+    "mode 400": lambda: _high_mode_curve(2048),
+}
+
+
+@pytest.mark.parametrize("name", list(_PREDICTED_CURVES))
+def test_predicted_resolution_wastes_no_solve(monkeypatch, name):
+    """riemann_maps builds kernels once, at the first k from 64 where the
+    curve is resolved (its coefficients at |j| >= k/2 at most 1e-13 max|curve|)
+    and _solve_pair alone gives both maps: the tail of -log|curve| predicts
+    that k, so no solve is refused."""
+    n = 2048
+    points = conformal._resampled_points(_PREDICTED_CURVES[name](), n)
+    coeffs = np.abs(np.fft.fft(points)) / n
+    k = 64
+    while k < n and (np.max(coeffs[k // 2:n - k // 2 + 1]) > 1e-13 * np.max(np.abs(points))
+                     or None in conformal._solve_pair(points, k)):
+        k *= 2
+    sizes = []
+    real = conformal._kernels
+
+    def counting(pts, dg):
+        sizes.append(pts.size)
+        return real(pts, dg)
+
+    monkeypatch.setattr(conformal, "_kernels", counting)
+    dm, em = riemann_maps(_PREDICTED_CURVES[name](), n)
+    assert sizes == [dm.solve_nodes] == [em.inner.solve_nodes] == [k]
 
 
 def test_riemann_maps_check_jordan_once_per_resolution(monkeypatch):
@@ -414,16 +463,48 @@ def test_map_evaluators_refuse_non_finite_arguments(bad):
                 evaluate(arg)
 
 
-@pytest.mark.parametrize("exact, info", [(True, 1), (False, 0)])
-def test_gmres_failure_raises(monkeypatch, exact, info):
-    # non-convergence is reported even when the returned iterate is right, and
-    # a wrong iterate is caught by the true residual even when GMRES reports 0
-    def fake_gmres(a, b, **kwargs):
-        return (np.linalg.solve(a, b) if exact else 0.5 * b), info
+@pytest.mark.parametrize("iterate, iterations, message", [
+    ("stagnated", 100, r"200 iterations, residual 1$"),
+    ("wrong", 1, r"2 iterations, residual 0\.[1-9]\d*$"),
+], ids=["stagnated", "wrong"])
+def test_gmres_failure_raises(monkeypatch, iterate, iterations, message):
+    """_solve_on checks the iterate by its true residual, whatever the
+    iteration count claims: the zero iterate of a GMRES that stagnated at its
+    cap, and a wrong one returned as if converged in one iteration, both
+    raise SolverError after the one extra cycle, naming the iterations of
+    both cycles and the residual."""
+    def fake_gmres(a, b, x0=None):
+        return (np.zeros(b.size) if iterate == "stagnated" else 0.5 * b), iterations
 
-    monkeypatch.setattr(conformal, "gmres", fake_gmres)
-    with pytest.raises(SolverError, match="GMRES failed"):
+    monkeypatch.setattr(conformal, "_gmres", fake_gmres)
+    with pytest.raises(SolverError, match="GMRES failed: " + message):
         interior_map(ellipse(1.0, 0.6, 256), nodes=256)
+
+
+@pytest.mark.parametrize("name", ["ellipse", "quartic pseudo-lemniscate"])
+def test_gmres_matches_dense_solve(name):
+    """_gmres on the I + wK system at 256 nodes against LU: the same x, in at
+    most 30 iterations, and none from the exact solution."""
+    a, b = _dense_system(conformal._resampled_points(_ORACLE_CURVES[name](), 256))
+    exact = np.linalg.solve(a, b)
+    x, its = conformal._gmres(a, b)
+    assert np.max(np.abs(x - exact)) <= 1e-12
+    assert 0 < its <= 30
+    x, its = conformal._gmres(a, b, exact)
+    assert its == 0 and np.array_equal(x, exact)
+
+
+def test_gmres_stops_at_its_basis_cap():
+    """On the cyclic shift with b = e_0 GMRES makes no progress until the
+    Krylov space is whole (n steps): at n = 256 it stops at its 100-column
+    cap with the residual unreduced."""
+    n = 256
+    shift = np.roll(np.eye(n), 1, axis=0)
+    b = np.zeros(n)
+    b[0] = 1.0
+    x, its = conformal._gmres(shift, b)
+    assert its == conformal._KRYLOV_COLUMNS == 100
+    assert np.linalg.norm(b - shift @ x) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gmres_true_residual_just_above_rtol_is_finished():
@@ -474,13 +555,13 @@ def test_kernels_and_rescale_match_dense_cauchy_matrix():
 
 
 def test_riemann_maps_peak_memory():
-    """One Riemann-map pair holds two real n x n kernels. scipy's gmres adds
-    about 2 * 8n^2 bytes of workspace for restart=n, so the peak is about
-    4 * 8n^2; a complex n x n Cauchy matrix would add 2 * 8n^2 more. The
-    curve's mode at frequency 400 keeps the solve at all n nodes."""
+    """One Riemann-map pair holds two real n x n kernels, 2 * 8n^2 bytes, and
+    GMRES adds a basis of at most 100 columns of n; a complex n x n Cauchy
+    matrix would add 2 * 8n^2 more, and a restart = n GMRES workspace about
+    as much again. The curve's mode at frequency 400 keeps the solve at all
+    n nodes."""
     n = 1024
-    t = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-    curve = SampledCurve(np.exp(1j * t) + 1e-6 * np.exp(400j * t), closed=True)
+    curve = _high_mode_curve(n)
     assert riemann_maps(curve, n)[0].solve_nodes == n  # imports and caches outside the traced call
     tracemalloc.start()
     try:
@@ -488,7 +569,7 @@ def test_riemann_maps_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.25 * 8 * n * n
+    assert peak <= 2.5 * 8 * n * n
 
 
 @settings(max_examples=15)
