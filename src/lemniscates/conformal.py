@@ -54,7 +54,7 @@ from ._fourier import (
     trig_resample,
 )
 from .curves import NEAR_HIT, SampledCurve, is_jordan, winding_number, winding_numbers
-from .errors import PreconditionError, SolverError
+from .errors import PreconditionError, SolverError, require_count
 
 DEFAULT_NODES = 1024
 INTERIOR_MARGIN = 0.02  # reject |w| > 1 - margin in disk-side evaluation
@@ -71,8 +71,9 @@ _TAIL = 1e-13  # bound on the dropped Fourier coefficients (see the module docst
 
 def _resampled_points(gamma: SampledCurve, nodes: int) -> np.ndarray:
     """gamma resampled at `nodes` uniform parameters, after checking that
-    it is closed, positively oriented, winds once about the origin and is
-    Jordan at that resolution."""
+    `nodes` is an integer >= 3 and that gamma is closed, positively
+    oriented, winds once about the origin and is Jordan at that resolution."""
+    require_count(nodes, 3, "node count")
     if not gamma.closed:
         raise PreconditionError("conformal maps need a closed curve")
     if gamma.orientation != 1:

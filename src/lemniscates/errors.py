@@ -3,6 +3,7 @@
 PreconditionError maps to CLI exit code 2, NumericalError (and subclasses)
 to exit code 3.
 """
+from numbers import Integral
 
 
 class LemniscateError(Exception):
@@ -11,6 +12,13 @@ class LemniscateError(Exception):
 
 class PreconditionError(LemniscateError):
     """Input violates a documented precondition (bad curve, point off-domain, ...)."""
+
+
+def require_count(n, least: int, what: str):
+    """n, if it is an integer >= least (a bool is not); else PreconditionError."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < least:
+        raise PreconditionError(f"{what} must be an integer >= {least}, got {n!r}")
+    return n
 
 
 class NumericalError(LemniscateError):

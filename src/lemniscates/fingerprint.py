@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .conformal import DEFAULT_NODES, DiskMap, ExteriorMap, riemann_maps
 from .curves import NEAR_HIT, SampledCurve, is_jordan, winding_numbers
-from .errors import NumericalError, PreconditionError, TraceError
+from .errors import NumericalError, PreconditionError, TraceError, require_count
 from .levelcurves import preimage_loops
 from .polynomials import Polynomial, critical_values, require_polynomial, roots_flat
 
@@ -32,8 +31,11 @@ _SAMPLES_PER_LAP = 1024  # lap resolution of pseudo_lemniscate
 
 
 class CircleMap:
-    """Monotone lift of a degree-d circle map, interpolated by a monotone
-    (PCHIP) spline through its nodes."""
+    """Monotone lift of a degree-d circle map, interpolated through its nodes
+    by a periodic monotone cubic Hermite (PCHIP) spline. The slope at each
+    node is the weighted harmonic mean of its two secants (Fritsch & Butland
+    1984), the wrap secant closing the period; every secant is positive, so
+    the spline is strictly increasing."""
 
     def __init__(self, t_nodes, lift_nodes, degree: int = 1):
         t = np.asarray(t_nodes, dtype=float)
@@ -46,16 +48,18 @@ class CircleMap:
             raise NumericalError("lift nodes are not strictly increasing")
         self.degree = int(degree)
         total = self.degree * _TWO_PI
+        if (y[0] + total) - y[-1] <= 0:
+            raise NumericalError("lift wrap is not increasing")
         self.t_nodes = t
         self.lift_nodes = y
-        # periodic padding keeps the spline's slopes honest across the seam
-        pad = min(4, t.size)
-        te = np.concatenate([t[-pad:] - _TWO_PI, t, t[:pad] + _TWO_PI])
-        ye = np.concatenate([y[-pad:] - total, y, y[:pad] + total])
-        self._pchip = PchipInterpolator(te, ye, extrapolate=False)
-        gap_y = (y[0] + total) - y[-1]
-        if gap_y <= 0:
-            raise NumericalError("lift wrap is not increasing")
+        # interval i runs from node i to node i + 1, the last one across the seam
+        self._width = np.diff(t, append=t[0] + _TWO_PI)
+        self._secant = np.diff(y, append=y[0] + total) / self._width
+        # at each node: the widths and secants of the intervals before and after it
+        h0, h1 = np.roll(self._width, 1), self._width
+        s0, s1 = np.roll(self._secant, 1), self._secant
+        w0, w1 = 2 * h1 + h0, h1 + 2 * h0
+        self._slope = (w0 + w1) / (w0 / s0 + w1 / s1)
 
     @property
     def total_increase(self) -> float:
@@ -66,10 +70,16 @@ class CircleMap:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        base = self.t_nodes[0]
-        k = np.floor((x - base) / _TWO_PI)
+        k = np.floor((x - self.t_nodes[0]) / _TWO_PI)
         xr = x - _TWO_PI * k
-        out = self._pchip(xr) + self.total_increase * k
+        # xr can round to just below t0
+        i = np.maximum(np.searchsorted(self.t_nodes, xr, side="right") - 1, 0)
+        h, s = self._width[i], self._secant[i]
+        d0, d1 = self._slope[i], self._slope[(i + 1) % self.t_nodes.size]
+        u = (xr - self.t_nodes[i]) / h
+        # the Hermite cubic as the secant line plus its bend
+        out = self.lift_nodes[i] + h * u * (s + (1 - u) * ((d0 - s) * (1 - u) - (d1 - s) * u))
+        out += self.total_increase * k
         return float(out[0]) if scalar else out
 
     def __call__(self, x):
@@ -276,17 +286,19 @@ def identity_report(
     samples: int = 512,
     nodes: int = 1024,
 ) -> IdentityReport:
-    """Measure max over sample angles of the circle distance between
-    n*lift(k_p) and lift(k_Gamma)(lift(B)), after aligning the constant
-    2*pi*k branch offset.
+    """Measure max over `samples` uniform angles (an integer >= 1) of the
+    circle distance between n*lift(k_p) and lift(k_Gamma)(lift(B)), after
+    aligning the constant 2*pi*k branch offset.
 
-    `nodes` is the node count of the four Riemann maps and the cap of the
-    resolution they are solved at (see `conformal.riemann_maps`). The
+    `nodes`, an integer >= 3, is the node count of the four Riemann maps
+    and the cap of the resolution they are solved at (see
+    `conformal.riemann_maps`). The
     pseudo-lemniscate is traced at m = max(512, 2*nodes // n) samples per
     lap of Gamma, so its n*m samples resolve the `nodes`-point maps.
     The polynomial must have positive leading coefficient and be proper for
     the curve; the origin must lie inside both the curve and its preimage.
     """
+    require_count(samples, 1, "sample count")
     lead = require_polynomial(p).coeffs[-1]
     if abs(lead.imag) > 1e-12 * abs(lead) or lead.real <= 0:
         raise PreconditionError("polynomial must have a positive leading coefficient")

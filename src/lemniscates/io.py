@@ -74,7 +74,11 @@ def curve_to_dict(c: SampledCurve) -> dict:
 def curve_from_dict(d: dict) -> SampledCurve:
     if "points" not in d:
         raise PreconditionError('curve JSON needs a "points" field')
-    return SampledCurve(_unpairs(d["points"]), closed=bool(d.get("closed", True)))
+    closed = d.get("closed", True)
+    if not isinstance(closed, bool):
+        raise PreconditionError(
+            f'curve JSON "closed" must be true or false, got {json.dumps(closed)}')
+    return SampledCurve(_unpairs(d["points"]), closed=closed)
 
 
 def load_curve(path) -> SampledCurve:

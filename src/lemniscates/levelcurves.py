@@ -45,7 +45,7 @@ import numpy as np
 
 from ._fourier import deriv_coeffs, fourier_coeffs, trig_eval, trig_eval_deriv, trig_grid
 from .curves import SampledCurve, unit_circle, winding_numbers
-from .errors import PreconditionError, TraceError
+from .errors import PreconditionError, TraceError, require_count
 from .polynomials import (
     Polynomial,
     critical_values,
@@ -480,8 +480,7 @@ def preimage_loops(p, gamma: SampledCurve, m: int) -> list:
         raise PreconditionError("the base curve must be closed")
     if gamma.orientation != 1:
         raise PreconditionError("the base curve must be positively oriented")
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-        raise PreconditionError(f"samples per lap must be an integer >= 1, got {m!r}")
+    require_count(m, 1, "samples per lap")
     gc = fourier_coeffs(gamma.points)
     taus = (2 * np.pi / m) * np.arange(m + 1)
     w_taus = trig_grid(gc, m)

@@ -1,9 +1,14 @@
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lemniscates import fingerprint, levelcurves
+from lemniscates import conformal, fingerprint, levelcurves
 from lemniscates._fourier import fourier_coeffs, trig_eval, trig_eval_deriv
 from lemniscates.conformal import riemann_maps
 from lemniscates.curves import (
@@ -125,6 +130,91 @@ def test_nth_root_lift():
     assert shifted.lift(0.0) - root.lift(0.0) == pytest.approx(np.pi)
     with pytest.raises(PreconditionError):
         nth_root_lift(two, 3)
+
+
+def _padded_pchip_lift(m: CircleMap, x):
+    """The lift as scipy's PchipInterpolator gave it: a spline through the
+    nodes padded by 4 periodic copies on each side, reduced to one period."""
+    interpolate = pytest.importorskip("scipy.interpolate")
+    t, y, total = m.t_nodes, m.lift_nodes, m.total_increase
+    pad = min(4, t.size)
+    te = np.concatenate([t[-pad:] - 2 * np.pi, t, t[:pad] + 2 * np.pi])
+    ye = np.concatenate([y[-pad:] - total, y, y[:pad] + total])
+    spline = interpolate.PchipInterpolator(te, ye, extrapolate=False)
+    k = np.floor((x - t[0]) / (2 * np.pi))
+    return spline(x - 2 * np.pi * k) + total * k
+
+
+@pytest.fixture(scope="module")
+def pchip_cases():
+    rep = identity_report(Polynomial([-0.1, 0, 1]), ellipse(1.0, 0.6, 512), nodes=512)
+    blaschke = {d: circle_map_of_blaschke(BlaschkeProduct(z), 512) for d, z in
+                [(1, [0.5]), (2, [0.3 + 0.4j, -0.6]), (3, [0.9, -0.5j, 0.2 - 0.3j])]}
+    rng = np.random.default_rng(5)
+    widths = rng.uniform(0.2, 3.0, 40)  # the last one is the wrap
+    t = 0.7 + 2 * np.pi * np.cumsum(np.append(0.0, widths[:-1])) / widths.sum()
+    return {
+        "k_p": rep.k_p,
+        "k_gamma": rep.k_gamma,
+        **{f"blaschke degree {d}": m for d, m in blaschke.items()},
+        "nth root": nth_root_lift(blaschke[2], 2, branch=1),
+        "nonuniform from 0.7": CircleMap(t, 2 * t + 0.5 * np.sin(3 * t), degree=2),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "k_p", "k_gamma", "blaschke degree 1", "blaschke degree 2", "blaschke degree 3",
+    "nth root", "nonuniform from 0.7",
+])
+def test_circle_map_matches_scipy_pchip(pchip_cases, case):
+    """The periodic PCHIP gives the lift the padded scipy spline gave: at the
+    nodes, mid-interval, at the seam t0 and t0 + 2 pi, and three periods to
+    either side."""
+    m = pchip_cases[case]
+    t = m.t_nodes
+    period = np.append(t, t[0] + 2 * np.pi)
+    x = np.concatenate([period, (period[:-1] + period[1:]) / 2])
+    x = np.concatenate([x + 2 * np.pi * j for j in range(-3, 4)])
+    assert m.lift(t[0]) == m.lift_nodes[0]
+    assert m.lift(t[0] + 2 * np.pi) == pytest.approx(m.lift_nodes[0] + m.total_increase,
+                                                     abs=1e-13)
+    assert np.max(np.abs(m.lift(x) - _padded_pchip_lift(m, x))) <= 1e-13
+
+
+def test_runs_without_scipy():
+    """With scipy blocked the package imports and verifies an identity, and
+    no scipy module is loaded."""
+    src = str(Path(fingerprint.__file__).parents[1])
+    code = textwrap.dedent(f"""
+        import sys
+        sys.modules["scipy"] = None
+        sys.path.insert(0, {src!r})
+        import lemniscates
+        from lemniscates.curves import unit_circle
+        from lemniscates.fingerprint import identity_report
+        from lemniscates.polynomials import Polynomial
+        rep = identity_report(Polynomial([-0.1, 0, 1]), unit_circle(512), nodes=1024)
+        loaded = [m for m in sys.modules if m.startswith("scipy") and sys.modules[m]]
+        assert not loaded, loaded
+        print(rep.residual)
+    """)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert float(r.stdout) <= 1e-4
+
+
+@pytest.mark.parametrize("call, bad", [
+    *((call, bad) for call in ("interior_map", "exterior_map", "riemann_maps")
+      for bad in (0, -4, 2, True, 64.0)),
+    *(("identity_report", bad) for bad in (0, -3, 2.5, True)),
+])
+def test_size_arguments_are_checked(call, bad):
+    gamma = unit_circle(64)
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        if call == "identity_report":
+            identity_report(Polynomial([-0.1, 0, 1]), gamma, samples=bad)
+        else:
+            getattr(conformal, call)(gamma, nodes=bad)
 
 
 def test_fingerprint_of_circle_is_identity():

@@ -433,6 +433,22 @@ def test_cli_properness_open_curve_exits_2(files, capsys):
         "error": "PreconditionError", "message": "the base curve must be closed"}
 
 
+@pytest.mark.parametrize("closed", ["false", "no", 0, None])
+def test_cli_curve_closed_flag_must_be_a_boolean(files, capsys, closed):
+    """A closed flag that is not a JSON boolean exits 2 instead of reading as
+    closed; a curve without the flag is closed."""
+    square = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+    (files / "sq.json").write_text(json.dumps({"closed": closed, "points": square}))
+    assert run_cli("properness", str(files / "p2.json"), str(files / "sq.json"),
+                   outdir=files) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "PreconditionError",
+        "message": f'curve JSON "closed" must be true or false, got {json.dumps(closed)}'}
+    assert lio.curve_from_dict({"points": square}).closed
+
+
 def test_cli_properness_pinned_improper_pair(files, capsys, criterion6_poly):
     path = files / "pinned.json"
     lio.save_polynomial(criterion6_poly(20, 47), path)
