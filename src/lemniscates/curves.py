@@ -28,6 +28,10 @@ _MAX_REFINE_ROUNDS = 40
 _PAIR_BLOCK = 8192
 # overlapping pairs per segment along x past which is_jordan also counts y
 _SWEEP_PAIRS = 64
+# the largest modulus of a curve point: coordinate differences stay below
+# 2 * _MAX_MODULUS, so the kernels' products of two are at most max / 4, and
+# the sums of two such products finite
+_MAX_MODULUS = float(np.sqrt(np.finfo(float).max)) / 4
 
 
 class SampledCurve:
@@ -41,6 +45,8 @@ class SampledCurve:
             raise PreconditionError("curve points must be a 1-d sequence")
         if not np.all(np.isfinite(pts)):
             raise PreconditionError("curve points must be finite")
+        if np.any(np.abs(pts) > _MAX_MODULUS):
+            raise PreconditionError(f"curve points must have modulus at most {_MAX_MODULUS:.3g}")
         if closed and pts.size >= 2 and abs(pts[-1] - pts[0]) == 0.0:
             pts = pts[:-1]  # drop duplicated closing point
         minimum = 3 if closed else 2
@@ -230,7 +236,8 @@ def _segment_pair_too_close(p1, p2, q1, q2, tol):
     c2 = np.imag(np.conj(d1) * (q2 - p1))
     c3 = np.imag(np.conj(d2) * (p1 - q1))
     c4 = np.imag(np.conj(d2) * (p2 - q1))
-    crossing = (c1 * c2 < 0) & (c3 * c4 < 0)
+    # the signs' products: the cross products' own can overflow
+    crossing = (np.sign(c1) * np.sign(c2) < 0) & (np.sign(c3) * np.sign(c4) < 0)
 
     def pt_seg(pt, a, b):
         ab = b - a

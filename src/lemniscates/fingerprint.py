@@ -218,11 +218,10 @@ def is_proper_oracle(p: Polynomial, gamma: SampledCurve) -> bool:
     `preimage_loops` finds a single component.
 
     The answer is a loop count, exact once each lap lands on a unique root;
-    the laps are lifted at ORACLE_STEPS_PER_LAP grid steps. On a lap grid
-    too coarse for a crowded preimage a lap can still jump to another
-    branch; only the check that the lap ends permute the roots catches it,
-    and it raises TraceError. Gamma must be a closed, positively oriented
-    Jordan polygon."""
+    the laps are lifted at ORACLE_STEPS_PER_LAP grid steps, every step
+    certified to stay on its branch (`levelcurves.lift_path`). The check
+    that the lap ends permute the roots stays as a guard and raises
+    TraceError. Gamma must be a closed, positively oriented Jordan polygon."""
     if not is_jordan(gamma):
         raise PreconditionError("the base curve must be a Jordan curve")
     return len(preimage_loops(p, gamma, ORACLE_STEPS_PER_LAP)) == 1

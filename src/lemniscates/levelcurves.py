@@ -4,30 +4,30 @@ a `Polynomial` and refuses anything else with PreconditionError.
 
 `lift_path` is the one continuation kernel, predictor-corrector
 continuation (Allgower & Georg, Introduction to Numerical Continuation
-Methods, ch. 2) on two levels. Its scalar stepper predicts each step by the
-two-step (Adams-Bashforth) rule from the slopes z' = w'(s) / f'(z) of the
-last two samples and corrects it by Newton onto the exact target w(s_j),
-halving the step into Euler substeps when the corrector does not contract or
-the step jumps branches. It crosses only every _COARSE-th grid node, where
-its O(h^3) prediction error leaves one Newton update and one confirming
-evaluation per step at the coarse goal. Cubic Hermite interpolation of those
-samples and slopes predicts every grid sample, and one vectorized Newton pass
-corrects all of them to rounding level: the next update is at rounding level
-or, as the scalar corrector also accepts, the residual is at Horner rounding
-level. Each corrected step is certified: the two-step prediction from the
-sample before it passes Smale's alpha test (Blum, Cucker, Shub & Smale,
-Complexity and Real Computation, ch. 8) and lies within 2 beta of the sample,
-which is therefore the root Newton reaches from the scalar stepper's own
-prediction; the step also keeps the branch bound and the critical floor.
-Each path, whatever its length, is lifted whole on one route: on the two
-levels when the coarse pass reaches the end and every fine step is
-certified, else by the scalar stepper on the whole grid from its projected
-start, so a TraceError keeps its message and the samples before it. Level
-arcs lift eps*exp(i s) on a uniform grid in s = arg f, gradient arcs
-exp(s + i alpha) on a uniform grid in s = log|f|.
-Every sample lands on its exact target to a relative residual of
-NEWTON_TOL = 1e-12 or better, so a level arc's argument lift is its grid and
-|f| = eps holds to that residual.
+Methods, ch. 2) on two levels, every returned step certified to stay on its
+branch of f^{-1}. First each step w_j -> w_{j+1} of the path is halved until
+rho_j = |w_{j+1} - w_j| / dist(w_j, CV) <= 3 - 2 sqrt 2, CV the finite
+critical values of f. The branch g of f^{-1} through z_j is then one-to-one
+on the disc of radius dist(w_j, CV) about w_j: by the growth theorem
+g(w_{j+1}) lies within |w_{j+1} - w_j| / (|f'(z_j)| (1 - rho_j)^2) of z_j,
+and by Koebe's 1/4 theorem that ball lies in the sheet g(disc), on which f
+is one-to-one (Duren, Univalent Functions, 1983, ch. 2), so a preimage of
+w_{j+1} in the ball is g(w_{j+1}). A scalar stepper crosses every _COARSE-th
+node: it predicts each step by the two-step (Adams-Bashforth) rule from the
+slopes z' = w'(s) / f'(z) of the last two samples and corrects it by Newton
+onto w(s_j), halving the step into Euler substeps when the corrector does
+not contract or the step jumps branches. Cubic Hermite interpolation of
+those samples and slopes predicts every sample, and one vectorized Newton
+pass corrects all of them to rounding level (the next update is at rounding
+level or the residual at Horner rounding level) and checks each step
+against that distance bound and the critical floor. A step that no halving
+makes short enough (a critical value on the path), a coarse step the
+stepper cannot take or a step that fails its check raises TraceError with
+the samples before it; there is no second route. Level arcs lift
+eps*exp(i s) on a uniform grid in s = arg f, gradient arcs exp(s + i alpha)
+on a uniform grid in s = log|f|. Every sample lands on its exact target to a
+relative residual of NEWTON_TOL = 1e-12 or better, so a level arc's argument
+lift is its grid and |f| = eps holds to that residual.
 
 `preimage_loops` is the one closed-curve tracer: it lifts one lap of a closed
 curve Gamma through p^{-1} from every root of p - Gamma(0), and each cycle of
@@ -58,12 +58,13 @@ DEFAULT_STEP = 0.01          # radians of arg (level) / log-modulus (gradient)
 NEWTON_TOL = 1e-12           # corrector goal: |f(z) - w| <= NEWTON_TOL * |w|
 LEVEL_INVARIANT_TOL = 1e-8   # contract: max | |f|-eps | / eps on level arcs
 CRITICAL_FIELD_TOL = 1e-10   # |f'| below this scale aborts a trace
-BRANCH_JUMP_FACTOR = 2.0     # kappa: a step may move at most kappa*|dw|/|f'|
+BRANCH_JUMP_FACTOR = 2.0     # kappa: a coarse step may move at most kappa*|dw|/|f'|
 _CORRECTOR_ITERS = 8         # Newton iterations per substep before halving
 _MAX_HALVINGS = 12           # smallest substep is 2^-12 of a grid step
 _COARSE = 8                  # C: grid steps per step of the coarse pass
 _COARSE_TOL = 1e-7           # coarse corrector goal; the fine pass polishes every sample
-_ALPHA_BOUND = 0.1           # Smale's alpha test that certifies each fine step
+_SHEET = 3 - 2 * 2 ** 0.5    # the longest certified step, as a share of dist(w, CV)
+_MAX_REFINEMENTS = 40        # halvings of the steps longer than that
 _ROUNDING = 1e-14            # an update below _ROUNDING * (1 + |z|) is rounding
 _EPS = np.finfo(float).eps
 
@@ -148,19 +149,14 @@ def _newton(fd, z, w, tol, iters, p):
                      samples=trail)
 
 
-def _taylor(nc, z, order):
-    """The Taylor coefficients f^(k)(z)/k!, k < order, of the polynomial with
-    coefficients nc (leading first) at every point of the array z, by
-    repeated synthetic division by (x - z)."""
-    out = []
-    for _ in range(order):
-        acc, quotient = nc[0], []
-        for c in nc[1:]:
-            quotient.append(acc)
-            acc = acc * z + c
-        out.append(acc if isinstance(acc, np.ndarray) else np.full(np.shape(z), acc))
-        nc = quotient
-    return out
+def _horner(nc, z):
+    """f(z) and f'(z) at every point of the array z for the polynomial with
+    coefficients nc (leading first), by one Horner pass."""
+    v, dv = np.full(np.shape(z), nc[0]), np.zeros(np.shape(z), dtype=complex)
+    for c in nc[1:]:
+        dv = dv * z + v
+        v = v * z + c
+    return v, dv
 
 
 def _polish(nc, z, w):
@@ -168,11 +164,11 @@ def _polish(nc, z, w):
     update, then on until every next update is at rounding level or
     _CORRECTOR_ITERS updates are spent. Returns (z, f(z), f'(z), done), done
     marking the points whose next update is at rounding level."""
-    fv, dv = _taylor(nc, z, 2)
+    fv, dv = _horner(nc, z)
     dz = (fv - w) / dv
     for _ in range(_CORRECTOR_ITERS):
         z = z - dz
-        fv, dv = _taylor(nc, z, 2)
+        fv, dv = _horner(nc, z)
         dz = (fv - w) / dv
         done = np.abs(dz) <= _ROUNDING * (1.0 + np.abs(z))
         if done.all():
@@ -187,49 +183,53 @@ def _bend(s):
     return np.append(0.0, 0.5 * hs[1:] / np.where(hs[:-1] == 0, np.inf, hs[:-1]))
 
 
-def _alpha_certified(nc, z, dv, s, w, dw):
-    """Whether each step j -> j+1 of the corrected samples z (f' = dv) at the
-    nodes s lands on the root that Newton onto w[j+1] reaches from the
-    two-step prediction zh made at z[j]: Smale's alpha = beta*gamma <
-    _ALPHA_BOUND at zh, with beta = |f(zh) - w[j+1]| / |f'(zh)| and gamma =
-    max_k |f^(k)(zh) / (k! f'(zh))|^(1/(k-1)), and |z[j+1] - zh| <= 2 beta
-    (Blum, Cucker, Shub and Smale, Complexity and Real Computation, ch. 8)."""
-    slope = dw / dv
-    back = np.concatenate((slope[:1], slope[:-2]))  # slope[j-1]; bend[0] = 0
-    zh = z[:-1] + np.diff(s) * (slope[:-1] + _bend(s) * (slope[:-1] - back))
-    taylor = _taylor(nc, zh, len(nc))
-    beta = np.abs(taylor[0] - w[1:]) / np.abs(taylor[1])
-    gamma = np.zeros(beta.shape)
-    for k, a in enumerate(taylor[2:], start=2):
-        gamma = np.maximum(gamma, np.abs(a / taylor[1]) ** (1.0 / (k - 1)))
-    near = np.abs(z[1:] - zh) <= 2.0 * beta + _ROUNDING * (1.0 + np.abs(zh))
-    return (beta * gamma < _ALPHA_BOUND) & near
+def _refined(f, w, dw, s, w_s, dw_s):
+    """Halve each step of the path w over the nodes s whose rho_j =
+    |w_{j+1} - w_j| / dist(w_j, CV) is not <= _SHEET, w and dw evaluated at
+    the midpoints, until none is or _MAX_REFINEMENTS rounds are spent.
+    Returns the nodes, w and dw there, each step's rho, and s's nodes' mask."""
+    cv = np.array(critical_values(f) if f.degree > 1 else [], dtype=complex)
+    node = np.ones(s.size, dtype=bool)
+    for depth in range(_MAX_REFINEMENTS + 1):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dist = np.min(np.abs(w_s[:-1, None] - cv), axis=1, initial=np.inf)
+            rho = np.abs(np.diff(w_s)) / dist
+        long = np.flatnonzero(~(rho <= _SHEET)) + 1
+        if long.size == 0 or depth == _MAX_REFINEMENTS:
+            return s, w_s, dw_s, rho, node
+        mid = 0.5 * (s[long - 1] + s[long])
+        s, node = np.insert(s, long, mid), np.insert(node, long, False)
+        w_s = np.insert(w_s, long, np.asarray(w(mid), dtype=complex))
+        dw_s = np.insert(dw_s, long, np.asarray(dw(mid), dtype=complex))
 
 
-def _fine_pass(f, nc, guess, s, w, dw):
-    """Correct the predicted samples at the nodes s of the path w (slope dw)
-    by one vectorized Newton pass, then check each: its update ended at
-    rounding level or, as _newton accepts, its residual is at Horner rounding
-    level, |f'| is above the critical floor, and the step onto it keeps the
-    branch bound and is alpha-certified. Returns the samples and values when
-    every one passes, else None."""
+def _hermite(t, nodes):
+    """(J, h00, h10, h01, h11): node i of t[:nodes[-1] + 1] lies on the
+    coarse interval J[i] between nodes, a coarse node on the one it ends, at
+    the fraction u of it; the h are the cubic Hermite weights there of that
+    interval's end samples and end slopes (u = 0 on a one-node path)."""
+    t = t[:nodes[-1] + 1]
+    J = np.clip((np.arange(t.size) - 1) // _COARSE, 0, nodes.size - 2)
+    span = t[nodes[J + 1]] - t[nodes[J]]
+    u = np.divide(t - t[nodes[J]], span, out=np.zeros(t.size), where=span != 0)
+    return (J, (1 + 2 * u) * (1 - u) ** 2, u * (1 - u) ** 2 * span,
+            u ** 2 * (3 - 2 * u), u ** 2 * (u - 1) * span)
+
+
+def _fine_pass(f, nc, guess, w, rho):
+    """Correct the predicted samples of the path w by one vectorized Newton
+    pass, then check each: its update ended at rounding level or, as _newton
+    accepts, its residual is at Horner rounding level, |f'| is above the
+    critical floor, and the step onto it moves at most
+    |w_{j+1} - w_j| / (|f'(z_j)| (1 - rho_j)^2). Returns (z, f(z), passed)."""
     with np.errstate(all="ignore"):  # a non-finite sample fails its checks
         z, fv, dv, ok = _polish(nc, guess, w)
         ok |= np.abs(fv - w) <= 4 * f.degree * _EPS * f.eval_scale(z)
         # 1 + sum |k c_k| |z|^(k-1), as in _scalar_kernels
         ok &= np.abs(dv) >= CRITICAL_FIELD_TOL * (f.derivative().eval_scale(z) + 1.0)
-        ok[1:] &= np.abs(np.diff(z)) <= BRANCH_JUMP_FACTOR * np.abs(np.diff(w)) / np.abs(dv[:-1])
-        ok[1:] &= _alpha_certified(nc, z, dv, s, w, dw)
-    return (z, fv) if ok.all() else None
-
-
-def _scalar_grid(s, ws, dws):
-    """The scalar stepper's grid: its nodes, dw at the nodes, and per step
-    (h_j, bend_j, w_j, w_{j+1}, dw_{j+1}), all as plain Python scalars, which
-    keep the per-step arithmetic cheap."""
-    ws, dws = ws.tolist(), dws.tolist()
-    return s.tolist(), dws, list(zip(np.diff(s).tolist(), _bend(s).tolist(),
-                                     ws[:-1], ws[1:], dws[1:]))
+        bound = np.abs(np.diff(w)) / (np.abs(dv[:-1]) * (1.0 - rho) ** 2)
+        ok[1:] &= np.abs(np.diff(z)) <= bound + _ROUNDING * (1.0 + np.abs(z[1:]))
+    return z, fv, ok
 
 
 def lift_path(f, w, dw, z0, s):
@@ -239,115 +239,112 @@ def lift_path(f, w, dw, z0, s):
     derivative, evaluated once on s and shared when z0 is an array of starts.
     Each start is first Newton-projected onto w(s[0]).
 
-    The scalar stepper predicts each step h_j = s_{j+1} - s_j from the slopes
-    z'_j = dw(s_j)/f'(z_j) of the accepted samples by the two-step
-    (Adams-Bashforth) rule z_j + h_j*(z'_j + (h_j/h_{j-1})*(z'_j - z'_{j-1})/2),
-    an Euler step z_j + h_j*z'_j on the first step, and corrects it by Newton
-    onto w(s_{j+1}); the f' of the accepted corrector is the next slope's.
-    A step whose corrector fails to contract, or that moves
+    Every step whose ratio rho to its distance to the critical values is
+    not at most _SHEET is halved, w and dw evaluated at the midpoint, until
+    none is; these internal nodes are never returned. The scalar stepper
+    crosses every _COARSE-th node (and the last) to the corrector goal
+    _COARSE_TOL. It predicts each step h_j from the slopes z'_j =
+    dw(s_j)/f'(z_j) of the accepted samples by the two-step rule
+    z_j + h_j*(z'_j + (h_j/h_{j-1})*(z'_j - z'_{j-1})/2), an Euler step on
+    the first step, and corrects it by Newton onto w(s_{j+1}). A step whose
+    corrector fails to contract, or that moves
     |dz| > BRANCH_JUMP_FACTOR*|dw|/|f'| (a jump to another branch), is
     halved into Euler substeps, as is one that meets a critical point, down
-    to 2^-_MAX_HALVINGS of the step; halved substeps stay internal.
+    to 2^-_MAX_HALVINGS of the step. Cubic Hermite interpolation of these
+    samples and their slopes predicts every sample, and `_fine_pass`
+    corrects all of them and certifies each step.
 
-    Each path is lifted whole, in one of two ways. The two-level lift: the
-    scalar stepper crosses every _COARSE-th node (and the last) to the
-    corrector goal _COARSE_TOL; cubic Hermite interpolation of these samples
-    and their slopes predicts every grid sample, and `_fine_pass` corrects
-    all of them, the coarse ones included, to rounding level and certifies
-    each step. When the coarse pass stops short of the end or a step is not
-    certified, the scalar stepper lifts the whole path on the grid instead,
-    from the projected start.
-
-    Returns (samples, f(samples)), of shape z0.shape + s.shape; raises
-    TraceError when a start projection fails or a substep of the scalar
-    stepper on the grid is still rejected after the last halving, carrying
-    the samples before it.
+    Returns (samples, f(samples)), of shape z0.shape + s.shape. Raises
+    TraceError when a start projection fails, or, naming the node of s it
+    did not reach and carrying the samples at the nodes before it, when a
+    step is still too long after _MAX_REFINEMENTS halvings (a critical value
+    on the path, or a start on one), a coarse step is still rejected after
+    the last halving, or a sample fails its certificate.
     """
     fd = _scalar_kernels(f)
     nc = [complex(c) for c in f.coeffs][::-1]
     s = np.asarray(s, dtype=float)
-    iters, kappa = _CORRECTOR_ITERS, BRANCH_JUMP_FACTOR
-    w_s = np.asarray(w(s), dtype=complex)
-    dw_s = np.asarray(dw(s), dtype=complex)
+    t, w_t, dw_t, rho, node = _refined(f, w, dw, s, np.asarray(w(s), dtype=complex),
+                                       np.asarray(dw(s), dtype=complex))
+    stuck = np.flatnonzero(~(rho <= _SHEET))
+    end, refused = t.size, None
+    if stuck.size:  # lift up to the step no halving certified
+        end = stuck[0] + 1
+        refused = (f"step from w = {w_t[stuck[0]]:.6g} to {w_t[end]:.6g} is too long for "
+                   f"its distance to the critical values after {_MAX_REFINEMENTS} halvings")
+    nodes = np.append(np.arange(0, end - 1, _COARSE), end - 1)
+    weights = _hermite(t, nodes)
+    # the coarse steps (h_j, bend_j, w_j, w_{j+1}, dw_{j+1}) as plain Python
+    # scalars, which keep the per-step arithmetic cheap
+    ts, ws, dws = t[nodes].tolist(), w_t[nodes].tolist(), dw_t[nodes].tolist()
+    steps = list(zip(np.diff(t[nodes]).tolist(), _bend(t[nodes]).tolist(),
+                     ws[:-1], ws[1:], dws[1:]))
 
-    def correct(z, dv, guess, w0, w1, tol):
+    def correct(z, dv, guess, w0, w1):
         """Newton from guess onto w1; a step from z must stay on its branch."""
-        z1, f1, d1 = _newton(fd, guess, w1, tol, iters, f)
-        if abs(z1 - z) > kappa * abs(w1 - w0) / abs(dv):
+        z1, f1, d1 = _newton(fd, guess, w1, _COARSE_TOL, _CORRECTOR_ITERS, f)
+        if abs(z1 - z) > BRANCH_JUMP_FACTOR * abs(w1 - w0) / abs(dv):
             raise TraceError(f"step from {z:.6g} jumped to another branch at {z1:.6g}")
         return z1, f1, d1
 
-    def halve(z, dv, t0, w0, dw0, t1, w1, depth, tol):
+    def halve(z, dv, t0, w0, dw0, t1, w1, depth):
         """Cross [t0, t1] in two Euler substeps of 2^-depth of a step,
         halving a rejected one again."""
         tm = 0.5 * (t0 + t1)
         wm, dwm = complex(w(np.array([tm]))[0]), complex(dw(np.array([tm]))[0])
         for ta, wa, dwa, tb, wb in ((t0, w0, dw0, tm, wm), (tm, wm, dwm, t1, w1)):
             try:
-                z, fv, dv1 = correct(z, dv, z + dwa * (tb - ta) / dv, wa, wb, tol)
+                z, fv, dv1 = correct(z, dv, z + dwa * (tb - ta) / dv, wa, wb)
             except TraceError:
                 if depth == _MAX_HALVINGS:
                     raise
-                z, fv, dv1 = halve(z, dv, ta, wa, dwa, tb, wb, depth + 1, tol)
+                z, fv, dv1 = halve(z, dv, ta, wa, dwa, tb, wb, depth + 1)
             dv = dv1
         return z, fv, dv
 
-    def walk(grid, z, fv, dv, tol):
-        """The scalar stepper over grid = (nodes, dw at the nodes, steps) from
-        the sample z at the first node; returns the samples and values."""
-        ts, dws, steps = grid
-        zs, fs = [z], [fv]
+    def walk(z, dv):
+        """The scalar stepper over the coarse nodes from the sample z at the
+        first; returns the samples, or raises TraceError carrying those
+        before the node it could not reach."""
+        zs = [z]
         slope = prev = dws[0] / dv
         for i, (h, b, w0, w1, dw1) in enumerate(steps, start=1):
             try:
-                z1, fv, dv1 = correct(z, dv, z + h * (slope + b * (slope - prev)), w0, w1, tol)
+                z1, _, dv1 = correct(z, dv, z + h * (slope + b * (slope - prev)), w0, w1)
             except TraceError:
                 try:
-                    z1, fv, dv1 = halve(z, dv, ts[i - 1], w0, dws[i - 1], ts[i], w1, 1, tol)
+                    z1, _, dv1 = halve(z, dv, ts[i - 1], w0, dws[i - 1], ts[i], w1, 1)
                 except TraceError as err:
-                    raise TraceError(f"{err} (lifting s = {ts[i]:.6g})",
-                                     samples=np.array(zs)) from None
+                    raise TraceError(str(err), samples=zs) from None
             z, dv, prev, slope = z1, dv1, slope, dw1 / dv1
             zs.append(z)
-            fs.append(fv)
-        return zs, fs
+        return zs
 
-    n = s.size - 1
-    nodes = np.append(np.arange(0, n, _COARSE), n)
-    coarse = _scalar_grid(s[nodes], w_s[nodes], dw_s[nodes])
-    # grid node i lies on the coarse interval J[i], a coarse node on the one
-    # it ends, at the fraction u of it: the cubic Hermite weights of that
-    # interval's end samples and end slopes
-    J = np.clip((np.arange(n + 1) - 1) // _COARSE, 0, nodes.size - 2)
-    span = s[nodes[J + 1]] - s[nodes[J]]
-    with np.errstate(invalid="ignore"):  # a one-node path has no interval: NaN
-        u = (s - s[nodes[J]]) / span
-    h00, h10, h01, h11 = ((1 + 2 * u) * (1 - u) ** 2, u * (1 - u) ** 2 * span,
-                          u ** 2 * (3 - 2 * u), u ** 2 * (u - 1) * span)
-
-    def two_level(z, fv, dv):
-        """The coarse pass from the projected start z, then `_fine_pass` on
-        the grid; None when either stops short of the end."""
-        try:
-            zc = np.asarray(walk(coarse, z, fv, dv, _COARSE_TOL)[0])
-        except TraceError:
-            return None
-        with np.errstate(all="ignore"):  # _fine_pass refuses a non-finite guess
-            mc = dw_s[nodes] / _taylor(nc, zc, 2)[1]
-            guess = h00 * zc[J] + h10 * mc[J] + h01 * zc[J + 1] + h11 * mc[J + 1]
-        return _fine_pass(f, nc, guess, s, w_s, dw_s)
-
-    fine = None
     starts = np.asarray(z0, dtype=complex)
     samples = np.empty(starts.shape + s.shape, dtype=complex)
     values = np.empty(starts.shape + s.shape, dtype=complex)
     for k in np.ndindex(starts.shape):
-        z, fv, dv = _newton(fd, complex(starts[k]), complex(w_s[0]), NEWTON_TOL, iters, f)
-        lifted = two_level(z, fv, dv)
-        if lifted is None:  # the scalar stepper on the grid
-            fine = fine or _scalar_grid(s, w_s, dw_s)
-            lifted = walk(fine, z, fv, dv, NEWTON_TOL)
-        samples[k], values[k] = lifted
+        z, _, dv = _newton(fd, complex(starts[k]), complex(w_t[0]), NEWTON_TOL,
+                           _CORRECTOR_ITERS, f)
+        lifted, (J, h00, h10, h01, h11), why = nodes, weights, refused
+        try:
+            zc = np.asarray(walk(z, dv))
+        except TraceError as err:  # lift up to the coarse node it reached
+            zc, why = np.asarray(err.samples), str(err)
+            lifted = nodes[:zc.size]
+            J, h00, h10, h01, h11 = _hermite(t, lifted)
+        with np.errstate(all="ignore"):  # _fine_pass refuses a non-finite guess
+            mc = dw_t[lifted] / _horner(nc, zc)[1]
+            guess = h00 * zc[J] + h10 * mc[J] + h01 * zc[J + 1] + h11 * mc[J + 1]
+        m = lifted[-1] + 1
+        zt, ft, ok = _fine_pass(f, nc, guess, w_t[:m], rho[:m - 1])
+        if not ok.all():
+            m = int(np.argmin(ok))
+            why = f"sample {zt[m]:.6g} is not certified on its branch"
+        if why is not None:
+            at = m + int(np.argmax(node[m:]))  # the node of s not reached
+            raise TraceError(f"{why} (lifting s = {t[at]:.6g})", samples=zt[:m][node[:m]])
+        samples[k], values[k] = zt[node], ft[node]
     return samples, values
 
 

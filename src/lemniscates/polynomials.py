@@ -20,7 +20,8 @@ MAX_DEGREE = 64
 class Polynomial:
     """Dense complex polynomial; ``coeffs[k]`` multiplies ``z**k``."""
 
-    __slots__ = ("coeffs",)
+    # _critical_values: the tuple the first `critical_values` call finds
+    __slots__ = ("coeffs", "_critical_values")
 
     def __init__(self, coeffs):
         c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
@@ -35,6 +36,7 @@ class Polynomial:
                 f"degree {c.size - 1} exceeds supported maximum {MAX_DEGREE}"
             )
         self.coeffs = c
+        self._critical_values = None
 
     @classmethod
     def from_roots(cls, roots, leading=1.0):
@@ -275,8 +277,11 @@ def critical_points(p: Polynomial):
 
 
 def critical_values(p: Polynomial):
-    """p evaluated at each finite critical point, with multiplicity."""
-    return [complex(p(z)) for z in critical_points(p)]
+    """p evaluated at each finite critical point, with multiplicity: a new
+    list per call, from the values found on the first call for this p."""
+    if p._critical_values is None:
+        p._critical_values = tuple(complex(p(z)) for z in critical_points(p))
+    return list(p._critical_values)
 
 
 def normalize_leading(p: Polynomial):

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lemniscates.curves import (
+    _MAX_MODULUS,
     SampledCurve,
     _segment_pair_too_close,
     count_preimages,
@@ -514,3 +515,20 @@ def test_curve_validation():
         SampledCurve([1.0, 1.0, 2.0], closed=True)  # repeated consecutive point
     with pytest.raises(PreconditionError):
         SampledCurve([np.nan + 0j, 1.0, 2.0], closed=True)
+
+
+def test_curve_points_stay_in_the_kernels_range():
+    """Curves up to _MAX_MODULUS = sqrt(max float) / 4 are accepted, and the
+    winding and Jordan kernels run on them without overflow; a point beyond
+    it is refused when the curve is built."""
+    r = _MAX_MODULUS * (1 - 1e-15)  # rounding of r e^{i t} stays below the bound
+    for pts in [r * np.exp(2j * np.pi * np.arange(64) / 64), r * np.array([1, -1, 1j, -1j])]:
+        with np.errstate(all="raise"):
+            curve = SampledCurve(pts)
+            winding_numbers(curve.points, [0, 0.5 * r, -r, 1j * r])
+            is_jordan(curve)
+            is_jordan(SampledCurve(pts, closed=False))
+    assert len(SampledCurve([1e150, 1j, -1, -1j])) == 4
+    for big in [np.nextafter(_MAX_MODULUS, np.inf), 1e200j, -1e308]:
+        with pytest.raises(PreconditionError, match="modulus at most"):
+            SampledCurve([big, 1j, -1, -1j])

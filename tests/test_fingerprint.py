@@ -370,6 +370,17 @@ def test_oracle_lap_grid_resolves_two_crowded_quartics(criterion6_poly):
     assert is_proper(proper, circle) is is_proper_oracle(proper, circle) is True
 
 
+@pytest.mark.parametrize("seed, index", [(3, 48), (11, 10)])
+def test_certified_laps_stay_on_their_branch_at_64_steps(criterion6_poly, seed, index):
+    """The two quartics above, whose laps at 64 steps per lap jumped to
+    another branch (lap ends [3, 1, 3, 0] and [3, 3, 0, 2]): with each step
+    certified against the critical values the lap ends permute the roots,
+    and the loop count agrees with the critical-value test."""
+    circle = unit_circle(512)
+    p = criterion6_poly(seed, index)
+    assert (len(preimage_loops(p, circle, 64)) == 1) is is_proper(p, circle)
+
+
 def test_pseudo_lemniscate_samples_resolve_at_1024():
     """A quadratic over the ellipse whose pseudo-lemniscate (traced at the
     m = 2048 that identity_report takes at 2048 nodes) both maps resolve at

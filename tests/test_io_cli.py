@@ -614,6 +614,23 @@ def test_runconfig_validation(tmp_path):
     assert loaded.grid_mod_max == 8.0 and isinstance(loaded.grid_mod_max, float)
 
 
+@pytest.mark.parametrize("x", [1e200, 1e308])
+def test_cli_refuses_a_curve_vertex_beyond_the_kernels_range(files, capsys, x):
+    """A base curve with one vertex at (x, 0), where products of coordinate
+    differences overflow, is refused when it is read: exit 2 with one JSON
+    record and no numpy warning."""
+    points = np.exp(2j * np.pi * np.arange(64) / 64)
+    points[16] = x
+    (files / "big.json").write_text(json.dumps({"points": [[z.real, z.imag] for z in points]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("properness", str(files / "p2.json"), str(files / "big.json"),
+                       outdir=files)
+    err = capsys.readouterr().err
+    assert code == 2 and not caught and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "PreconditionError"
+
+
 def test_cli_entrypoint_subprocess(files):
     r = subprocess.run(
         [sys.executable, "-m", "lemniscates.cli", "--outdir", str(files),

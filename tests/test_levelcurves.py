@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from lemniscates.counterexample import (
 from lemniscates.curves import (
     SampledCurve,
     count_preimages,
+    ellipse,
     unit_circle,
     winding_number,
     winding_numbers,
@@ -470,9 +472,9 @@ def _fine_pass_log(monkeypatch):
     log = []
     fine_pass = levelcurves._fine_pass
 
-    def logged(f, nc, guess, *grid):
-        out = fine_pass(f, nc, guess, *grid)
-        log.append((guess.size, out is not None))
+    def logged(f, nc, guess, *path):
+        out = fine_pass(f, nc, guess, *path)
+        log.append((guess.size, bool(out[2].all())))
         return out
 
     monkeypatch.setattr(levelcurves, "_fine_pass", logged)
@@ -485,24 +487,25 @@ def _line(offset):
             np.linspace(1.0, -1.0, 100))
 
 
-def test_lift_path_falls_back_where_the_certificate_fails(monkeypatch):
-    """Lifting s + 0.01i through z^2 passes 0.1 from the critical point 0,
-    where the two-step prediction fails the alpha test: the vectorized pass
-    refuses the path, and the scalar stepper lifts all of it on the grid, as
-    the Euler oracle does."""
+def test_lift_path_refines_the_steps_too_long_for_their_critical_distance(monkeypatch):
+    """Lifting s + 0.01i through z^2 passes 0.01 from the critical value 0,
+    where grid steps of 0.0202 are longer than 3 - 2 sqrt 2 of their distance
+    to it: they are halved until none is, and one certified vectorized pass
+    over the refined nodes lifts the path, as the Euler oracle does on the
+    grid."""
     log = _fine_pass_log(monkeypatch)
     sq = Polynomial([0, 0, 1])
     w, dw, s = _line(0.01j)
     got = lift_path(sq, w, dw, 1.0, s)[0]
-    assert log == [(s.size, False)]
+    assert len(log) == 1 and log[0][0] > s.size and log[0][1]
     _assert_same_lift(sq, got, _euler_lift_path(sq, w, dw, 1.0, s)[0])
 
 
 def test_lift_path_fallback_error_carries_the_samples_before_it(monkeypatch):
-    """Lifting s through z^2 meets the critical value 0: the coarse pass
-    stops there, so the vectorized pass is never reached, and the scalar
-    stepper's TraceError names the grid node and carries every sample before
-    it, as the Euler oracle's does."""
+    """Lifting s through z^2 meets the critical value 0: no halving makes the
+    step onto it short enough, so the nodes before it are lifted in one
+    certified vectorized pass, and the TraceError names the grid node and
+    carries every sample before it, as the Euler oracle's does."""
     log = _fine_pass_log(monkeypatch)
     sq = Polynomial([0, 0, 1])
     w, dw, s = _line(0j)
@@ -512,7 +515,7 @@ def test_lift_path_fallback_error_carries_the_samples_before_it(monkeypatch):
             lift(sq, w, dw, 1.0, s)
         errors.append(err.value)
     got, oracle = errors
-    assert log == []
+    assert len(log) == 1 and log[0][1]
     assert len(got.samples) == len(oracle.samples) == s.size // 2
     assert str(got).split("(lifting")[1] == str(oracle).split("(lifting")[1]
     _assert_same_lift(sq, np.asarray(got.samples), np.asarray(oracle.samples))
@@ -538,6 +541,92 @@ def test_lift_path_short_paths_take_the_two_level_route(monkeypatch):
         _assert_same_lift(F4, lift_path(F4, w, dw, v5, s)[0],
                           _euler_lift_path(F4, w, dw, v5, s)[0])
     assert log == [(11, True), (6, True)]
+
+
+def test_lift_path_raises_a_sample_that_leaves_its_branch(monkeypatch):
+    """A polish that moves sample 20 of a lift of the unit circle through
+    z^2 onto the other preimage, its negative, breaks the certificate of the
+    step onto it: lift_path raises TraceError naming that node and carrying
+    the 20 samples before it."""
+    sq = Polynomial([0, 0, 1])
+    s = np.linspace(0.0, 1.0, 41)
+    path = (lambda t: np.exp(1j * t), lambda t: 1j * np.exp(1j * t), 1.0, s)
+    good = lift_path(sq, *path)[0]
+    polish = levelcurves._polish
+
+    def broken(nc, z, w):
+        z, fv, dv, done = polish(nc, z, w)
+        z[20], dv[20] = -z[20], -dv[20]
+        return z, fv, dv, done
+
+    monkeypatch.setattr(levelcurves, "_polish", broken)
+    with pytest.raises(TraceError, match=re.escape(f"(lifting s = {s[20]:.6g})")) as err:
+        lift_path(sq, *path)
+    assert np.array_equal(err.value.samples, good[:20])
+
+
+def test_lift_path_coarse_failure_carries_the_fine_samples_before_it(monkeypatch):
+    """When the coarse pass cannot reach its fourth coarse node, the nodes up
+    to the third are corrected and certified as usual, and the TraceError
+    names the node after them and carries their samples."""
+    sq = Polynomial([0, 0, 1])
+    s = np.linspace(0.0, 1.0, 41)
+    path = (lambda t: np.exp(1j * t), lambda t: 1j * np.exp(1j * t), 1.0, s)
+    good = lift_path(sq, *path)[0]
+    newton, blocked = levelcurves._newton, complex(path[0](s)[3 * _COARSE])
+
+    def refusing(fd, z, w, *args):
+        if w == blocked:
+            raise TraceError("refused")
+        return newton(fd, z, w, *args)
+
+    monkeypatch.setattr(levelcurves, "_newton", refusing)
+    reached = 2 * _COARSE + 1
+    with pytest.raises(TraceError, match=re.escape(f"refused (lifting s = {s[reached]:.6g})")) as err:
+        lift_path(sq, *path)
+    _assert_same_lift(sq, np.asarray(err.value.samples), good[:reached])
+
+
+def _certified(p, z, w):
+    """Whether every step z_j -> z_{j+1} of a lift of the points w keeps
+    rho_j = |w_{j+1} - w_j| / dist(w_j, CV) <= 3 - 2 sqrt 2 against the
+    critical values of p and moves at most
+    |w_{j+1} - w_j| / (|p'(z_j)| (1 - rho_j)^2), up to rounding."""
+    dw = np.abs(np.diff(w))
+    rho = dw / np.min(np.abs(w[:-1, None] - np.array(critical_values(p))), axis=1)
+    bound = dw / (np.abs(p.derivative()(z[:-1])) * (1 - rho) ** 2)
+    return (np.all(rho <= 3 - 2 * np.sqrt(2))
+            and np.all(np.abs(np.diff(z)) <= bound + 1e-13 * (1 + np.abs(z[1:]))))
+
+
+def test_d4_chain_steps_are_certified(f4, d4_chain):
+    """Every returned step of the d4 chain's arcs passes the branch
+    certificate on the grid itself: no step needed refining."""
+    for arc in d4_chain.arcs:
+        assert _certified(f4, arc.samples, arc.f_values)
+
+
+def test_fingerprint_laps_are_certified():
+    """The same on the pseudo-lemniscates of the seed-1 inputs of the
+    `fingerprint` benchmark: p of degree 2-4 with p(0) and its critical
+    values inside gamma/2, gamma alternating circle and ellipse, each traced
+    at the m samples per lap identity_report takes at 2048 nodes."""
+    rng = np.random.default_rng(1)
+    gammas = [unit_circle(512), ellipse(1.0, 0.6, 512)]
+    for i in range(24):
+        gamma, d = gammas[i % 2], int(rng.integers(2, 5))
+        while True:
+            roots = rng.normal(0, 0.5, d) + 1j * rng.normal(0, 0.5, d)
+            p = Polynomial.from_roots(roots, leading=float(np.exp(rng.uniform(-0.5, 0.5))))
+            try:
+                if all(winding_number(gamma, 2.0 * w) == 1
+                       for w in [p(0.0), *critical_values(p)]):
+                    break
+            except PreconditionError:
+                pass
+        (loop,) = preimage_loops(p, gamma, max(512, 4096 // d))
+        closed = np.append(loop, loop[0])
+        assert _certified(p, closed, p(closed))
 
 
 @pytest.mark.parametrize("step", [0.0, -0.01, np.nan, np.inf])

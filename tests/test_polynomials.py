@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from lemniscates import polynomials
+from lemniscates.counterexample import build_d4_chain, f4_polynomial
+from lemniscates.curves import unit_circle
 from lemniscates.errors import PreconditionError, RootFindingError
+from lemniscates.fingerprint import identity_report
 from lemniscates.polynomials import (
     Polynomial,
     RationalMap,
@@ -121,6 +124,44 @@ def test_critical_values(f4):
     expect = 0.2 * np.sqrt(0.1)
     assert cv3[0] == pytest.approx(-expect, abs=1e-12)
     assert cv3[1] == pytest.approx(expect, abs=1e-12)
+
+
+def _count_roots(monkeypatch):
+    """Records the coefficients of each polynomial `poly_roots` is called on."""
+    calls = []
+    poly_roots_ = polynomials.poly_roots
+
+    def counting(p, tol=1e-8):
+        calls.append(p.coeffs.tolist())
+        return poly_roots_(p, tol)
+
+    monkeypatch.setattr(polynomials, "poly_roots", counting)
+    return calls
+
+
+def test_critical_values_are_found_once_per_polynomial(monkeypatch):
+    """The first call finds the critical values; later calls on the same
+    Polynomial return a new list of the same values without a root solve."""
+    calls = _count_roots(monkeypatch)
+    p = Polynomial([0, -0.3, 0, 1])
+    first = critical_values(p)
+    first.append(1.0)
+    assert critical_values(p) == first[:-1] and len(calls) == 1
+    assert critical_values(Polynomial(p.coeffs)) == first[:-1] and len(calls) == 2
+
+
+def test_identity_report_and_d4_chain_find_critical_values_once(monkeypatch):
+    """identity_report finds the roots of p', of p and of p - Gamma(0), one
+    solve each: `is_proper` and the lap lifts share the critical values. The
+    d4 chain solves f4 - w_start for its start and f4' once for all of its
+    lifts."""
+    calls = _count_roots(monkeypatch)
+    identity_report(Polynomial([-0.1, 0, 1]), unit_circle(512), nodes=256)
+    assert len(calls) == 3
+    calls.clear()
+    build_d4_chain(step=0.01)
+    f4_prime = f4_polynomial().derivative().coeffs.tolist()
+    assert len(calls) == 2 and calls.count(f4_prime) == 1
 
 
 def test_critical_value_moduli_ordering(f4):
