@@ -105,6 +105,8 @@ def winding_number(c: SampledCurve, w) -> int:
     if not c.closed:
         raise PreconditionError("winding number needs a closed curve")
     w = complex(w)
+    if not abs(w) <= _MAX_MODULUS:  # NaN fails too
+        raise PreconditionError(f"point {w} is not finite or has modulus above {_MAX_MODULUS:.3g}")
     counts, valid = winding_numbers(c.points, [w], min_distance=NEAR_HIT)
     if not valid[0]:
         raise PreconditionError(f"point {w:.6g} within {NEAR_HIT:g} of the curve")
@@ -187,6 +189,8 @@ def count_preimages(f, c: SampledCurve, w, return_residual: bool = False):
     if c.orientation != 1:
         raise PreconditionError("count_preimages needs a positively oriented curve")
     f, w = as_rational(f), complex(w)
+    if not abs(w) <= _MAX_MODULUS:
+        raise PreconditionError(f"target {w} is not finite or has modulus above {_MAX_MODULUS:.3g}")
 
     def images(z, where):
         if not f.is_polynomial and np.abs(f.den(z)).min() < NEAR_HIT:

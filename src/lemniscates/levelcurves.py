@@ -12,22 +12,21 @@ on the disc of radius dist(w_j, CV) about w_j: by the growth theorem
 g(w_{j+1}) lies within |w_{j+1} - w_j| / (|f'(z_j)| (1 - rho_j)^2) of z_j,
 and by Koebe's 1/4 theorem that ball lies in the sheet g(disc), on which f
 is one-to-one (Duren, Univalent Functions, 1983, ch. 2), so a preimage of
-w_{j+1} in the ball is g(w_{j+1}). A scalar stepper crosses every _COARSE-th
-node: it predicts each step by the two-step (Adams-Bashforth) rule from the
-slopes z' = w'(s) / f'(z) of the last two samples and corrects it by Newton
-onto w(s_j), halving the step into Euler substeps when the corrector does
-not contract or the step jumps branches. Cubic Hermite interpolation of
-those samples and slopes predicts every sample, and one vectorized Newton
-pass corrects all of them to rounding level (the next update is at rounding
-level or the residual at Horner rounding level) and checks each step
-against that distance bound and the critical floor. A step that no halving
-makes short enough (a critical value on the path), a coarse step the
-stepper cannot take or a step that fails its check raises TraceError with
-the samples before it; there is no second route. Level arcs lift
-eps*exp(i s) on a uniform grid in s = arg f, gradient arcs exp(s + i alpha)
-on a uniform grid in s = log|f|. Every sample lands on its exact target to a
-relative residual of NEWTON_TOL = 1e-12 or better, so a level arc's argument
-lift is its grid and |f| = eps holds to that residual.
+w_{j+1} in the ball is g(w_{j+1}). The coarse pass only predicts: a
+scalar stepper crosses every _COARSE-th node, predicting each step by the
+two-step (Adams-Bashforth) rule from the slopes z' = w'(s) / f'(z) of the
+last two samples and correcting it by Newton onto w(s_j). Cubic Hermite
+interpolation of those samples and slopes predicts every sample, and one
+vectorized Newton pass corrects all of them to rounding level (the next
+update is at rounding level or the residual at Horner rounding level) and
+checks each step against that distance bound and the critical floor. A
+step that no halving makes short enough (a critical value on the path), a
+coarse step Newton cannot take or a step that fails its check raises
+TraceError with the certified samples before it; there is no second route.
+Level arcs lift eps*exp(i s) on a uniform grid in s = arg f, gradient arcs
+exp(s + i alpha) on a uniform grid in s = log|f|. Every sample lands on its
+exact target to a relative residual of NEWTON_TOL = 1e-12 or better, so a
+level arc's argument lift is its grid and |f| = eps holds to that residual.
 
 `preimage_loops` is the one closed-curve tracer: it lifts one lap of a closed
 curve Gamma through p^{-1} from every root of p - Gamma(0), and each cycle of
@@ -58,9 +57,7 @@ DEFAULT_STEP = 0.01          # radians of arg (level) / log-modulus (gradient)
 NEWTON_TOL = 1e-12           # corrector goal: |f(z) - w| <= NEWTON_TOL * |w|
 LEVEL_INVARIANT_TOL = 1e-8   # contract: max | |f|-eps | / eps on level arcs
 CRITICAL_FIELD_TOL = 1e-10   # |f'| below this scale aborts a trace
-BRANCH_JUMP_FACTOR = 2.0     # kappa: a coarse step may move at most kappa*|dw|/|f'|
-_CORRECTOR_ITERS = 8         # Newton iterations per substep before halving
-_MAX_HALVINGS = 12           # smallest substep is 2^-12 of a grid step
+_CORRECTOR_ITERS = 8         # Newton updates per start, coarse step or fine pass
 _COARSE = 8                  # C: grid steps per step of the coarse pass
 _COARSE_TOL = 1e-7           # coarse corrector goal; the fine pass polishes every sample
 _SHEET = 3 - 2 * 2 ** 0.5    # the longest certified step, as a share of dist(w, CV)
@@ -241,29 +238,29 @@ def lift_path(f, w, dw, z0, s):
 
     Every step whose ratio rho to its distance to the critical values is
     not at most _SHEET is halved, w and dw evaluated at the midpoint, until
-    none is; these internal nodes are never returned. The scalar stepper
-    crosses every _COARSE-th node (and the last) to the corrector goal
-    _COARSE_TOL. It predicts each step h_j from the slopes z'_j =
-    dw(s_j)/f'(z_j) of the accepted samples by the two-step rule
-    z_j + h_j*(z'_j + (h_j/h_{j-1})*(z'_j - z'_{j-1})/2), an Euler step on
-    the first step, and corrects it by Newton onto w(s_{j+1}). A step whose
-    corrector fails to contract, or that moves
-    |dz| > BRANCH_JUMP_FACTOR*|dw|/|f'| (a jump to another branch), is
-    halved into Euler substeps, as is one that meets a critical point, down
-    to 2^-_MAX_HALVINGS of the step. Cubic Hermite interpolation of these
-    samples and their slopes predicts every sample, and `_fine_pass`
-    corrects all of them and certifies each step.
+    none is; these internal nodes are never returned. The coarse pass only
+    predicts: a scalar stepper crosses every _COARSE-th node (and the last)
+    to the corrector goal _COARSE_TOL. It predicts each step h_j from the
+    slopes z'_j = dw(s_j)/f'(z_j) of the accepted samples by the two-step
+    rule z_j + h_j*(z'_j + (h_j/h_{j-1})*(z'_j - z'_{j-1})/2), an Euler step
+    on the first step, and corrects it by Newton onto w(s_{j+1}). Cubic
+    Hermite interpolation of these samples and their slopes predicts every
+    sample, and `_fine_pass` corrects all of them and certifies each step:
+    the certificate, not the stepper, keeps the lift on its branch.
 
     Returns (samples, f(samples)), of shape z0.shape + s.shape. Raises
-    TraceError when a start projection fails, or, naming the node of s it
-    did not reach and carrying the samples at the nodes before it, when a
-    step is still too long after _MAX_REFINEMENTS halvings (a critical value
-    on the path, or a start on one), a coarse step is still rejected after
-    the last halving, or a sample fails its certificate.
+    PreconditionError when s is empty, and TraceError when a start
+    projection fails, or, naming the node of s it did not reach and
+    carrying the certified samples at the nodes before it, when a step is
+    still too long after _MAX_REFINEMENTS halvings (a critical value on the
+    path, or a start on one), Newton cannot take a coarse step, or a sample
+    fails its certificate.
     """
     fd = _scalar_kernels(f)
     nc = [complex(c) for c in f.coeffs][::-1]
     s = np.asarray(s, dtype=float)
+    if not s.size:
+        raise PreconditionError("lift_path needs at least one node of s")
     t, w_t, dw_t, rho, node = _refined(f, w, dw, s, np.asarray(w(s), dtype=complex),
                                        np.asarray(dw(s), dtype=complex))
     stuck = np.flatnonzero(~(rho <= _SHEET))
@@ -274,51 +271,10 @@ def lift_path(f, w, dw, z0, s):
                    f"its distance to the critical values after {_MAX_REFINEMENTS} halvings")
     nodes = np.append(np.arange(0, end - 1, _COARSE), end - 1)
     weights = _hermite(t, nodes)
-    # the coarse steps (h_j, bend_j, w_j, w_{j+1}, dw_{j+1}) as plain Python
+    # the coarse steps (h_j, bend_j, w_{j+1}, dw_{j+1}) as plain Python
     # scalars, which keep the per-step arithmetic cheap
-    ts, ws, dws = t[nodes].tolist(), w_t[nodes].tolist(), dw_t[nodes].tolist()
     steps = list(zip(np.diff(t[nodes]).tolist(), _bend(t[nodes]).tolist(),
-                     ws[:-1], ws[1:], dws[1:]))
-
-    def correct(z, dv, guess, w0, w1):
-        """Newton from guess onto w1; a step from z must stay on its branch."""
-        z1, f1, d1 = _newton(fd, guess, w1, _COARSE_TOL, _CORRECTOR_ITERS, f)
-        if abs(z1 - z) > BRANCH_JUMP_FACTOR * abs(w1 - w0) / abs(dv):
-            raise TraceError(f"step from {z:.6g} jumped to another branch at {z1:.6g}")
-        return z1, f1, d1
-
-    def halve(z, dv, t0, w0, dw0, t1, w1, depth):
-        """Cross [t0, t1] in two Euler substeps of 2^-depth of a step,
-        halving a rejected one again."""
-        tm = 0.5 * (t0 + t1)
-        wm, dwm = complex(w(np.array([tm]))[0]), complex(dw(np.array([tm]))[0])
-        for ta, wa, dwa, tb, wb in ((t0, w0, dw0, tm, wm), (tm, wm, dwm, t1, w1)):
-            try:
-                z, fv, dv1 = correct(z, dv, z + dwa * (tb - ta) / dv, wa, wb)
-            except TraceError:
-                if depth == _MAX_HALVINGS:
-                    raise
-                z, fv, dv1 = halve(z, dv, ta, wa, dwa, tb, wb, depth + 1)
-            dv = dv1
-        return z, fv, dv
-
-    def walk(z, dv):
-        """The scalar stepper over the coarse nodes from the sample z at the
-        first; returns the samples, or raises TraceError carrying those
-        before the node it could not reach."""
-        zs = [z]
-        slope = prev = dws[0] / dv
-        for i, (h, b, w0, w1, dw1) in enumerate(steps, start=1):
-            try:
-                z1, _, dv1 = correct(z, dv, z + h * (slope + b * (slope - prev)), w0, w1)
-            except TraceError:
-                try:
-                    z1, _, dv1 = halve(z, dv, ts[i - 1], w0, dws[i - 1], ts[i], w1, 1)
-                except TraceError as err:
-                    raise TraceError(str(err), samples=zs) from None
-            z, dv, prev, slope = z1, dv1, slope, dw1 / dv1
-            zs.append(z)
-        return zs
+                     w_t[nodes[1:]].tolist(), dw_t[nodes[1:]].tolist()))
 
     starts = np.asarray(z0, dtype=complex)
     samples = np.empty(starts.shape + s.shape, dtype=complex)
@@ -326,13 +282,19 @@ def lift_path(f, w, dw, z0, s):
     for k in np.ndindex(starts.shape):
         z, _, dv = _newton(fd, complex(starts[k]), complex(w_t[0]), NEWTON_TOL,
                            _CORRECTOR_ITERS, f)
-        lifted, (J, h00, h10, h01, h11), why = nodes, weights, refused
-        try:
-            zc = np.asarray(walk(z, dv))
-        except TraceError as err:  # lift up to the coarse node it reached
-            zc, why = np.asarray(err.samples), str(err)
-            lifted = nodes[:zc.size]
-            J, h00, h10, h01, h11 = _hermite(t, lifted)
+        zc, why = [z], refused
+        slope = prev = complex(dw_t[0]) / dv
+        for h, b, w1, dw1 in steps:  # the coarse pass, up to the node it cannot reach
+            try:
+                z, _, dv = _newton(fd, z + h * (slope + b * (slope - prev)), w1,
+                                   _COARSE_TOL, _CORRECTOR_ITERS, f)
+            except TraceError as err:
+                why = str(err)
+                break
+            prev, slope = slope, dw1 / dv
+            zc.append(z)
+        lifted, zc = nodes[:len(zc)], np.asarray(zc)
+        J, h00, h10, h01, h11 = weights if lifted.size == nodes.size else _hermite(t, lifted)
         with np.errstate(all="ignore"):  # _fine_pass refuses a non-finite guess
             mc = dw_t[lifted] / _horner(nc, zc)[1]
             guess = h00 * zc[J] + h10 * mc[J] + h01 * zc[J + 1] + h11 * mc[J + 1]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lemniscates import curves
 from lemniscates.curves import (
     _MAX_MODULUS,
     SampledCurve,
@@ -166,8 +167,6 @@ def test_crossing_winding_matches_dense_on_random_polygons(re, im, seed, margin)
 
 
 def test_crossing_winding_independent_of_pair_blocks(monkeypatch):
-    from lemniscates import curves
-
     t = np.linspace(0, 6 * np.pi, 301, endpoint=False)
     star = (1.5 + np.cos(7 * t / 3)) * np.exp(1j * t)  # winds three times
     rng = np.random.default_rng(3)
@@ -236,6 +235,19 @@ def test_count_preimages_requires_positive_orientation(circle_T):
     f = RationalMap(Polynomial([0, 1]))
     with pytest.raises(PreconditionError):
         count_preimages(f, circle_T.reversed(), 0.0)
+
+
+@pytest.mark.parametrize("w", [np.nan, np.inf, complex(0, np.nan), 1e308 + 1e308j])
+def test_a_target_outside_the_kernels_range_is_refused(w, monkeypatch):
+    """A target that is not finite (winding_number read it as 0,
+    count_preimages raised a bare ValueError after a RuntimeWarning) or
+    that overflows the kernels is refused before anything is evaluated."""
+    monkeypatch.setattr(curves, "winding_numbers", None)
+    with np.errstate(all="raise"):
+        with pytest.raises(PreconditionError, match="not finite"):
+            winding_number(unit_circle(64), w)
+        with pytest.raises(PreconditionError, match="not finite"):
+            count_preimages(Polynomial([0, 1]), unit_circle(64), w)
 
 
 def test_count_preimages_pole_on_curve_rejected():

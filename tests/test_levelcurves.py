@@ -28,8 +28,6 @@ from lemniscates.fingerprint import identity_report, is_proper, is_proper_oracle
 from lemniscates.levelcurves import (
     _COARSE,
     _CORRECTOR_ITERS,
-    _MAX_HALVINGS,
-    BRANCH_JUMP_FACTOR,
     LEVEL_INVARIANT_TOL,
     NEWTON_TOL,
     _grid,
@@ -375,9 +373,15 @@ def _horner_kernels(p):
     return fd
 
 
+BRANCH_JUMP_FACTOR = 2.0  # kappa: a step may move at most kappa*|dw|/|f'|
+MAX_HALVINGS = 12         # the smallest substep is 2^-12 of a grid step
+
+
 def _euler_lift_path(f, w, dw, z0, s):
     """lift_path with an Euler predictor z + dw(s_j)*(s_{j+1} - s_j)/f'(z)
-    on every step and three Horner passes per evaluation."""
+    on every step and three Horner passes per evaluation. A step whose
+    corrector fails, or that moves |dz| > BRANCH_JUMP_FACTOR*|dw|/|f'| (a
+    jump to another branch), is halved, down to 2^-MAX_HALVINGS of it."""
     fd = _horner_kernels(f)
     s = np.asarray(s, dtype=float)
     # plain Python scalars keep the per-step arithmetic cheap
@@ -392,7 +396,7 @@ def _euler_lift_path(f, w, dw, z0, s):
                 raise TraceError(f"step from {z:.6g} jumped to another branch at {z1:.6g}")
             return z1, f1, d1
         except TraceError:
-            if depth == _MAX_HALVINGS:
+            if depth == MAX_HALVINGS:
                 raise
         tm = 0.5 * (t0 + t1)
         wm, dwm = complex(w(np.array([tm]))[0]), complex(dw(np.array([tm]))[0])
@@ -543,15 +547,20 @@ def test_lift_path_short_paths_take_the_two_level_route(monkeypatch):
     assert log == [(11, True), (6, True)]
 
 
+def _unit_circle_through_z2():
+    """z^2, the unit-circle path over 41 nodes of [0, 1] from 1, and its lift."""
+    sq = Polynomial([0, 0, 1])
+    s = np.linspace(0.0, 1.0, 41)
+    path = (lambda t: np.exp(1j * t), lambda t: 1j * np.exp(1j * t), 1.0, s)
+    return sq, s, path, lift_path(sq, *path)[0]
+
+
 def test_lift_path_raises_a_sample_that_leaves_its_branch(monkeypatch):
     """A polish that moves sample 20 of a lift of the unit circle through
     z^2 onto the other preimage, its negative, breaks the certificate of the
     step onto it: lift_path raises TraceError naming that node and carrying
     the 20 samples before it."""
-    sq = Polynomial([0, 0, 1])
-    s = np.linspace(0.0, 1.0, 41)
-    path = (lambda t: np.exp(1j * t), lambda t: 1j * np.exp(1j * t), 1.0, s)
-    good = lift_path(sq, *path)[0]
+    sq, s, path, good = _unit_circle_through_z2()
     polish = levelcurves._polish
 
     def broken(nc, z, w):
@@ -566,17 +575,17 @@ def test_lift_path_raises_a_sample_that_leaves_its_branch(monkeypatch):
 
 
 def test_lift_path_coarse_failure_carries_the_fine_samples_before_it(monkeypatch):
-    """When the coarse pass cannot reach its fourth coarse node, the nodes up
-    to the third are corrected and certified as usual, and the TraceError
-    names the node after them and carries their samples."""
-    sq = Polynomial([0, 0, 1])
-    s = np.linspace(0.0, 1.0, 41)
-    path = (lambda t: np.exp(1j * t), lambda t: 1j * np.exp(1j * t), 1.0, s)
-    good = lift_path(sq, *path)[0]
+    """When Newton cannot take the coarse step onto the fourth coarse node,
+    that target is tried once, the nodes up to the third are corrected and
+    certified as usual, and the TraceError names the node after them and
+    carries their samples."""
+    sq, s, path, good = _unit_circle_through_z2()
     newton, blocked = levelcurves._newton, complex(path[0](s)[3 * _COARSE])
+    tried = []
 
     def refusing(fd, z, w, *args):
         if w == blocked:
+            tried.append(z)
             raise TraceError("refused")
         return newton(fd, z, w, *args)
 
@@ -585,6 +594,40 @@ def test_lift_path_coarse_failure_carries_the_fine_samples_before_it(monkeypatch
     with pytest.raises(TraceError, match=re.escape(f"refused (lifting s = {s[reached]:.6g})")) as err:
         lift_path(sq, *path)
     _assert_same_lift(sq, np.asarray(err.value.samples), good[:reached])
+    assert len(tried) == 1
+
+
+def test_lift_path_coarse_step_onto_another_branch_fails_its_certificate(monkeypatch):
+    """A coarse Newton that lands the fourth coarse node of the unit-circle
+    lift through z^2 on the other preimage, its negative, is taken as it
+    is: the coarse pass only predicts. The fine samples interpolated towards
+    it fail the branch certificate, so lift_path raises TraceError naming a
+    node after the third coarse node and carrying the good samples before
+    it."""
+    sq, s, path, good = _unit_circle_through_z2()
+    newton, jumped = levelcurves._newton, complex(path[0](s)[3 * _COARSE])
+    tried = []
+
+    def jumping(fd, z, w, *args):
+        z1, f1, d1 = newton(fd, z, w, *args)
+        if w == jumped:
+            tried.append(z)
+            return -z1, f1, -d1
+        return z1, f1, d1
+
+    monkeypatch.setattr(levelcurves, "_newton", jumping)
+    with pytest.raises(TraceError, match="not certified on its branch") as err:
+        lift_path(sq, *path)
+    reached = len(err.value.samples)
+    assert 2 * _COARSE < reached <= 3 * _COARSE
+    assert str(err.value).endswith(f"(lifting s = {s[reached]:.6g})")
+    _assert_same_lift(sq, np.asarray(err.value.samples), good[:reached])
+    assert len(tried) == 1
+
+
+def test_lift_path_refuses_an_empty_grid():
+    with pytest.raises(PreconditionError, match="at least one node"):
+        lift_path(Polynomial([0, 0, 1]), np.exp, np.exp, 1.0, np.array([]))
 
 
 def _certified(p, z, w):
