@@ -67,11 +67,7 @@ def trig_grid(coeffs: np.ndarray, m: int) -> np.ndarray:
 
 def trig_diff(vals: np.ndarray) -> np.ndarray:
     """Spectral derivative sampled at the nodes."""
-    n = len(vals)
-    c = fourier_coeffs(vals) * 1j * _freqs(n)
-    if n % 2 == 0:
-        c[n // 2] = 0.0
-    return np.fft.ifft(c * n)
+    return np.fft.ifft(deriv_coeffs(fourier_coeffs(vals)) * len(vals))
 
 
 def trig_resample(vals: np.ndarray, m: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from .counterexample import (
     reproduce_table,
 )
 from .curves import SampledCurve, unit_circle
-from .errors import ChainClosureError, NumericalError, PreconditionError, TraceError
+from .errors import ChainClosureError, NumericalError, PreconditionError, TraceError, require_keys
 from .fingerprint import (
     _traced_lemniscate,
     circle_map_of_blaschke,
@@ -78,10 +78,7 @@ class RunConfig:
         cfg = cls()
         if path:
             data = lio.read_json(path)
-            known = {f.name for f in fields(cls)}
-            unknown = set(data) - known
-            if unknown:
-                raise PreconditionError(f"unknown config keys: {sorted(unknown)}")
+            require_keys(data, "config", (), [f.name for f in fields(cls)])
             for k, v in data.items():
                 setattr(cfg, k, _config_value(k, v, getattr(cfg, k)))
         env_out = os.environ.get(ENV_OUTDIR)
@@ -226,7 +223,7 @@ def cmd_fingerprint(args, cfg: RunConfig) -> dict:
         "blaschke_json": str(bj_path),
     }
     for m, mp in zip(maps.values(), map_paths):
-        mp.write_text(json.dumps(m.to_dict()) + "\n")
+        mp.write_text(json.dumps(lio.solved_map_to_dict(m)) + "\n")
     if maps:
         payload["solved_maps"] = {key: str(mp) for key, mp in zip(maps, map_paths)}
     return payload

@@ -38,7 +38,7 @@ built once, on the n nodes: theta - t and mu are resampled to n by FFT
 (copied at k = n) and g0 is kept, so the map is checked monotone at n, and
 its solve_nodes is the k it was solved at. A SolverError below n, from the
 solve or the build, counts as unresolved. n is both the maps' node count and
-the cap of the solve's resolution.
+the cap of the solve's resolution. The maps' file format is io's.
 """
 from __future__ import annotations
 
@@ -96,23 +96,23 @@ class DiskMap:
         self.nodes = self.points.size
         self.solve_nodes = None
         self.theta = np.asarray(theta, dtype=float)
-        self._mu = np.asarray(mu, dtype=float)
-        self._g0 = complex(g0)
-        if not all(np.all(np.isfinite(a)) for a in (self.points, self.theta, self._mu)):
+        self.mu = np.asarray(mu, dtype=float)
+        self.g0 = complex(g0)
+        if not all(np.all(np.isfinite(a)) for a in (self.points, self.theta, self.mu)):
             raise SolverError("map has a non-finite point, angle or density value")
         t = np.linspace(0.0, _TWO_PI, self.nodes, endpoint=False)
         self._p_c = fourier_coeffs(self.theta - t)  # periodic part of the lift
         gaps = np.diff(np.concatenate([self.theta, [self.theta[0] + _TWO_PI]]))
         if not np.all(gaps > 0):
             raise SolverError("boundary correspondence is not strictly increasing")
-        if not (np.isfinite(self._g0) and 0 < self.center_derivative < np.inf):
-            raise SolverError(f"g0 = {self._g0} gives no finite positive center derivative")
+        if not (np.isfinite(self.g0) and 0 < self.center_derivative < np.inf):
+            raise SolverError(f"g0 = {self.g0} gives no finite positive center derivative")
 
     @property
     def center_derivative(self) -> float:
         """phi'(0) = exp(-Re g0), the inverse of |f'(0)| for f = z exp(g)."""
         with np.errstate(over="ignore"):
-            return float(np.exp(-self._g0.real))
+            return float(np.exp(-self.g0.real))
 
     # -- parameter <-> angle ------------------------------------------------
 
@@ -175,37 +175,12 @@ class DiskMap:
         counts, valid = winding_numbers(self.points, z_arr, min_distance=NEAR_HIT)
         if not np.all(valid & (counts == 1)):
             raise PreconditionError("point is not strictly inside the domain")
-        rho = self._mu * trig_diff(self.points) * (_TWO_PI / self.nodes)
+        rho = self.mu * trig_diff(self.points) * (_TWO_PI / self.nodes)
         g = (rho / (self.points - z_arr[:, None])).sum(axis=1) / (1j * np.pi)
-        f = z_arr * np.exp(g - 1j * self._g0.imag)
+        f = z_arr * np.exp(g - 1j * self.g0.imag)
         if np.any(np.abs(f) >= 1.0):
             raise PreconditionError("point is not strictly inside the domain")
         return f if np.ndim(z) else complex(f[0])
-
-    def to_dict(self):
-        return {
-            "kind": "interior",
-            "theta": self.theta.tolist(),
-            "points": [[p.real, p.imag] for p in self.points],
-            "mu": self._mu.tolist(),
-            "g0": [self._g0.real, self._g0.imag],
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        """The map written by to_dict. A malformed file, one without mu and
-        g0 (written before maps carried them) or one that carries
-        center_derivative, which g0 determines, raises PreconditionError."""
-        if "center_derivative" in d:
-            raise PreconditionError("map JSON carries center_derivative; it is read off g0")
-        try:
-            pts = np.array([complex(re, im) for re, im in d["points"]])
-            theta, mu = np.asarray(d["theta"], float), np.asarray(d["mu"], float)
-            if not (pts.size and theta.shape == mu.shape == pts.shape):
-                raise PreconditionError("map JSON: points, theta and mu differ in length")
-            return cls(pts, theta, mu, complex(*d["g0"]))
-        except (KeyError, TypeError, ValueError, SolverError) as err:
-            raise PreconditionError(f"malformed map JSON: {err!r}") from None
 
     def __repr__(self):
         return f"DiskMap(nodes={self.nodes}, center_derivative={self.center_derivative:.6g})"
@@ -399,21 +374,6 @@ class ExteriorMap:
                 f"exterior evaluation needs finite |zeta| >= 1/{1 - INTERIOR_MARGIN}")
         out = 1.0 / np.conj(self.inner.interior_eval(1.0 / np.conj(zeta_arr)))
         return out if np.ndim(zeta) else complex(out[0])
-
-    def to_dict(self):
-        return {"kind": "exterior", "inner": self.inner.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d):
-        """The map written by to_dict; refuses input as DiskMap.from_dict
-        does, and a file that carries points, theta or a, which would load
-        unread."""
-        extra = sorted({"points", "theta", "a"} & set(d))
-        if extra:
-            raise PreconditionError(f"exterior map JSON carries {extra}; only inner is read")
-        if "inner" not in d:
-            raise PreconditionError('exterior map JSON needs an "inner" field')
-        return cls(DiskMap.from_dict(d["inner"]))
 
     def __repr__(self):
         return f"ExteriorMap(nodes={self.nodes}, a={self.a:.6g})"

@@ -252,36 +252,26 @@ def build_boundary(
         if crossed is not None:
             entry["crossed_after_arc"] = crossed
             continue
-        verts = np.array(
-            [arcs[0].samples[0]] + [a.samples[-1] for a in arcs[:-1]], dtype=complex
-        )
-        allpts = np.concatenate([a.samples for a in arcs])
-        diam = float(
-            np.hypot(
-                allpts.real.max() - allpts.real.min(),
-                allpts.imag.max() - allpts.imag.min(),
-            )
-        )
+        curve = SampledCurve(np.concatenate([a.samples[:-1] for a in arcs]), closed=True)
         resid = abs(complex(arcs[-1].samples[-1]) - cand)
-        entry.update(closure_residual=resid, diameter=diam)
-        if resid > CLOSE_TOL_FACTOR * diam:
+        entry.update(closure_residual=resid, diameter=curve.diameter())
+        if resid > CLOSE_TOL_FACTOR * entry["diameter"]:
             continue
-        points = np.concatenate([a.samples[:-1] for a in arcs])
-        curve = SampledCurve(points, closed=True)
         if curve.orientation != 1:
             curve = curve.reversed()
         entry["jordan"] = is_jordan(curve, tol=JORDAN_TOL)
         # distinct candidates trace one closed chain when the image path
         # repeats itself (p = z**2 on a circle)
-        if entry["jordan"] and not any(_lies_on(kept[4].points, cand) for kept in distinct):
-            distinct.append((cand, arcs, verts, resid, curve))
+        if entry["jordan"] and not any(_lies_on(kept[2].points, cand) for kept in distinct):
+            distinct.append((arcs, resid, curve))
     if len(distinct) != 1:
         raise ChainClosureError(
             f"{len(distinct)} of {len(candidates)} candidates gave distinct "
             "closed Jordan chains",
             candidates=results,
         )
-    cand, arcs, verts, resid, curve = distinct[0]
+    arcs, resid, curve = distinct[0]
+    verts = np.array([arcs[0].samples[0]] + [a.samples[-1] for a in arcs[:-1]], dtype=complex)
     return BoundaryChain(
         specs=list(specs),
         vertices=verts,

@@ -21,6 +21,19 @@ def require_count(n, least: int, what: str):
     return n
 
 
+def require_keys(d, what: str, required, optional=()):
+    """PreconditionError, naming the keys, unless d is a JSON object holding
+    every key of `required` and no key outside `required` and `optional`."""
+    if not isinstance(d, dict):
+        raise PreconditionError(f"{what} must be a JSON object, got {type(d).__name__}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise PreconditionError(f"{what} needs the keys {missing}")
+    unknown = sorted(set(d).difference(required, optional))
+    if unknown:
+        raise PreconditionError(f"unknown {what} keys: {unknown}")
+
+
 class NumericalError(LemniscateError):
     """A numerical procedure failed to meet its contract."""
 

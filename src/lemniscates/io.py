@@ -1,6 +1,7 @@
-"""File formats: JSON for polynomials/curves/Blaschke products/solved maps,
-CSV for circle-map lifts, and a small deterministic SVG writer. All emission
-is byte-stable across runs."""
+"""Every file format of the package: JSON for polynomials, curves, Blaschke
+products and solved Riemann maps, each holding exactly the keys of its
+format (errors.require_keys), CSV for circle-map lifts, and a small
+deterministic SVG writer. All emission is byte-stable across runs."""
 from __future__ import annotations
 
 import csv
@@ -11,22 +12,19 @@ import numpy as np
 
 from .conformal import DiskMap, ExteriorMap
 from .curves import SampledCurve
-from .errors import PreconditionError
+from .errors import PreconditionError, SolverError, require_keys
 from .fingerprint import BlaschkeProduct, CircleMap
 from .polynomials import Polynomial
 
 
-def read_json(path) -> dict:
-    """Load a JSON object from path; an unreadable file, malformed JSON or a
-    top level that is not an object raises PreconditionError."""
+def read_json(path):
+    """The JSON value in path; an unreadable file or malformed JSON raises
+    PreconditionError. Its reader checks that it is an object (require_keys)."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise PreconditionError(f"cannot read JSON from {path}: {err}") from None
-    if not isinstance(data, dict):
-        raise PreconditionError(f"{path}: top-level JSON value must be an object")
-    return data
 
 
 def _pairs(values) -> list:
@@ -48,8 +46,7 @@ def polynomial_to_dict(p: Polynomial) -> dict:
 
 
 def polynomial_from_dict(d: dict) -> Polynomial:
-    if "coeffs" not in d:
-        raise PreconditionError('polynomial JSON needs a "coeffs" field')
+    require_keys(d, "polynomial JSON", ("coeffs",))
     coeffs = _unpairs(d["coeffs"])
     if coeffs.size == 0:
         raise PreconditionError("polynomial JSON has empty coeffs")
@@ -72,8 +69,7 @@ def curve_to_dict(c: SampledCurve) -> dict:
 
 
 def curve_from_dict(d: dict) -> SampledCurve:
-    if "points" not in d:
-        raise PreconditionError('curve JSON needs a "points" field')
+    require_keys(d, "curve JSON", ("points",), ("closed",))
     closed = d.get("closed", True)
     if not isinstance(closed, bool):
         raise PreconditionError(
@@ -93,24 +89,45 @@ def save_curve(c: SampledCurve, path):
 
 
 def blaschke_to_dict(b: BlaschkeProduct) -> dict:
-    return {
-        "zeros": _pairs(b.zeros),
-        "rotation": [float(b.rotation.real), float(b.rotation.imag)],
-    }
+    return {"zeros": _pairs(b.zeros), "rotation": _pairs([b.rotation])[0]}
 
 
 def blaschke_from_dict(d: dict) -> BlaschkeProduct:
-    if "zeros" not in d or "rotation" not in d:
-        raise PreconditionError('Blaschke JSON needs "zeros" and "rotation" fields')
+    require_keys(d, "Blaschke JSON", ("zeros", "rotation"))
     return BlaschkeProduct(_unpairs(d["zeros"]), _unpairs([d["rotation"]])[0])
 
 
+def solved_map_to_dict(m) -> dict:
+    """A DiskMap as its nodes, correspondence and solved density (mu, g0);
+    an ExteriorMap as `inner`, from which its theta, a and nodes are read."""
+    if isinstance(m, ExteriorMap):
+        return {"kind": "exterior", "inner": solved_map_to_dict(m.inner)}
+    return {"kind": "interior", "theta": m.theta.tolist(), "points": _pairs(m.points),
+            "mu": m.mu.tolist(), "g0": _pairs([m.g0])[0]}
+
+
+def _disk_map_from_dict(d) -> DiskMap:
+    require_keys(d, "map JSON", ("theta", "points", "mu", "g0"), ("kind",))
+    if d.get("kind", "interior") != "interior":
+        raise PreconditionError(
+            f'map JSON "kind" must be "interior" or "exterior", got {json.dumps(d["kind"])}')
+    pts = _unpairs(d["points"])
+    try:
+        theta, mu = np.asarray(d["theta"], float), np.asarray(d["mu"], float)
+        if not (pts.size and theta.shape == mu.shape == pts.shape):
+            raise PreconditionError("map JSON: points, theta and mu differ in length")
+        return DiskMap(pts, theta, mu, _unpairs([d["g0"]])[0])
+    except (TypeError, ValueError, SolverError) as err:
+        raise PreconditionError(f"malformed map JSON: {err!r}") from None
+
+
 def solved_map_from_dict(d: dict):
-    """Refuses a malformed map, or one saved without its density, with
-    PreconditionError."""
-    if d.get("kind") == "exterior":
-        return ExteriorMap.from_dict(d)
-    return DiskMap.from_dict(d)
+    """The map written by solved_map_to_dict; a file without `kind` is an
+    interior map. A malformed or non-finite map raises PreconditionError."""
+    if isinstance(d, dict) and d.get("kind") == "exterior":
+        require_keys(d, "exterior map JSON", ("kind", "inner"))
+        return ExteriorMap(_disk_map_from_dict(d["inner"]))
+    return _disk_map_from_dict(d)
 
 
 # -- CSV -------------------------------------------------------------------------

@@ -273,6 +273,25 @@ def test_symmetric_distinct_chains_raise():
     assert all(c["jordan"] for c in info.value.candidates)
 
 
+def test_clockwise_chain_is_reversed():
+    """A level arc traced with a negative argument change runs clockwise;
+    the chain's curve is that trace reversed, positively oriented."""
+    chain = build_boundary(Polynomial([0, 1]), [ArcSpec("level", 1.0, -2 * np.pi)], step=0.02)
+    traced = chain.arcs[0].samples[:-1]
+    assert SampledCurve(traced).orientation == -1
+    assert chain.curve.orientation == 1
+    assert np.array_equal(chain.curve.points, traced[::-1])
+
+
+def test_candidate_trace_error_is_recorded():
+    """|z^2 - 1| = 1 passes through the critical point 0 (critical value -1):
+    both candidates fail to trace, and each records its error."""
+    with pytest.raises(ChainClosureError, match="0 of 2") as info:
+        build_boundary(Polynomial([-1, 0, 1]), [ArcSpec("level", 1.0, 2 * np.pi)], step=0.02)
+    assert len(info.value.candidates) == 2
+    assert all("error" in c for c in info.value.candidates)
+
+
 def test_arcspec_validation():
     with pytest.raises(PreconditionError):
         ArcSpec("level", 1.0, 0.0)

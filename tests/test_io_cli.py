@@ -9,9 +9,9 @@ import pytest
 from lemniscates import cli, fingerprint
 from lemniscates import io as lio
 from lemniscates.cli import RunConfig, main
-from lemniscates.curves import ellipse, unit_circle
+from lemniscates.curves import SampledCurve, ellipse, unit_circle
 from lemniscates.errors import ChainClosureError, PreconditionError, TraceError
-from lemniscates.fingerprint import BlaschkeProduct, identity_report, pseudo_lemniscate
+from lemniscates.fingerprint import BlaschkeProduct, identity_report, is_proper, pseudo_lemniscate
 from lemniscates.polynomials import Polynomial, normalize_leading
 
 
@@ -70,7 +70,7 @@ def test_blaschke_malformed_json_refused(d):
 def solved_maps():
     from lemniscates.conformal import riemann_maps
 
-    dicts = [m.to_dict() for m in riemann_maps(unit_circle(64, center=0.2), 64)]
+    dicts = [lio.solved_map_to_dict(m) for m in riemann_maps(unit_circle(64, center=0.2), 64)]
     for d in dicts:
         lio.solved_map_from_dict(d)  # the unaltered files load
     return dicts
@@ -81,7 +81,8 @@ def solved_maps():
     "bad points", "exterior without inner", "exterior with older inner",
     "exterior with theta", "exterior with a", "exterior with points",
     "with center_derivative", "infinite g0", "NaN in mu", "NaN in points",
-    "exterior with NaN in inner mu",
+    "exterior with NaN in inner mu", "kind bogus", "kind Exterior", "inner with unknown key",
+    "exterior inner", "inner not an object", "not an object", "one-entry g0",
 ])
 def test_solved_map_malformed_json_refused(solved_maps, case):
     dm, em = solved_maps
@@ -109,9 +110,34 @@ def test_solved_map_malformed_json_refused(solved_maps, case):
         "exterior with NaN in inner mu": {
             **em, "inner": {**em["inner"], "mu": [float("nan")] + em["inner"]["mu"][1:]},
         },
+        # an unknown kind is not read as an interior map
+        "kind bogus": {**dm, "kind": "bogus"},
+        "kind Exterior": {**dm, "kind": "Exterior"},
+        "inner with unknown key": {**em, "inner": {**em["inner"], "nodes": len(dm["mu"])}},
+        "exterior inner": {**em, "inner": em},
+        "inner not an object": {**em, "inner": [1, 2]},
+        "not an object": [dm],
+        "one-entry g0": {**dm, "g0": dm["g0"][:1]},
     }[case]
     with pytest.raises(PreconditionError):
         lio.solved_map_from_dict(d)
+
+
+@pytest.mark.parametrize("fmt", ["polynomial", "curve", "Blaschke", "interior map",
+                                 "exterior map"])
+def test_reader_refuses_unknown_key(solved_maps, fmt):
+    """A file holds exactly the keys of its format: the written dict loads,
+    and the same dict with one more key is refused, naming the key."""
+    read, d = {
+        "polynomial": (lio.polynomial_from_dict, lio.polynomial_to_dict(Polynomial([1, 2j, 3]))),
+        "curve": (lio.curve_from_dict, lio.curve_to_dict(unit_circle(8))),
+        "Blaschke": (lio.blaschke_from_dict, lio.blaschke_to_dict(BlaschkeProduct([0.3j]))),
+        "interior map": (lio.solved_map_from_dict, solved_maps[0]),
+        "exterior map": (lio.solved_map_from_dict, solved_maps[1]),
+    }[fmt]
+    read(d)
+    with pytest.raises(PreconditionError, match=r"unknown .*keys: \['extra'\]"):
+        read({**d, "extra": 1})
 
 
 def test_cli_roots(files, capsys):
@@ -447,6 +473,40 @@ def test_cli_curve_closed_flag_must_be_a_boolean(files, capsys, closed):
         "error": "PreconditionError",
         "message": f'curve JSON "closed" must be true or false, got {json.dumps(closed)}'}
     assert lio.curve_from_dict({"points": square}).closed
+
+
+@pytest.mark.parametrize("curve, poly, message", [
+    # a misspelt "closed" loaded as a closed curve before the exact-key rule
+    ({"close": False, "points": [[1, 0], [0, 1], [-1, 0], [0, -1]]}, None,
+     "unknown curve JSON keys: ['close']"),
+    (None, {"coeffs": [[-0.1, 0], [0, 0], [1, 0]], "degree": 2},
+     "unknown polynomial JSON keys: ['degree']"),
+])
+def test_cli_unknown_file_key_exits_2(files, capsys, curve, poly, message):
+    args = [str(files / "p2.json"), "unit-circle"]
+    for i, payload in enumerate((poly, curve)):
+        if payload is not None:
+            args[i] = str(files / "extra.json")
+            (files / "extra.json").write_text(json.dumps(payload))
+    assert run_cli("properness", *args, outdir=files) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err) == {"error": "PreconditionError", "message": message}
+
+
+def test_repeated_closing_point_is_dropped(files):
+    """A closed curve whose last point repeats its first loads without it,
+    from points or from a file, and properness reads it as before."""
+    circle = unit_circle(64)
+    repeated = np.append(circle.points, circle.points[0])
+    path = files / "repeated.json"
+    path.write_text(json.dumps({"points": [[z.real, z.imag] for z in repeated]}))
+    for loaded in (SampledCurve(repeated), lio.load_curve(path)):
+        assert len(loaded) == 64 and np.array_equal(loaded.points, circle.points)
+        for p in (Polynomial([-0.1, 0, 1]), Polynomial([-4, 0, 1])):
+            assert is_proper(p, loaded) == is_proper(p, circle)
+    assert is_proper(Polynomial([-0.1, 0, 1]), circle)
+    assert not is_proper(Polynomial([-4, 0, 1]), circle)
 
 
 def test_cli_properness_pinned_improper_pair(files, capsys, criterion6_poly):

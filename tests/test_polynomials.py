@@ -93,9 +93,26 @@ def test_roots_reconstruction_property(rng):
         assert np.max(np.abs(q.coeffs - p.coeffs)) < 1e-8 * scale
 
 
-def test_roots_failure_carries_best_iterate():
+def test_roots_of_a_constant_refused():
     with pytest.raises(PreconditionError):
         poly_roots(Polynomial([3.0]))
+
+
+def test_roots_failure_carries_best_iterate(monkeypatch):
+    """Eigenvalues 1e-3 off the roots of z^2 - 2 fail the residual test; the
+    error carries them as they came from the eigenvalue solve."""
+    solve = polynomials._companion_roots
+    seen = []
+
+    def shifted(coeffs):
+        seen.append(solve(coeffs) + 1e-3)
+        return seen[-1]
+
+    monkeypatch.setattr(polynomials, "_companion_roots", shifted)
+    with pytest.raises(RootFindingError, match="residual 0.00283 exceeds 4e-08") as info:
+        poly_roots(Polynomial([-2, 0, 1]))
+    assert len(seen) == 1 and seen[0].size == 2
+    assert np.array_equal(info.value.best, seen[0])
 
 
 def test_critical_points_f4(f4):
